@@ -223,6 +223,19 @@ def _fused_coefficient_tensor(rho: np.ndarray, kind: BellKind) -> np.ndarray:
     return fused
 
 
+def augmented_vectors(angles: np.ndarray) -> np.ndarray:
+    """Flat [theta, phi] pairs of shape (..., 2k) -> (vx, vy, vz, 1) rows (..., k, 4)."""
+    theta = angles[..., 0::2]
+    phi = angles[..., 1::2]
+    st = np.sin(theta)
+    aug = np.empty(angles.shape[:-1] + (theta.shape[-1], 4))
+    aug[..., 0] = st * np.cos(phi)
+    aug[..., 1] = st * np.sin(phi)
+    aug[..., 2] = np.cos(theta)
+    aug[..., 3] = 1.0
+    return aug
+
+
 def make_batched_value(rho: np.ndarray, kind: BellKind):
     """Closure evaluating the operator for batches of flat angle vectors.
 
@@ -239,15 +252,7 @@ def make_batched_value(rho: np.ndarray, kind: BellKind):
     def value(angles: np.ndarray) -> np.ndarray:
         angles = np.asarray(angles, dtype=float)
         batch = angles.shape[:-1]
-        theta = angles[..., 0::2]
-        phi = angles[..., 1::2]
-        st = np.sin(theta)
-        aug = np.empty(batch + (2 * n, 4))
-        aug[..., 0] = st * np.cos(phi)
-        aug[..., 1] = st * np.sin(phi)
-        aug[..., 2] = np.cos(theta)
-        aug[..., 3] = 1.0
-        party = aug.reshape(batch + (n, 8))
+        party = augmented_vectors(angles).reshape(batch + (n, 8))
         # Contract one party at a time with plain matmuls.
         out = party[..., 0, :] @ fused_flat  # (..., 64) or (..., 8)
         if n == 3:

@@ -1,12 +1,24 @@
-"""Multi-start derivative-free maximization of Bell operators.
+"""Multi-start see-saw maximization of Bell operators.
 
-The 12 measurement angles (8 for CHSH) are optimized by a Nelder-Mead
-simplex search run from many seeded random starting points. All restarts
-are advanced in lockstep as one vectorized batch, which keeps the search
-deterministic for a fixed seed regardless of how the work is scheduled.
+Each operator is folded into one coefficient tensor that is multilinear in
+the per-party augmented 8-vectors (``_fused_coefficient_tensor``). With the
+other parties held fixed, the value is linear in one party's vector, so that
+party's best pair of Bloch vectors is ``g_s / |g_s|``, where ``g`` is the
+partial contraction and ``g_s`` its block for setting s (see-saw, e.g. Pál &
+Vértesi, PRA 82, 022116 (2010)). One sweep updates the parties in turn and
+never lowers the value.
 
-Angles are unconstrained during the search and wrapped to canonical ranges
-([0, pi] polar, [0, 2 pi) azimuth) only in the report.
+All restarts start from seeded random angles and are swept in lockstep as
+one vectorized batch, which keeps the search deterministic for a fixed
+seed. After each sweep an extrapolation along the sweep's move is tried and
+kept per restart only if it raises the value; this crosses the flat ridges
+on which plain see-saw crawls. A restart freezes once a sweep raises its
+value by at most ``RISE_TOL``; ``max_iter`` caps the iterations (one sweep
+plus one extrapolation trial each).
+
+The reported values are recomputed by ``make_batched_value`` at the final
+settings, expressed as canonical angles ([0, pi] polar, [0, 2 pi) azimuth),
+so the direct-trace ``operator_value`` reproduces them.
 """
 
 from __future__ import annotations
@@ -21,14 +33,16 @@ from .operators import (
     VIOLATION_ATOL,
     BellKind,
     MeasurementScenario,
-    canonicalize_angles,
+    _fused_coefficient_tensor,
+    augmented_vectors,
     make_batched_value,
 )
 
 DEFAULT_RESTARTS = 64
 DEFAULT_SEED = 1
-SIMPLEX_DIAMETER_TOL = 1e-10
 MAX_ITERATIONS = 2000
+# A restart stops once one sweep raises its value by no more than this.
+RISE_TOL = 1e-13
 # If the two best restart outcomes disagree by more than this, the landscape
 # was not reproducibly covered and the report is flagged unconverged.
 RESTART_SPREAD_TOL = 1e-6
@@ -38,7 +52,6 @@ RESTART_SPREAD_TOL = 1e-6
 class OptimizeOptions:
     restarts: int = DEFAULT_RESTARTS
     seed: int = DEFAULT_SEED
-    xatol: float = SIMPLEX_DIAMETER_TOL
     max_iter: int = MAX_ITERATIONS
     spread_tol: float = RESTART_SPREAD_TOL
 
@@ -51,7 +64,13 @@ class OptimizeOptions:
 
 @dataclass
 class ViolationReport:
-    """Outcome of one multi-start maximization."""
+    """Outcome of one multi-start maximization.
+
+    ``residual`` is the best restart's largest first-order residual
+    ``|g_s| - <g_s, v_s>`` over all parties and settings (zero at a
+    stationary point); ``capped`` counts the restarts that ``max_iter``
+    stopped before they froze.
+    """
 
     value: float
     scenario: MeasurementScenario
@@ -61,107 +80,8 @@ class ViolationReport:
     restarts_used: int
     converged: bool
     restart_values: np.ndarray = field(repr=False)
-
-
-def _nelder_mead_batch(f, x0: np.ndarray, xatol: float, max_iter: int):
-    """Minimize ``f`` from each row of ``x0`` with standard NM coefficients.
-
-    ``f`` must accept arrays of shape (..., n). Returns (points, values) of
-    the per-restart best vertices. A restart freezes once its simplex
-    max-coordinate diameter drops below ``xatol``.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    n_restarts, dim = x0.shape
-    alpha, gamma, beta, sigma = 1.0, 2.0, 0.5, 0.5
-    init_step = 0.5
-
-    all_simplex = np.repeat(x0[:, None, :], dim + 1, axis=1)
-    for j in range(dim):
-        all_simplex[:, j + 1, j] += init_step
-    all_values = f(all_simplex)
-
-    live = np.arange(n_restarts)  # rows still iterating
-    simplex = all_simplex
-    values = all_values
-    for _ in range(max_iter):
-        order = np.argsort(values, axis=1, kind="stable")
-        simplex = np.take_along_axis(simplex, order[:, :, None], axis=1)
-        values = np.take_along_axis(values, order, axis=1)
-
-        diameter = np.max(np.abs(simplex[:, 1:, :] - simplex[:, :1, :]), axis=(1, 2))
-        done = diameter <= xatol
-        if done.any():
-            all_simplex[live] = simplex
-            all_values[live] = values
-            keep = ~done
-            live = live[keep]
-            if live.size == 0:
-                break
-            simplex = simplex[keep].copy()
-            values = values[keep].copy()
-
-        best = simplex[:, 0, :]
-        worst = simplex[:, -1, :]
-        centroid = simplex[:, :-1, :].mean(axis=1)
-        direction = centroid - worst
-        candidates = np.stack(
-            [
-                centroid + alpha * direction,  # reflection
-                centroid + gamma * direction,  # expansion
-                centroid + beta * direction,  # outside contraction
-                centroid - beta * direction,  # inside contraction
-            ],
-            axis=1,
-        )
-        cand_vals = f(candidates)
-        f_r, f_e, f_oc, f_ic = (cand_vals[:, i] for i in range(4))
-        f_second = values[:, -2]
-        f_worst = values[:, -1]
-
-        improves_best = f_r < values[:, 0]
-        take_expansion = improves_best & (f_e < f_r)
-        take_reflection = (improves_best & ~take_expansion) | (
-            ~improves_best & (f_r < f_second)
-        )
-        outside = ~improves_best & ~(f_r < f_second) & (f_r < f_worst)
-        take_outside = outside & (f_oc <= f_r)
-        inside = ~improves_best & ~(f_r < f_second) & ~(f_r < f_worst)
-        take_inside = inside & (f_ic < f_worst)
-        shrink = (outside & ~take_outside) | (inside & ~take_inside)
-
-        new_point = np.where(
-            take_expansion[:, None],
-            candidates[:, 1],
-            np.where(
-                take_reflection[:, None],
-                candidates[:, 0],
-                np.where(take_outside[:, None], candidates[:, 2], candidates[:, 3]),
-            ),
-        )
-        new_value = np.where(
-            take_expansion,
-            f_e,
-            np.where(take_reflection, f_r, np.where(take_outside, f_oc, f_ic)),
-        )
-        replace = ~shrink
-        simplex[replace, -1, :] = new_point[replace]
-        values[replace, -1] = new_value[replace]
-
-        shrink_rows = np.where(shrink)[0]
-        if shrink_rows.size:
-            shrunk = best[shrink_rows, None, :] + sigma * (
-                simplex[shrink_rows, 1:, :] - best[shrink_rows, None, :]
-            )
-            simplex[shrink_rows, 1:, :] = shrunk
-            values[shrink_rows, 1:] = f(shrunk)
-
-    if live.size:
-        all_simplex[live] = simplex
-        all_values[live] = values
-    order = np.argsort(all_values, axis=1, kind="stable")
-    all_simplex = np.take_along_axis(all_simplex, order[:, :, None], axis=1)
-    all_values = np.take_along_axis(all_values, order, axis=1)
-    return all_simplex[:, 0, :], all_values[:, 0]
+    residual: float = 0.0
+    capped: int = 0
 
 
 def _initial_points(restarts: int, dim: int, seed: int) -> np.ndarray:
@@ -177,6 +97,84 @@ def _initial_points(restarts: int, dim: int, seed: int) -> np.ndarray:
     return points
 
 
+def _angles(aug: np.ndarray) -> np.ndarray:
+    """Augmented vectors -> flat canonical (theta, phi) rows."""
+    v = aug[..., :3].reshape(len(aug), -1, 3)
+    points = np.empty((len(aug), 2 * v.shape[1]))
+    points[:, 0::2] = np.arccos(np.clip(v[..., 2], -1.0, 1.0))
+    points[:, 1::2] = np.arctan2(v[..., 1], v[..., 0]) % (2.0 * np.pi)
+    return points
+
+
+def _party_matrices(fused: np.ndarray) -> list[np.ndarray]:
+    """Per party, the fused tensor with that party's axis leading, laid out as
+    an (8, 8**(n-1)) matrix that the last other party's vector multiplies."""
+    return [
+        np.ascontiguousarray(np.moveaxis(fused, party, 0).reshape(-1, 8).T)
+        for party in range(fused.ndim)
+    ]
+
+
+def _contract(mats: list[np.ndarray], aug: np.ndarray, party: int) -> np.ndarray:
+    """Contract the fused tensor with every party's vector but one: (rows, 2, 4)."""
+    flat = aug.reshape(len(aug), -1, 8)
+    others = [q for q in range(flat.shape[1]) if q != party]
+    g = flat[:, others[-1]] @ mats[party]
+    if len(others) == 2:
+        g = np.matmul(g.reshape(-1, 8, 8), flat[:, others[0], :, None])[..., 0]
+    return g.reshape(-1, 2, 4)
+
+
+def _normalize_into(out: np.ndarray, v: np.ndarray) -> None:
+    """Write the rows of ``v`` scaled to unit length into ``out``; a zero row
+    leaves ``out`` unchanged."""
+    norm = np.sqrt(np.einsum("...i,...i->...", v, v))[..., None]
+    np.divide(v, norm, out=out, where=norm > 0.0)
+
+
+def _sweep(mats: list[np.ndarray], aug: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Update each party in turn; returns the new vectors and their values."""
+    aug = aug.copy()
+    for party in range(aug.shape[1]):
+        g = _contract(mats, aug, party)
+        _normalize_into(aug[:, party, :, :3], g[..., :3])
+    return aug, np.sum(g * aug[:, -1], axis=(1, 2))
+
+
+def _residual(mats: list[np.ndarray], aug: np.ndarray) -> float:
+    """Largest |g_s| - <g_s, v_s> over the rows, parties and settings of ``aug``."""
+    gaps = []
+    for party in range(aug.shape[1]):
+        gs = _contract(mats, aug, party)[..., :3]
+        gaps.append(np.linalg.norm(gs, axis=-1) - np.sum(gs * aug[:, party, :, :3], axis=-1))
+    return float(np.max(gaps))
+
+
+def _see_saw(mats: list[np.ndarray], aug: np.ndarray, max_iter: int):
+    """Ascend every row of ``aug``; returns (vectors, rows stopped by the cap)."""
+    aug = aug.copy()
+    values = np.full(len(aug), -np.inf)
+    step = np.ones(len(aug))
+    live = np.arange(len(aug))
+    for _ in range(max_iter):
+        start, before = aug[live], values[live]
+        swept, after = _sweep(mats, start)
+        # Extrapolate along the sweep's move and keep the trial where it wins;
+        # the step doubles while trials win and falls back to 1 when one loses.
+        move = swept[..., :3] - start[..., :3]
+        ahead = swept.copy()
+        _normalize_into(ahead[..., :3], swept[..., :3] + step[live, None, None, None] * move)
+        ahead, ahead_values = _sweep(mats, ahead)
+        better = ahead_values > after
+        aug[live] = np.where(better[:, None, None, None], ahead, swept)
+        values[live] = np.where(better, ahead_values, after)
+        step[live] = np.where(better, 2.0 * step[live], 1.0)
+        live = live[after - before > RISE_TOL]
+        if live.size == 0:
+            break
+    return aug, live.size
+
+
 def optimize_operator(
     rho: np.ndarray, kind: BellKind, options: OptimizeOptions | None = None
 ) -> ViolationReport:
@@ -188,35 +186,30 @@ def optimize_operator(
     """
     kind = BellKind(kind)
     options = options or OptimizeOptions()
+    n = N_PARTIES[kind]
     value_fn = make_batched_value(rho, kind)
-    dim = 4 * N_PARTIES[kind]
+    mats = _party_matrices(_fused_coefficient_tensor(rho, kind))
 
-    def negated(x):
-        return -value_fn(x)
-
-    x0 = _initial_points(options.restarts, dim, options.seed)
-    points, neg_values = _nelder_mead_batch(
-        negated, x0, xatol=options.xatol, max_iter=options.max_iter
-    )
-    restart_values = -neg_values
+    start = augmented_vectors(_initial_points(options.restarts, 4 * n, options.seed))
+    aug, capped = _see_saw(mats, start.reshape(-1, n, 2, 4), options.max_iter)
+    points = _angles(aug)
+    restart_values = value_fn(points)
     best_index = int(np.argmax(restart_values))  # ties: lowest restart index
     best_value = float(restart_values[best_index])
 
-    if options.restarts > 1:
-        top_two = np.sort(restart_values)[-2:]
-        converged = bool(top_two[1] - top_two[0] <= options.spread_tol)
-    else:
-        converged = True
+    top_two = np.sort(restart_values)[-2:]  # one restart is trivially converged
+    converged = bool(top_two[-1] - top_two[0] <= options.spread_tol)
 
-    scenario = MeasurementScenario.from_flat(canonicalize_angles(points[best_index]))
     bound = CLASSICAL_BOUND[kind]
     return ViolationReport(
         value=best_value,
-        scenario=scenario,
+        scenario=MeasurementScenario.from_flat(points[best_index]),
         operator=kind,
         classical_bound=bound,
         violated=bool(best_value > bound + VIOLATION_ATOL),
         restarts_used=options.restarts,
         converged=converged,
         restart_values=restart_values,
+        residual=_residual(mats, aug[best_index : best_index + 1]),
+        capped=capped,
     )

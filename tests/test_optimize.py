@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tribell import qalg, states
+from tribell import qalg, states, workflows
 from tribell.bell import (
     BellKind,
     OptimizeOptions,
@@ -36,11 +36,41 @@ def test_product_state_reaches_local_bound_only():
 
 
 def test_reported_scenario_reproduces_value():
+    # even a report stopped by the iteration cap must be reproducible
     rho = qalg.projector(states.gghz(0.6))
-    rep = optimize_operator(rho, BellKind.NS99, FAST)
-    assert operator_value(rho, rep.scenario, BellKind.NS99) == pytest.approx(
-        rep.value, abs=1e-9
-    )
+    capped = OptimizeOptions(restarts=FAST.restarts, seed=FAST.seed, max_iter=1)
+    for opts, n_capped in ((FAST, 0), (capped, FAST.restarts)):
+        rep = optimize_operator(rho, BellKind.NS99, opts)
+        assert operator_value(rho, rep.scenario, BellKind.NS99) == pytest.approx(
+            rep.value, abs=1e-9
+        )
+        assert rep.capped == n_capped
+
+
+@pytest.mark.parametrize(
+    "dim, kind", [(8, BellKind.SVETLICHNY), (8, BellKind.NS99), (4, BellKind.CHSH)]
+)
+def test_maximally_mixed_state_has_zero_gradient(dim, kind):
+    # every partial contraction vanishes, so no Bloch vector has a best response
+    rho = np.eye(dim) / dim
+    rep = optimize_operator(rho, kind, FAST)
+    assert rep.value == 0.0
+    assert np.all(np.isfinite(rep.scenario.angles))
+    assert operator_value(rho, rep.scenario, kind) == pytest.approx(rep.value, abs=1e-9)
+    assert rep.residual == 0.0
+
+
+def test_slow_ridge_converges():
+    # rho7 Svetlichny sits on a flat ridge where plain see-saw and Nelder-Mead
+    # both stop short; the reference is where both settle with a 20 000-step cap
+    rho = workflows.mixed_builder(states.Family.RHO7)(0.9628752829233955)
+    rep = optimize_operator(rho, BellKind.SVETLICHNY, OptimizeOptions(seed=1229384920))
+    top_two = np.sort(rep.restart_values)[-2:]
+    assert rep.converged
+    assert top_two[1] - top_two[0] <= 1e-6
+    assert rep.value == pytest.approx(5.3917677147, abs=1e-7)
+    assert rep.residual <= 1e-9
+    assert rep.capped == 0
 
 
 def test_determinism_bit_identical():
