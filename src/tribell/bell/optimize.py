@@ -23,6 +23,7 @@ so the direct-trace ``operator_value`` reproduces them.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,8 +85,9 @@ class ViolationReport:
     capped: int = 0
 
 
+@functools.lru_cache(maxsize=8)
 def _initial_points(restarts: int, dim: int, seed: int) -> np.ndarray:
-    """Seeded uniform starts, one independent substream per restart."""
+    """Seeded uniform starts, one substream per restart; cached, so shared and read-only."""
     children = np.random.SeedSequence(seed).spawn(restarts)
     points = np.empty((restarts, dim))
     for i, child in enumerate(children):
@@ -94,6 +96,7 @@ def _initial_points(restarts: int, dim: int, seed: int) -> np.ndarray:
         phi = rng.uniform(0.0, 2.0 * np.pi, size=dim // 2)
         points[i, 0::2] = theta
         points[i, 1::2] = phi
+    points.flags.writeable = False
     return points
 
 

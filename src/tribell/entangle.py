@@ -1,9 +1,13 @@
 """Entanglement and quantum-correlation measures.
 
 Wootters concurrence for two-qubit states, the three-tangle for pure
-three-qubit states, quantum discord by explicit minimization over rank-1
-projective measurements, and the discord monogamy score
+three-qubit states, two-qubit quantum discord by explicit minimization over
+rank-1 projective measurements, and the discord monogamy score
 delta_D = D(A:BC) - D(AB) - D(AC) with qubit A as the nodal observer.
+
+The discord works on the state's Pauli expansion, where the states left by
+a measurement along n have closed-form spectra: a grid, then a zoom
+refinement, each level one batched real-arithmetic call over many axes.
 
 All entropies and discords are in bits.
 """
@@ -17,13 +21,16 @@ import numpy as np
 
 from . import qalg
 
-# Measurement-minimization controls: dense (theta, phi) grid followed by a
-# pattern search shrunk to steps below REFINE_STEP_TOL.
+# Measurement-minimization controls: a dense (theta, phi) grid, then a zoom
+# over REFINE_STENCIL x REFINE_STENCIL stencils of axes, one batched call per
+# level, until the stencil spacing is at most REFINE_STEP_TOL.
 THETA_GRID = 64
 PHI_GRID = 32
+REFINE_STENCIL = 9
 REFINE_STEP_TOL = 1e-10
 
 _SIGMA_YY = np.kron(qalg.PAULI_Y, qalg.PAULI_Y)
+_PAULI_BASIS = np.stack([qalg.IDENTITY_2, *qalg.PAULIS])
 
 
 def binary_entropy(x: float) -> float:
@@ -94,31 +101,28 @@ def three_tangle_symmetric(
     return float(min(max(tau, 0.0), 1.0))
 
 
-def _conditional_entropy_batch(rho_r: np.ndarray, theta: np.ndarray, phi: np.ndarray):
-    """Average post-measurement entropy of side A for a batch of B-axes.
+def _conditional_entropy_batch(
+    a: np.ndarray, b: np.ndarray, t: np.ndarray, theta: np.ndarray, phi: np.ndarray
+) -> np.ndarray:
+    """Average post-measurement entropy of the unmeasured qubit A for a batch of axes.
 
-    ``rho_r`` has shape (dA, 2, dA, 2); theta/phi are flat arrays of equal
-    length. Returns the array of sum_i p_i S(rho_{A|i}).
+    ``a``, ``b``: Bloch vectors of A and of the measured qubit; ``t``: the
+    correlation matrix, A on the rows; theta/phi: flat arrays giving axes n.
+    Outcome +-1 has p = (1 +- b.n)/2 and leaves the unnormalized block
+    ((1 +- b.n) I + (a +- T n).sigma)/4, whose eigenvalues are
+    ((1 +- b.n) +- |a +- T n|)/4. Returns the array of sum_i p_i S(rho_{A|i}).
     """
-    ct = np.cos(theta / 2.0)
-    st = np.sin(theta / 2.0)
-    ph = np.exp(1j * phi)
-    # Rows: the +outcome axis |n> and its orthogonal complement.
-    n_plus = np.stack([ct, ph * st], axis=-1)
-    n_minus = np.stack([st, -ph * ct], axis=-1)
-    total = np.zeros(theta.shape[0])
-    for n in (n_plus, n_minus):
-        block = np.einsum("gb,abcd,gd->gac", n.conj(), rho_r, n)
-        p = np.einsum("gaa->g", block).real
-        evals = np.linalg.eigvalsh(block)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lam = np.where(evals > qalg.EIG_CLAMP, evals, 1.0)
-            ent = -np.sum(np.where(evals > qalg.EIG_CLAMP, evals * np.log2(lam), 0.0), axis=-1)
-        safe = p > 1e-14
+    st = np.sin(theta)
+    n = np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
+    sign = np.array([1.0, -1.0])[:, None]
+    p = 0.5 * (1.0 + sign * (n @ b))
+    radius = np.linalg.norm(a + sign[..., None] * (n @ t.T), axis=-1)
+    evals = np.stack([0.5 * p + 0.25 * radius, 0.5 * p - 0.25 * radius])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ent = -np.sum(np.where(evals > qalg.EIG_CLAMP, evals * np.log2(evals), 0.0), axis=0)
         # S(rho_{A|i}) needs the normalized block; entropy of block/p is
         # ent/p + log2(p), and it enters weighted by p.
-        total += np.where(safe, ent + p * np.log2(np.where(safe, p, 1.0)), 0.0)
-    return total
+        return np.sum(np.where(p > 1e-14, ent + p * np.log2(p), 0.0), axis=0)
 
 
 def discord_numeric(
@@ -128,63 +132,52 @@ def discord_numeric(
     theta_grid: int = THETA_GRID,
     phi_grid: int = PHI_GRID,
 ) -> float:
-    """Quantum discord D(A|B) with rank-1 projective measurements on a qubit.
+    """Quantum discord D(A|B) of a two-qubit state, rank-1 projective measurements.
 
-    ``dims`` gives the (A, B) factor dimensions of ``rho``; ``measured``
-    selects the measured subsystem (0 or 1), which must be a single qubit.
+    ``dims`` must be (2, 2); any other factorization raises ValueError.
+    ``measured`` selects the measured qubit (0 or 1).
     D = I - J = S(B) - S(AB) + min over axes of sum_i p_i S(rho_{A|i}),
-    minimized on a theta x phi grid with local pattern-search refinement.
+    minimized on a theta x phi grid followed by a batched zoom refinement.
     """
     rho = qalg.check_density_matrix(rho)
-    if int(np.prod(dims)) != rho.shape[0]:
-        raise ValueError(f"dims {dims} do not factor dimension {rho.shape[0]}")
+    if tuple(dims) != (2, 2) or rho.shape != (4, 4):
+        raise ValueError(f"discord_numeric takes two qubits, got dims {dims}, shape {rho.shape}")
     if measured not in (0, 1):
         raise ValueError(f"measured must be 0 or 1, got {measured}")
-    if dims[measured] != 2:
-        raise ValueError(
-            f"measured subsystem must be a single qubit, got dimension {dims[measured]}"
-        )
+    # Pauli expansion r_ij = Tr(rho sigma_i x sigma_j), sigma_0 = I, with the
+    # unmeasured qubit on the rows.
+    r = np.einsum("abcd,ica,jdb->ij", rho.reshape(2, 2, 2, 2), _PAULI_BASIS, _PAULI_BASIS).real
     if measured == 0:
-        # Reorder factors so the measured qubit is the trailing one.
-        da, db = dims
-        rho = (
-            rho.reshape(da, db, da, db).transpose(1, 0, 3, 2).reshape(rho.shape)
-        )
-        dims = (db, da)
-    d_a, d_b = dims
-    rho_r = rho.reshape(d_a, d_b, d_a, d_b)
+        r = r.T
+    a, b, t = r[1:, 0], r[0, 1:], r[1:, 1:]
 
     s_ab = qalg.von_neumann_entropy(rho)
-    rho_b = qalg.partial_trace_dims(rho, dims, keep=[1])
-    s_b = qalg.von_neumann_entropy(rho_b)
+    s_b = qalg.von_neumann_entropy(qalg.partial_trace_dims(rho, dims, keep=[measured]))
 
     thetas = np.linspace(0.0, math.pi, theta_grid)
     phis = np.linspace(0.0, 2.0 * math.pi, phi_grid, endpoint=False)
-    tg, pg = np.meshgrid(thetas, phis, indexing="ij")
-    grid_vals = _conditional_entropy_batch(rho_r, tg.ravel(), pg.ravel())
-    best_idx = int(np.argmin(grid_vals))
-    best = float(grid_vals[best_idx])
-    theta0 = float(tg.ravel()[best_idx])
-    phi0 = float(pg.ravel()[best_idx])
+    tg, pg = (g.ravel() for g in np.meshgrid(thetas, phis, indexing="ij"))
+    vals = _conditional_entropy_batch(a, b, t, tg, pg)
+    i = int(np.argmin(vals))
+    best, theta0, phi0 = float(vals[i]), tg[i], pg[i]
 
-    # Coordinate pattern search around the best grid node.
+    # Zoom, one call per level: an improvement on the stencil's edge may lie
+    # further out, so the stencil moves there at the same step; otherwise it
+    # recentres on the best point and shrinks by its half-width.
     step = max(thetas[1] - thetas[0], phis[1] - phis[0])
-    point = np.array([theta0, phi0])
-
-    def value(pt):
-        return float(_conditional_entropy_batch(rho_r, pt[:1], pt[1:2])[0])
-
+    half = (REFINE_STENCIL - 1) // 2
+    off_t, off_p = np.mgrid[-half : half + 1, -half : half + 1].reshape(2, -1).astype(float)
+    edge = np.maximum(np.abs(off_t), np.abs(off_p)) == half
     while step > REFINE_STEP_TOL:
-        improved = False
-        for axis in (0, 1):
-            for delta in (step, -step):
-                cand = point.copy()
-                cand[axis] += delta
-                v = value(cand)
-                if v < best - 1e-16:
-                    best, point, improved = v, cand, True
-        if not improved:
-            step /= 2.0
+        vals = _conditional_entropy_batch(a, b, t, theta0 + step * off_t, phi0 + step * off_p)
+        i = int(np.argmin(vals))
+        improved = vals[i] < best - 1e-16
+        if improved:
+            best = float(vals[i])
+            theta0 += step * off_t[i]
+            phi0 += step * off_p[i]
+        if not (improved and edge[i]):
+            step /= half
     return s_b - s_ab + best
 
 

@@ -124,6 +124,74 @@ def test_discord_rejects_non_qubit_measured_side():
         entangle.discord_numeric(rho, dims=(2, 4), measured=1)
 
 
+def test_discord_rejects_non_two_qubit_dims():
+    rho = np.eye(8, dtype=complex) / 8
+    with pytest.raises(ValueError):
+        entangle.discord_numeric(rho, dims=(4, 2), measured=1)
+
+
+def _reference_conditional_entropy(rho, theta, phi):
+    """Block-by-block oracle: <n|_B rho |n>_B and its spectrum, B trailing."""
+    rho_r = rho.reshape(2, 2, 2, 2)
+    ct, st, ph = np.cos(theta / 2.0), np.sin(theta / 2.0), np.exp(1j * phi)
+    total = np.zeros(theta.shape[0])
+    for n in (np.stack([ct, ph * st], axis=-1), np.stack([st, -ph * ct], axis=-1)):
+        block = np.einsum("gb,abcd,gd->gac", n.conj(), rho_r, n)
+        p = np.einsum("gaa->g", block).real
+        evals = np.linalg.eigvalsh(block)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam = np.where(evals > qalg.EIG_CLAMP, evals, 1.0)
+            ent = -np.sum(np.where(evals > qalg.EIG_CLAMP, evals * np.log2(lam), 0.0), axis=-1)
+        safe = p > 1e-14
+        total += np.where(safe, ent + p * np.log2(np.where(safe, p, 1.0)), 0.0)
+    return total
+
+
+def _bloch_expansion(rho):
+    """a_i = Tr rho (s_i x I), b_j = Tr rho (I x s_j), T_ij = Tr rho (s_i x s_j)."""
+    def tr(op):
+        return float(np.trace(rho @ op).real)
+
+    eye = np.eye(2)
+    a = np.array([tr(np.kron(s, eye)) for s in qalg.PAULIS])
+    b = np.array([tr(np.kron(eye, s)) for s in qalg.PAULIS])
+    t = np.array([[tr(np.kron(si, sj)) for sj in qalg.PAULIS] for si in qalg.PAULIS])
+    return a, b, t
+
+
+def test_conditional_entropy_kernel_matches_block_oracle(rng):
+    product = np.zeros((4, 4), dtype=complex)
+    product[0, 0] = 1.0
+    rhos = [product, qalg.projector(np.array([1, 0, 0, 1]) / np.sqrt(2))]
+    rhos += [random_density_matrix(rng, dim=4) for _ in range(4)]
+    rhos += [random_density_matrix(rng, dim=4, rank=r) for r in (1, 2, 3) for _ in range(2)]
+    poles = [(0.0, 0.0), (0.0, 1.3), (np.pi, 0.0), (np.pi, 4.0), (np.pi / 2, 0.0)]
+    theta = np.concatenate([[t for t, _ in poles], rng.uniform(0.0, np.pi, 40)])
+    phi = np.concatenate([[p for _, p in poles], rng.uniform(0.0, 2 * np.pi, 40)])
+    for rho in rhos:
+        kernel = entangle._conditional_entropy_batch(*_bloch_expansion(rho), theta, phi)
+        reference = _reference_conditional_entropy(rho, theta, phi)
+        assert np.max(np.abs(kernel - reference)) <= 1e-12
+
+
+def test_discord_pure_marginals_match_koashi_winter(rng):
+    # For pure psi_ABC, measuring A on rho_AB leaves an ensemble of rho_BC,
+    # so min sum_i p_i S(B|i) = E_F(B:C) (Koashi & Winter, PRA 69, 022309
+    # (2004)) and D(B|A) = S(A) - S(C) + E_F(B:C); E_F from Wootters'
+    # concurrence (PRL 80, 2245 (1998)). The AC marginal swaps B and C.
+    for _ in range(20):
+        rho = qalg.projector(random_pure_state(rng))
+        s_a, s_b, s_c = (
+            qalg.von_neumann_entropy(qalg.partial_trace(rho, keep=[q])) for q in (1, 2, 3)
+        )
+        c = entangle.concurrence(qalg.partial_trace(rho, keep=[2, 3]))
+        e_f = entangle.binary_entropy((1.0 + np.sqrt(max(1.0 - c * c, 0.0))) / 2.0)
+        d_ab = entangle.discord_numeric(qalg.partial_trace(rho, keep=[1, 2]), measured=0)
+        d_ac = entangle.discord_numeric(qalg.partial_trace(rho, keep=[1, 3]), measured=0)
+        assert d_ab == pytest.approx(s_a - s_c + e_f, abs=1e-8)
+        assert d_ac == pytest.approx(s_a - s_b + e_f, abs=1e-8)
+
+
 def test_monogamy_score_known_points():
     assert entangle.discord_monogamy_score(states.gghz(np.pi / 4)).delta_d == pytest.approx(
         1.0, abs=1e-8

@@ -10,6 +10,7 @@ from tribell.bell import (
     operator_value,
     optimize_operator,
 )
+from tribell.bell.optimize import _initial_points
 
 FAST = OptimizeOptions(restarts=16, seed=1)
 
@@ -82,6 +83,16 @@ def test_determinism_bit_identical():
     assert np.array_equal(r1.scenario.angles, r2.scenario.angles)
     assert np.array_equal(r1.restart_values, r2.restart_values)
     assert (r1.violated, r1.converged) == (r2.violated, r2.converged)
+
+
+def test_initial_points_cache_is_bit_identical_and_read_only():
+    for key in ((64, 12, 1), (12, 12, 99), (16, 8, 7)):
+        cached = _initial_points(*key)
+        assert _initial_points(*key) is cached
+        assert np.array_equal(cached, _initial_points.__wrapped__(*key))
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0, 0] = 0.0
 
 
 def test_seed_changes_restart_values():
