@@ -9,22 +9,28 @@ supported, each as the convex hull of an explicit vertex set:
   constraint linking the pair's outputs to its inputs (a = f(x,y),
   b = g(x,y); 256 per pair) times deterministic third-party points.
 * NS2: for each bipartition, the extremal no-signaling bipartite boxes
-  (16 deterministic + 8 PR-type, enumerated exactly from the positivity,
-  normalization and no-signaling constraints) times deterministic
+  (16 deterministic + 8 PR-type, in closed form) times deterministic
   third-party points.
+
+Each model's vertex matrix is built once per process and kept read-only.
 
 Membership is a pure feasibility question: nonnegative weights over the
 union of the model's vertices that sum to one and reproduce the behavior.
-It is decided by a self-contained phase-1 simplex with Bland's rule.
+It is decided by a self-contained phase-1 revised simplex with Bland's
+rule. Only the basis inverse is updated per pivot; columns are priced in
+chunks of the cached constraint matrix, stopping at the first chunk that
+holds an improving column, which is the one Bland's rule picks. At an
+"outside" verdict the final duals form a Farkas certificate: a linear
+inequality that every vertex satisfies and the behavior violates.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +42,9 @@ BEHAVIOR_SHAPE = (2, 2, 2, 2, 2, 2)  # indices (a, b, c, x, y, z)
 NORMALIZATION_ATOL = 1e-10
 POSITIVITY_ATOL = 1e-12
 MEMBERSHIP_ATOL = 1e-8
-LP_RESIDUAL_TARGET = 1e-9
+# Columns priced per block: small enough that an early improving column is
+# found after reading little of the matrix, large enough to amortize a call.
+PRICING_CHUNK = 128
 
 
 class HybridKind(str, enum.Enum):
@@ -81,16 +89,13 @@ def quantum_behavior(rho: np.ndarray, scenario: MeasurementScenario) -> Behavior
     rho = qalg.check_density_matrix(rho)
     if rho.shape[0] != 8 or scenario.n_parties != 3:
         raise ValueError("quantum_behavior expects a three-qubit state and scenario")
+    # projs[party][setting, outcome] is a 2x2 projector
     projs = [
-        [qalg.bloch_projectors(scenario.vector(party, setting)) for setting in (0, 1)]
+        np.array([qalg.bloch_projectors(scenario.vector(party, setting)) for setting in (0, 1)])
         for party in range(3)
     ]
-    table = np.empty(BEHAVIOR_SHAPE)
-    for x, y, z in itertools.product((0, 1), repeat=3):
-        for a, b, c in itertools.product((0, 1), repeat=3):
-            op = np.kron(np.kron(projs[0][x][a], projs[1][y][b]), projs[2][z][c])
-            table[a, b, c, x, y, z] = float(np.trace(rho @ op).real)
-    return Behavior(table)
+    table = np.einsum("ijkIJK,xaIi,ybJj,zcKk->abcxyz", rho.reshape((2,) * 6), *projs)
+    return Behavior(table.real)
 
 
 def save_behavior(behavior: Behavior, path) -> None:
@@ -123,217 +128,168 @@ def load_behavior(path) -> Behavior:
 # ---------------------------------------------------------------------------
 # Vertex enumeration
 
-
-def _single_party_strategies() -> list[tuple[int, int]]:
-    """Deterministic single-party maps setting -> outcome, as (s0, s1)."""
-    return [(s0, s1) for s0 in (0, 1) for s1 in (0, 1)]
+# Deterministic single-party strategies f = (f(0), f(1)) in the order
+# (0,0), (0,1), (1,0), (1,1), as tables [f, outcome, setting] = [outcome == f(setting)].
+_STRATEGIES = np.eye(2)[list(itertools.product((0, 1), repeat=2))].transpose(0, 2, 1)
 
 
 def deterministic_local_vertices() -> np.ndarray:
     """All 64 products of deterministic single-party strategies, (64, 64)."""
-    verts = []
-    for fa, fb, fc in itertools.product(_single_party_strategies(), repeat=3):
-        table = np.zeros(BEHAVIOR_SHAPE)
-        for x, y, z in itertools.product((0, 1), repeat=3):
-            table[fa[x], fb[y], fc[z], x, y, z] = 1.0
-        verts.append(table.reshape(-1))
-    return np.array(verts)
+    d = _STRATEGIES
+    return np.einsum("iax,jby,kcz->ijkabcxyz", d, d, d).reshape(64, 64)
 
 
 def _signaling_boxes() -> np.ndarray:
     """Deterministic bipartite boxes a = f(x,y), b = g(x,y), (256, 16).
 
-    Box tables are indexed [a, b, x, y].
+    Box tables are indexed [a, b, x, y]; box k lists the outputs 2a+b for
+    inputs (0,0), (0,1), (1,0), (1,1) as the base-4 digits of k.
     """
-    boxes = []
-    inputs = list(itertools.product((0, 1), repeat=2))
-    for outputs in itertools.product(itertools.product((0, 1), repeat=2), repeat=4):
-        table = np.zeros((2, 2, 2, 2))
-        for (x, y), (a, b) in zip(inputs, outputs):
-            table[a, b, x, y] = 1.0
-        boxes.append(table.reshape(-1))
-    return np.array(boxes)
-
-
-def _ns_equality_system() -> tuple[np.ndarray, np.ndarray]:
-    """Normalization and no-signaling equalities over P[a,b,x,y] (rank 8)."""
-    def idx(a, b, x, y):
-        return ((a * 2 + b) * 2 + x) * 2 + y
-
-    rows, rhs = [], []
-    for x, y in itertools.product((0, 1), repeat=2):
-        row = np.zeros(16)
-        for a, b in itertools.product((0, 1), repeat=2):
-            row[idx(a, b, x, y)] = 1.0
-        rows.append(row)
-        rhs.append(1.0)
-    for a, x in itertools.product((0, 1), repeat=2):
-        row = np.zeros(16)
-        for b in (0, 1):
-            row[idx(a, b, x, 0)] += 1.0
-            row[idx(a, b, x, 1)] -= 1.0
-        rows.append(row)
-        rhs.append(0.0)
-    for b, y in itertools.product((0, 1), repeat=2):
-        row = np.zeros(16)
-        for a in (0, 1):
-            row[idx(a, b, 0, y)] += 1.0
-            row[idx(a, b, 1, y)] -= 1.0
-        rows.append(row)
-        rhs.append(0.0)
-    return np.array(rows), np.array(rhs)
-
-
-def _verify_ns_box_exact(entries: tuple[Fraction, ...]) -> bool:
-    eq, rhs = _ns_equality_system()
-    for row, target in zip(eq, rhs):
-        total = Fraction(0)
-        for coeff, val in zip(row, entries):
-            total += Fraction(int(round(coeff))) * val
-        if total != Fraction(int(round(target))):
-            return False
-    return all(v >= 0 for v in entries)
-
-
-def enumerate_ns_bipartite_boxes() -> np.ndarray:
-    """Exact vertex enumeration of the 2-input/2-output NS polytope.
-
-    Tries every choice of 8 probabilities forced to zero, solves the
-    combined linear system, keeps unique nonnegative solutions and snaps
-    them to exact quarters (all NS vertices are half-integer). Returns the
-    (24, 16) array: 16 deterministic boxes and 8 PR-type boxes.
-    """
-    eq, rhs = _ns_equality_system()
-    found: dict[tuple[Fraction, ...], np.ndarray] = {}
-    for zero_set in itertools.combinations(range(16), 8):
-        rows = np.vstack([eq, np.eye(16)[list(zero_set)]])
-        targets = np.concatenate([rhs, np.zeros(8)])
-        if np.linalg.matrix_rank(rows, tol=1e-9) < 16:
-            continue
-        sol, residual, *_ = np.linalg.lstsq(rows, targets, rcond=None)
-        if np.max(np.abs(rows @ sol - targets)) > 1e-9:
-            continue
-        if sol.min() < -1e-9:
-            continue
-        snapped = tuple(Fraction(int(round(4.0 * v)), 4) for v in sol)
-        if np.max(np.abs(sol - np.array([float(f) for f in snapped]))) > 1e-9:
-            continue
-        if not _verify_ns_box_exact(snapped):
-            continue
-        found.setdefault(snapped, np.array([float(f) for f in snapped]))
-    boxes = np.array(sorted(found.values(), key=lambda v: tuple(v)))
-    if boxes.shape != (24, 16):
-        raise RuntimeError(f"NS vertex enumeration produced {boxes.shape[0]} boxes, expected 24")
-    return boxes
+    outputs = np.array(list(itertools.product(range(4), repeat=4)))  # [k, 2x+y] -> 2a+b
+    return np.eye(4)[outputs].transpose(0, 2, 1).reshape(256, 16)
 
 
 def ns_bipartite_boxes() -> np.ndarray:
-    """Cached (24, 16) NS extremal boxes; regenerated table with a test."""
-    from ._ns_boxes import NS_BIPARTITE_BOXES
+    """The 24 extremal 2-input/2-output no-signaling boxes, (24, 16).
 
-    return np.array(NS_BIPARTITE_BOXES, dtype=float)
+    16 deterministic boxes a = f(x), b = g(y) and 8 PR-type boxes with
+    P(a,b|x,y) = 1/2 when a⊕b = xy⊕αx⊕βy⊕γ (Barrett et al., PRA 71,
+    022101 (2005)). Entries are P[a, b, x, y] flattened C-style; boxes are
+    sorted lexicographically.
+    """
+    d = _STRATEGIES
+    local = np.einsum("iax,jby->ijabxy", d, d).reshape(16, 16)
+    a, b, x, y = np.indices((2, 2, 2, 2))
+    pr = [
+        0.5 * ((a ^ b) == (x & y) ^ (alpha & x) ^ (beta & y) ^ gamma).reshape(16)
+        for alpha, beta, gamma in itertools.product((0, 1), repeat=3)
+    ]
+    boxes = np.vstack([local, pr])
+    return boxes[np.lexsort(boxes.T[::-1])]
 
 
 def _pair_product_vertices(boxes: np.ndarray, bipartition: tuple[int, int]) -> np.ndarray:
     """Lift bipartite boxes times third-party deterministic points to behaviors.
 
     ``bipartition`` names the 0-based parties forming the pair, in order;
-    the remaining party is deterministic.
+    the remaining party is deterministic. Rows run over boxes, then over
+    the third party's strategies.
     """
-    solo = 3 - bipartition[0] - bipartition[1]
-    verts = []
-    for box_flat in boxes:
-        box = box_flat.reshape(2, 2, 2, 2)  # [a_pair0, a_pair1, s_pair0, s_pair1]
-        for f in _single_party_strategies():
-            table = np.zeros(BEHAVIOR_SHAPE)
-            for settings in itertools.product((0, 1), repeat=3):
-                s_pair = (settings[bipartition[0]], settings[bipartition[1]])
-                s_solo = settings[solo]
-                for o_pair in itertools.product((0, 1), repeat=2):
-                    prob = box[o_pair[0], o_pair[1], s_pair[0], s_pair[1]]
-                    if prob == 0.0:
-                        continue
-                    outcome = [0, 0, 0]
-                    outcome[bipartition[0]] = o_pair[0]
-                    outcome[bipartition[1]] = o_pair[1]
-                    outcome[solo] = f[s_solo]
-                    table[tuple(outcome) + tuple(settings)] += prob
-            verts.append(table.reshape(-1))
-    return np.array(verts)
+    p, q = bipartition
+    solo = 3 - p - q
+    outs, ins = "abc", "xyz"
+    spec = f"k{outs[p]}{outs[q]}{ins[p]}{ins[q]},f{outs[solo]}{ins[solo]}->kfabcxyz"
+    return np.einsum(spec, boxes.reshape(-1, 2, 2, 2, 2), _STRATEGIES).reshape(-1, 64)
 
 
 _BIPARTITIONS = ((0, 1), (0, 2), (1, 2))
 
 
-def enumerate_vertices(kind: HybridKind) -> np.ndarray:
-    """Vertex behaviors of a hybrid model, one row per vertex, shape (n, 64)."""
-    kind = HybridKind(kind)
+@functools.cache
+def _lp_columns(kind: HybridKind) -> np.ndarray:
+    """Columns [v; 1] of the membership LP, one row per vertex v; read-only.
+
+    The row order is the column order Bland's rule sees.
+    """
     if kind is HybridKind.FULLY_LOCAL:
-        return deterministic_local_vertices()
-    boxes = ns_bipartite_boxes() if kind is HybridKind.NS2 else _signaling_boxes()
-    return np.vstack([_pair_product_vertices(boxes, pair) for pair in _BIPARTITIONS])
+        vertices = deterministic_local_vertices()
+    else:
+        boxes = ns_bipartite_boxes() if kind is HybridKind.NS2 else _signaling_boxes()
+        vertices = np.vstack([_pair_product_vertices(boxes, pair) for pair in _BIPARTITIONS])
+    columns = np.hstack([vertices, np.ones((vertices.shape[0], 1))])
+    columns.setflags(write=False)
+    return columns
+
+
+def enumerate_vertices(kind: HybridKind) -> np.ndarray:
+    """Vertex behaviors of a hybrid model, one row per vertex, shape (n, 64).
+
+    The array is shared by every caller and read-only.
+    """
+    return _lp_columns(HybridKind(kind))[:, :64]
 
 
 # ---------------------------------------------------------------------------
-# Phase-1 simplex feasibility
+# Phase-1 revised simplex feasibility
 
 
-def _phase1_simplex(A: np.ndarray, b: np.ndarray, max_iter: int = 50000):
+def _entering_column(at: np.ndarray, y: np.ndarray, eps: float) -> int | None:
+    """Smallest index j with reduced cost -y.A_j < -eps, pricing chunk by chunk."""
+    for lo in range(0, at.shape[0], PRICING_CHUNK):
+        improving = at[lo : lo + PRICING_CHUNK] @ y > eps
+        first = int(improving.argmax())
+        if improving[first]:
+            return lo + first
+    return None
+
+
+def _phase1_simplex(at: np.ndarray, b: np.ndarray, max_iter: int = 50000):
     """Minimize the sum of artificials for A w = b, w >= 0 (Bland's rule).
 
-    Returns (objective, w, iterations). Raises LPNumericalError if the
-    iteration cap is hit.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).copy()
-    m, n = A.shape
-    flip = b < 0
-    A = A.copy()
-    A[flip] *= -1.0
-    b[flip] *= -1.0
+    ``at`` is A transposed, one row per structural column. Artificial i has
+    column sign(b_i) e_i, so the start basis inverse is diag(sign(b)) and
+    the basic solution is |b|. Each pivot is a rank-1 update of the basis
+    inverse ``binv``; the tableau is never formed.
 
-    rows = np.hstack([A, np.eye(m)])
-    rhs = b.copy()
+    Returns (objective, w, y, iterations), where y = c_B binv is the final
+    dual in the coordinates of A and b: y.A_j <= 1e-11 for every column and
+    y.b equals the objective. Raises LPNumericalError if the iteration cap
+    is hit.
+    """
+    b = np.asarray(b, dtype=float)
+    n, m = at.shape
+    sign = np.where(b < 0, -1.0, 1.0)
+    binv = np.diag(sign)
+    rhs = sign * b
     basis = np.arange(n, n + m)
-    cost = np.zeros(n + m)
-    cost[n:] = 1.0
+    cost = np.ones(m)  # c_B: 1 where an artificial is basic
     eps = 1e-11
 
     for iteration in range(max_iter):
-        reduced = cost - cost[basis] @ rows
-        entering_candidates = np.where(reduced < -eps)[0]
-        if entering_candidates.size == 0:
-            objective = float(cost[basis] @ rhs)
-            w = np.zeros(n + m)
-            w[basis] = rhs
-            return objective, w[:n], iteration
-        j = int(entering_candidates[0])  # Bland: smallest index
-        col = rows[:, j]
+        y = cost @ binv
+        j = _entering_column(at, y, eps)
+        if j is None:
+            entering_artificials = np.flatnonzero(1.0 - sign * y < -eps)
+            if entering_artificials.size == 0:
+                structural = basis < n
+                w = np.zeros(n)
+                w[basis[structural]] = rhs[structural]
+                return float(cost @ rhs), w, y, iteration
+            k = int(entering_artificials[0])
+            j = n + k
+            col = sign[k] * binv[:, k]
+        else:
+            col = binv @ at[j]
         positive = col > eps
         if not positive.any():
             # Unbounded phase-1 cannot happen with bounded artificials.
             raise LPNumericalError("phase-1 simplex detected an unbounded direction")
-        ratios = np.full(m, np.inf)
-        ratios[positive] = rhs[positive] / col[positive]
-        best = ratios.min()
-        tie_rows = np.where(ratios <= best + 1e-15)[0]
-        i = int(tie_rows[np.argmin(basis[tie_rows])])  # Bland tie-break
-        pivot = rows[i, j]
-        rows[i] /= pivot
-        rhs[i] /= pivot
-        for r in range(m):
-            if r != i and abs(rows[r, j]) > 0.0:
-                factor = rows[r, j]
-                rows[r] -= factor * rows[i]
-                rhs[r] -= factor * rhs[i]
-        rhs = np.maximum(rhs, 0.0)
+        ratios = np.where(positive, rhs, np.inf) / np.where(positive, col, 1.0)
+        tie_rows = (ratios <= ratios.min() + 1e-15).nonzero()[0]
+        i = int(tie_rows[basis[tie_rows].argmin()])  # Bland tie-break
+        pivot = col[i]
+        pivot_row = binv[i] / pivot
+        pivot_rhs = rhs[i] / pivot
+        col[i] = 0.0
+        binv -= col[:, None] * pivot_row
+        binv[i] = pivot_row
+        rhs -= col * pivot_rhs
+        rhs[i] = pivot_rhs
+        np.maximum(rhs, 0.0, out=rhs)
         basis[i] = j
+        cost[i] = float(j >= n)
     raise LPNumericalError(f"phase-1 simplex did not terminate in {max_iter} pivots")
 
 
 @dataclass
 class MembershipResult:
-    """LP verdict: a witness decomposition or certified infeasibility."""
+    """LP verdict: a witness decomposition or a separating certificate.
+
+    ``certificate`` is set for outside verdicts only: a vector y of length
+    65 with y.[v; 1] <= 1e-11 for every model vertex v and y.[p; 1] =
+    phase1_objective > 0 for the behavior p, i.e. the Bell inequality
+    y[:64].p <= -y[64] holds on the model and is violated by p.
+    """
 
     inside: bool
     kind: HybridKind
@@ -341,6 +297,7 @@ class MembershipResult:
     phase1_objective: float
     residual: float
     iterations: int
+    certificate: np.ndarray | None
 
 
 def membership(behavior: Behavior, kind: HybridKind) -> MembershipResult:
@@ -353,9 +310,7 @@ def membership(behavior: Behavior, kind: HybridKind) -> MembershipResult:
     kind = HybridKind(kind)
     vertices = enumerate_vertices(kind)
     target = behavior.flat()
-    A = np.vstack([vertices.T, np.ones((1, vertices.shape[0]))])
-    b = np.concatenate([target, [1.0]])
-    objective, weights, iterations = _phase1_simplex(A, b)
+    objective, weights, dual, iterations = _phase1_simplex(_lp_columns(kind), np.append(target, 1.0))
     if objective > MEMBERSHIP_ATOL:
         return MembershipResult(
             inside=False,
@@ -364,9 +319,10 @@ def membership(behavior: Behavior, kind: HybridKind) -> MembershipResult:
             phase1_objective=objective,
             residual=math.inf,
             iterations=iterations,
+            certificate=dual,
         )
     weights = np.maximum(weights, 0.0)
-    residual = float(np.max(np.abs(A @ weights - b)))
+    residual = float(max(np.max(np.abs(weights @ vertices - target)), abs(weights.sum() - 1.0)))
     if residual > MEMBERSHIP_ATOL:
         raise LPNumericalError(
             f"phase-1 reported feasible but residual {residual} exceeds {MEMBERSHIP_ATOL}"
@@ -378,4 +334,5 @@ def membership(behavior: Behavior, kind: HybridKind) -> MembershipResult:
         phase1_objective=objective,
         residual=residual,
         iterations=iterations,
+        certificate=None,
     )

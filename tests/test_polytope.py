@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,154 @@ from tribell.bell import (
     correlator,
     optimize_operator,
 )
-from tribell.polytope import Behavior, HybridKind
+from tribell.polytope import Behavior, HybridKind, LPNumericalError
+
+MODELS = (HybridKind.FULLY_LOCAL, HybridKind.NS2, HybridKind.S2)
+
+
+def _trace_behavior(rho, scenario):
+    """Born rule by one kron and trace per table entry (reference)."""
+    projs = [
+        [qalg.bloch_projectors(scenario.vector(party, setting)) for setting in (0, 1)]
+        for party in range(3)
+    ]
+    table = np.empty(polytope.BEHAVIOR_SHAPE)
+    for x, y, z in itertools.product((0, 1), repeat=3):
+        for a, b, c in itertools.product((0, 1), repeat=3):
+            op = np.kron(np.kron(projs[0][x][a], projs[1][y][b]), projs[2][z][c])
+            table[a, b, c, x, y, z] = float(np.trace(rho @ op).real)
+    return table
+
+
+def _loop_vertices(kind):
+    """Vertex rows built entry by entry in nested loops (reference)."""
+    strategies = [(s0, s1) for s0 in (0, 1) for s1 in (0, 1)]
+    settings_all = list(itertools.product((0, 1), repeat=3))
+    verts = []
+    if kind is HybridKind.FULLY_LOCAL:
+        for fa, fb, fc in itertools.product(strategies, repeat=3):
+            table = np.zeros(polytope.BEHAVIOR_SHAPE)
+            for x, y, z in settings_all:
+                table[fa[x], fb[y], fc[z], x, y, z] = 1.0
+            verts.append(table.reshape(-1))
+        return np.array(verts)
+    if kind is HybridKind.NS2:
+        boxes = polytope.ns_bipartite_boxes()
+    else:
+        boxes = []
+        inputs = list(itertools.product((0, 1), repeat=2))
+        for outputs in itertools.product(itertools.product((0, 1), repeat=2), repeat=4):
+            box = np.zeros((2, 2, 2, 2))
+            for (x, y), (a, b) in zip(inputs, outputs):
+                box[a, b, x, y] = 1.0
+            boxes.append(box.reshape(-1))
+    for pair in ((0, 1), (0, 2), (1, 2)):
+        solo = 3 - pair[0] - pair[1]
+        for box_flat in boxes:
+            box = np.asarray(box_flat).reshape(2, 2, 2, 2)
+            for f in strategies:
+                table = np.zeros(polytope.BEHAVIOR_SHAPE)
+                for settings in settings_all:
+                    for o_pair in itertools.product((0, 1), repeat=2):
+                        prob = box[o_pair[0], o_pair[1], settings[pair[0]], settings[pair[1]]]
+                        if prob == 0.0:
+                            continue
+                        outcome = [0, 0, 0]
+                        outcome[pair[0]], outcome[pair[1]] = o_pair
+                        outcome[solo] = f[settings[solo]]
+                        table[tuple(outcome) + settings] += prob
+                verts.append(table.reshape(-1))
+    return np.array(verts)
+
+
+def _ns_equality_system():
+    """Normalization and no-signaling equalities over P[a,b,x,y] (rank 8)."""
+    def idx(a, b, x, y):
+        return ((a * 2 + b) * 2 + x) * 2 + y
+
+    rows, rhs = [], []
+    for x, y in itertools.product((0, 1), repeat=2):
+        row = np.zeros(16)
+        for a, b in itertools.product((0, 1), repeat=2):
+            row[idx(a, b, x, y)] = 1.0
+        rows.append(row)
+        rhs.append(1.0)
+    for a, x in itertools.product((0, 1), repeat=2):
+        row = np.zeros(16)
+        for b in (0, 1):
+            row[idx(a, b, x, 0)] += 1.0
+            row[idx(a, b, x, 1)] -= 1.0
+        rows.append(row)
+        rhs.append(0.0)
+    for b, y in itertools.product((0, 1), repeat=2):
+        row = np.zeros(16)
+        for a in (0, 1):
+            row[idx(a, b, 0, y)] += 1.0
+            row[idx(a, b, 1, y)] -= 1.0
+        rows.append(row)
+        rhs.append(0.0)
+    return np.array(rows), np.array(rhs)
+
+
+def _dense_phase1_simplex(A, b, max_iter=50000):
+    """Phase-1 simplex on the full dense tableau, Bland's rule (reference).
+
+    Returns (objective, w, iterations).
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float).copy()
+    m, n = A.shape
+    flip = b < 0
+    A = A.copy()
+    A[flip] *= -1.0
+    b[flip] *= -1.0
+
+    rows = np.hstack([A, np.eye(m)])
+    rhs = b.copy()
+    basis = np.arange(n, n + m)
+    cost = np.zeros(n + m)
+    cost[n:] = 1.0
+    eps = 1e-11
+
+    for iteration in range(max_iter):
+        reduced = cost - cost[basis] @ rows
+        entering_candidates = np.where(reduced < -eps)[0]
+        if entering_candidates.size == 0:
+            objective = float(cost[basis] @ rhs)
+            w = np.zeros(n + m)
+            w[basis] = rhs
+            return objective, w[:n], iteration
+        j = int(entering_candidates[0])  # Bland: smallest index
+        col = rows[:, j]
+        positive = col > eps
+        if not positive.any():
+            raise LPNumericalError("phase-1 simplex detected an unbounded direction")
+        ratios = np.full(m, np.inf)
+        ratios[positive] = rhs[positive] / col[positive]
+        best = ratios.min()
+        tie_rows = np.where(ratios <= best + 1e-15)[0]
+        i = int(tie_rows[np.argmin(basis[tie_rows])])  # Bland tie-break
+        pivot = rows[i, j]
+        rows[i] /= pivot
+        rhs[i] /= pivot
+        for r in range(m):
+            if r != i and abs(rows[r, j]) > 0.0:
+                factor = rows[r, j]
+                rows[r] -= factor * rows[i]
+                rhs[r] -= factor * rhs[i]
+        rhs = np.maximum(rhs, 0.0)
+        basis[i] = j
+    raise LPNumericalError(f"phase-1 simplex did not terminate in {max_iter} pivots")
+
+
+def _assert_certificate(res, behavior):
+    """An outside verdict's dual separates the behavior from every vertex."""
+    y = res.certificate
+    assert y.shape == (65,)
+    assert np.max(polytope.enumerate_vertices(res.kind) @ y[:64] + y[64]) <= 1e-9
+    violation = behavior.flat() @ y[:64] + y[64]
+    assert violation > 0.0
+    assert violation == pytest.approx(res.phase1_objective, rel=1e-9)
 
 
 def test_uniform_behavior_from_maximally_mixed():
@@ -41,6 +191,16 @@ def test_behavior_correlators_match_trace_correlators(rng):
         )
         obs = (scen.vector(0, x), scen.vector(1, y), scen.vector(2, z))
         assert from_behavior == pytest.approx(correlator(rho, obs), abs=1e-12)
+
+
+def test_quantum_behavior_matches_trace_oracle(rng):
+    from conftest import random_density_matrix
+
+    for rank in (1, 2, 8):
+        rho = random_density_matrix(rng, rank=rank)
+        scen = MeasurementScenario.from_flat(rng.uniform(0, 2 * np.pi, size=12))
+        beh = polytope.quantum_behavior(rho, scen)
+        assert np.max(np.abs(beh.table - _trace_behavior(rho, scen))) <= 1e-14
 
 
 def test_quantum_behavior_is_nonsignaling(rng):
@@ -77,12 +237,26 @@ def test_fully_local_vertex_count_and_normalization():
         Behavior.from_flat(v)  # validates normalization exactly
 
 
-def test_ns_bipartite_box_cache_matches_regeneration():
-    cached = polytope.ns_bipartite_boxes()
-    regenerated = polytope.enumerate_ns_bipartite_boxes()
-    assert cached.shape == (24, 16)
-    assert np.array_equal(np.sort(cached, axis=0), np.sort(regenerated, axis=0))
-    assert np.allclose(cached, regenerated)
+def test_ns_bipartite_boxes_are_the_24_vertices():
+    boxes = polytope.ns_bipartite_boxes()
+    assert boxes.shape == (24, 16)
+    assert len({tuple(box) for box in boxes}) == 24
+    assert [tuple(box) for box in boxes] == sorted(tuple(box) for box in boxes)
+    eq, rhs = _ns_equality_system()
+    for box in boxes:
+        assert box.min() >= 0.0
+        assert np.array_equal(eq @ box, rhs)
+        # a vertex: the equalities and its tight positivity constraints fix it
+        tight = np.vstack([eq, np.eye(16)[box == 0.0]])
+        assert np.linalg.matrix_rank(tight) == 16
+
+
+def test_vertex_matrices_match_loop_construction():
+    for kind in MODELS:
+        verts = polytope.enumerate_vertices(kind)
+        assert np.array_equal(verts, _loop_vertices(kind)), kind
+        assert not verts.flags.writeable
+        assert np.shares_memory(verts, polytope.enumerate_vertices(kind))
 
 
 def test_model_vertex_counts():
@@ -133,6 +307,7 @@ def test_ghz_optimal_scenario_outside_ns2():
     res = polytope.membership(beh, HybridKind.NS2)
     assert not res.inside
     assert res.phase1_objective > 1e-3
+    _assert_certificate(res, beh)
 
 
 def test_inside_ns2_implies_facet_satisfied(rng):
@@ -171,3 +346,69 @@ def test_load_behavior_rejects_incomplete(tmp_path):
     path.write_text("0 0 0 0 0 0 1.0\n")
     with pytest.raises(ValueError):
         polytope.load_behavior(path)
+
+
+def _oracle_behaviors(seed, count):
+    """Seeded GHZ, GGHZ, Haar and noisy Haar behaviors, equatorial and general settings."""
+    kinds = ("ghz", "gghz", "haar", "noisy")
+    for index in range(count):
+        rng = np.random.default_rng([seed, index])
+        kind = kinds[index % 4]
+        if kind == "ghz":
+            psi = states.ghz_state()
+        elif kind == "gghz":
+            psi = states.gghz(float(rng.uniform(0.05, math.pi / 4)))
+        else:
+            v = rng.normal(size=8) + 1j * rng.normal(size=8)
+            psi = v / np.linalg.norm(v)
+        rho = qalg.projector(psi)
+        if kind == "noisy":
+            rho = states.white_noise_mix(rho, float(rng.uniform(0.3, 1.0)))
+        theta = rng.uniform(0.0, math.pi, size=6)
+        if (index // 4) % 2 == 0:
+            theta[:] = math.pi / 2
+        angles = np.stack([theta, rng.uniform(0.0, 2.0 * math.pi, size=6)], axis=1)
+        yield polytope.quantum_behavior(rho, MeasurementScenario(angles))
+
+
+def test_membership_matches_dense_tableau_oracle():
+    inside = set()
+    for beh in _oracle_behaviors(seed=2024, count=32):
+        for kind in MODELS:
+            verts = polytope.enumerate_vertices(kind)
+            A = np.vstack([verts.T, np.ones((1, verts.shape[0]))])
+            b = np.append(beh.flat(), 1.0)
+            objective, _, _ = _dense_phase1_simplex(A, b)
+            res = polytope.membership(beh, kind)
+            assert res.inside == (objective <= polytope.MEMBERSHIP_ATOL), kind
+            assert res.phase1_objective == pytest.approx(objective, abs=1e-9)
+            if res.inside:
+                inside.add(kind)
+                w = res.weights
+                residual = max(np.max(np.abs(w @ verts - beh.flat())), abs(w.sum() - 1.0), -w.min())
+                assert residual <= 1e-8
+                assert res.certificate is None
+            else:
+                _assert_certificate(res, beh)
+    assert inside == set(MODELS)  # the sample reaches inside verdicts in every model
+
+
+def test_phase1_simplex_matches_dense_oracle_on_signed_rows():
+    # small random LPs with mixed-sign right-hand sides, half of them feasible
+    infeasible = 0
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(4, 8))
+        feasible = seed % 2 == 1
+        b = A @ rng.uniform(0.0, 1.0, size=8) if feasible else rng.normal(size=4)
+        objective, w, y, _ = polytope._phase1_simplex(np.ascontiguousarray(A.T), b)
+        reference, _, _ = _dense_phase1_simplex(A, b)
+        assert objective == pytest.approx(reference, abs=1e-9), seed
+        assert np.max(A.T @ y) <= 1e-9
+        assert y @ b == pytest.approx(objective, abs=1e-9)
+        if feasible:
+            assert objective <= 1e-9
+            assert w.min() >= 0.0
+            assert np.max(np.abs(A @ w - b)) <= 1e-8
+        infeasible += objective > 1e-6
+    assert infeasible >= 10
