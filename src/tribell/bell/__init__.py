@@ -20,7 +20,6 @@ from .operators import (
     BellKind,
     MeasurementScenario,
     behavior_operator_value,
-    canonicalize_angles,
     correlation_tensors,
     correlator,
     make_batched_value,
@@ -48,7 +47,6 @@ __all__ = [
     "bound_rho4",
     "bound_rho5",
     "bound_table2",
-    "canonicalize_angles",
     "chsh_pure_max",
     "correlation_tensors",
     "correlator",

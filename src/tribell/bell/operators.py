@@ -88,21 +88,9 @@ class MeasurementScenario:
     def n_parties(self) -> int:
         return self.angles.shape[0] // 2
 
-    def vectors(self) -> np.ndarray:
-        """Unit vectors, shape (2 * n_parties, 3)."""
-        return np.array([qalg.bloch_vector(t, p) for t, p in self.angles])
-
     def vector(self, party: int, setting: int) -> np.ndarray:
         """Bloch vector for 0-based party index and setting 0/1."""
         return qalg.bloch_vector(*self.angles[2 * party + setting])
-
-    def swap_parties(self, i: int, j: int) -> "MeasurementScenario":
-        angles = self.angles.copy()
-        angles[[2 * i, 2 * i + 1]], angles[[2 * j, 2 * j + 1]] = (
-            self.angles[[2 * j, 2 * j + 1]].copy(),
-            self.angles[[2 * i, 2 * i + 1]].copy(),
-        )
-        return MeasurementScenario(angles)
 
     @staticmethod
     def all_z(n_parties: int = 3) -> "MeasurementScenario":
@@ -115,21 +103,6 @@ class MeasurementScenario:
 
     def flat(self) -> np.ndarray:
         return self.angles.reshape(-1).copy()
-
-
-def canonicalize_angles(flat: np.ndarray) -> np.ndarray:
-    """Wrap unconstrained (theta, phi) pairs into [0, pi] x [0, 2 pi)."""
-    flat = np.asarray(flat, dtype=float).reshape(-1).copy()
-    two_pi = 2.0 * math.pi
-    for i in range(0, flat.size, 2):
-        theta = flat[i] % two_pi
-        phi = flat[i + 1]
-        if theta > math.pi:
-            theta = two_pi - theta
-            phi += math.pi
-        flat[i] = theta
-        flat[i + 1] = phi % two_pi
-    return flat
 
 
 def correlator(rho: np.ndarray, obs) -> float:

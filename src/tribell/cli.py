@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -31,8 +30,10 @@ from .bell import (
     chsh_pure_max,
     ns99_mixed_bound,
     optimize_operator,
+    visibility_threshold_ns99,
+    visibility_threshold_svetlichny,
 )
-from .states import Family, FamilyParams
+from .states import Family
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -70,29 +71,23 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="emit one JSON document")
 
 
-def _family_params_from_args(args) -> FamilyParams:
-    lambdas = tuple(args.lambdas) if getattr(args, "lambdas", None) else None
-    return FamilyParams(
-        family=Family(args.family),
-        eta=getattr(args, "eta", None),
-        lambdas=lambdas,
-        p=getattr(args, "p", None),
-        k=getattr(args, "k", None),
-        basis_index=getattr(args, "basis_index", None),
-        sign=getattr(args, "sign", None),
-    )
-
-
 def _state_from_args(args) -> np.ndarray:
-    if getattr(args, "state", None):
+    if args.state:
         rho = states.load_state_file(args.state)
-    elif getattr(args, "family", None):
-        rho = states.family_state(_family_params_from_args(args))
+    elif args.family:
+        rho = states.family_state(
+            args.family,
+            eta=args.eta,
+            lambdas=args.lambdas,
+            p=args.p,
+            k=args.k,
+            basis_index=args.basis_index,
+            sign=args.sign,
+        )
     else:
         raise ValueError("provide --state FILE or --family with its parameters")
-    alpha = getattr(args, "alpha", None)
-    if alpha is not None:
-        rho = states.white_noise_mix(rho, alpha)
+    if args.alpha is not None:
+        rho = states.white_noise_mix(rho, args.alpha)
     return rho
 
 
@@ -145,10 +140,9 @@ def cmd_bound(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     rho = _state_from_args(args)
     op = BellKind(args.operator)
-    report = optimize_operator(rho, op, OptimizeOptions(restarts=args.restarts, seed=seed))
+    report = optimize_operator(rho, op, OptimizeOptions(restarts=args.restarts, seed=args.seed))
     _emit(
         {
             "operator": op.value,
@@ -157,7 +151,7 @@ def cmd_optimize(args) -> int:
             "violated": report.violated,
             "converged": report.converged,
             "restarts": report.restarts_used,
-            "seed": seed,
+            "seed": args.seed,
             "angles_rad": [float(a) for a in report.scenario.flat()],
         },
         args.json,
@@ -166,14 +160,13 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     query = workflows.ThresholdQuery(
         family=Family(args.family),
         operator=BellKind(args.operator),
         k=args.k,
         bracket=(args.bracket[0], args.bracket[1]),
         tol=args.tol,
-        seed=seed,
+        seed=args.seed,
         restarts=args.restarts,
     )
     try:
@@ -189,7 +182,7 @@ def cmd_threshold(args) -> int:
             "bracket": list(query.bracket),
             "tol": query.tol,
             "evaluations": result.evaluations,
-            "seed": seed,
+            "seed": args.seed,
         },
         args.json,
     )
@@ -197,22 +190,17 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_visibility(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     if args.tau is not None:
         tau, c12sq = args.tau, args.c12sq or 0.0
     elif args.eta is not None:
-        family = Family(args.family) if args.family else Family.GGHZ
-        if family is Family.MS:
-            tau, c12sq = math.sin(args.eta) ** 2, math.cos(args.eta) ** 2
-        else:
-            tau, c12sq = math.sin(2.0 * args.eta) ** 2, 0.0
+        tau, c12sq = states.eta_tau_c12sq(args.family or Family.GGHZ, args.eta)
     else:
         raise ValueError("visibility needs --tau (with optional --c12sq) or --eta")
     op = BellKind(args.operator)
     try:
         if args.confirm:
             check = workflows.visibility_check(
-                op, tau, c12sq, delta=args.delta, seed=seed, restarts=args.restarts
+                op, tau, c12sq, delta=args.delta, seed=args.seed, restarts=args.restarts
             )
             _emit(
                 {
@@ -229,8 +217,6 @@ def cmd_visibility(args) -> int:
                 args.json,
             )
         else:
-            from .bell import visibility_threshold_ns99, visibility_threshold_svetlichny
-
             fn = (
                 visibility_threshold_ns99
                 if op is BellKind.NS99
@@ -252,7 +238,6 @@ def cmd_visibility(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     spec = workflows.SweepSpec(
         family=Family(args.family),
         param=args.param,
@@ -262,7 +247,7 @@ def cmd_sweep(args) -> int:
         columns=tuple(args.columns.split(",")),
         c12sq=args.c12sq,
         k=args.k,
-        seed=seed,
+        seed=args.seed,
         restarts=args.restarts,
     )
     header, rows = workflows.run_sweep(spec)
@@ -276,16 +261,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     rows = workflows.compute_table(
-        args.which, tol=args.tol, seed=seed, restarts=args.restarts
+        args.which, tol=args.tol, seed=args.seed, restarts=args.restarts
     )
     print(workflows.format_table(rows, fmt=args.format))
     return EXIT_OK
 
 
 def cmd_membership(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     if args.behavior:
         behavior = polytope.load_behavior(args.behavior)
     else:
@@ -295,7 +278,7 @@ def cmd_membership(args) -> int:
         elif args.optimize_scenario:
             op = BellKind(args.optimize_scenario)
             report = optimize_operator(
-                rho, op, OptimizeOptions(restarts=args.restarts, seed=seed)
+                rho, op, OptimizeOptions(restarts=args.restarts, seed=args.seed)
             )
             scenario = report.scenario
         else:
@@ -318,13 +301,12 @@ def cmd_membership(args) -> int:
 
 
 def cmd_channel(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     rho = _state_from_args(args)
     spec = channels.ChannelSpec(
         channels.ChannelKind(args.kind), tuple(args.strengths)
     )
     noisy = channels.apply_channel_spec(rho, spec)
-    opts = OptimizeOptions(restarts=args.restarts, seed=seed)
+    opts = OptimizeOptions(restarts=args.restarts, seed=args.seed)
     pairs = {"kind": spec.kind.value, "strengths": list(spec.strengths)}
     for op in (BellKind.NS99, BellKind.SVETLICHNY):
         report = optimize_operator(noisy, op, opts)
@@ -452,6 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.seed is None:
+        args.seed = _default_seed()
     try:
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

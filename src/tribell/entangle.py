@@ -181,16 +181,6 @@ def discord_numeric(
     return s_b - s_ab + best
 
 
-def pure_bipartite_discord(rho: np.ndarray, dims: tuple[int, int]) -> float:
-    """Discord of a pure bipartite state: the entropy of either marginal."""
-    rho = qalg.check_density_matrix(rho)
-    purity = float(np.trace(rho @ rho).real)
-    if abs(purity - 1.0) > 1e-9:
-        raise ValueError(f"state is not pure (purity {purity})")
-    rho_a = qalg.partial_trace_dims(rho, dims, keep=[0])
-    return qalg.von_neumann_entropy(rho_a)
-
-
 @dataclass
 class MonogamyScore:
     """delta_D and its three discord components, all in bits."""

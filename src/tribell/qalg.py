@@ -61,16 +61,6 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
-def tensor_all(*factors: np.ndarray) -> np.ndarray:
-    """Left-associated Kronecker product of several factors."""
-    if not factors:
-        raise ValueError("at least one factor required")
-    out = _as_square(factors[0])
-    for f in factors[1:]:
-        out = tensor(out, f)
-    return out
-
-
 def projector(psi: np.ndarray) -> np.ndarray:
     """Rank-1 projector |psi><psi| of a state vector."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)

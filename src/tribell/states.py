@@ -15,8 +15,8 @@ import enum
 import json
 import math
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -43,30 +43,6 @@ class Family(str, enum.Enum):
     RHO6 = "rho6"
     RHO7 = "rho7"
     RHO8 = "rho8"
-
-
-MIXED_FAMILIES = (
-    Family.RHO2,
-    Family.RHO3,
-    Family.RHO4,
-    Family.RHO5,
-    Family.RHO6,
-    Family.RHO7,
-    Family.RHO8,
-)
-
-
-@dataclass
-class FamilyParams:
-    """Parameter bundle selecting one state out of a family."""
-
-    family: Family
-    eta: float | None = None
-    lambdas: tuple[float, float, float] | None = None
-    p: float | None = None
-    k: int | None = None
-    basis_index: int | None = None
-    sign: int | None = None
 
 
 def pure_state(amplitudes, normalize: bool = False) -> np.ndarray:
@@ -126,6 +102,16 @@ def ms(eta: float) -> np.ndarray:
     return extended_ghz(r, math.cos(eta) * r, math.sin(eta) * r)
 
 
+def eta_tau_c12sq(family: Family, eta: float) -> tuple[float, float]:
+    """(tau, C12^2) of the gghz state (sin^2 2eta, 0) or ms state (sin^2 eta, cos^2 eta)."""
+    family = Family(family)
+    if family is Family.GGHZ:
+        return math.sin(2.0 * eta) ** 2, 0.0
+    if family is Family.MS:
+        return math.sin(eta) ** 2, math.cos(eta) ** 2
+    raise ValueError(f"{family.value} has no angle eta")
+
+
 def ext_s_lambdas_from_tau_c12(tau: float, c12sq: float) -> tuple[float, float, float]:
     """Invert tau = 4 l0^2 l4^2, C12^2 = 4 l0^2 l3^2 for a subclass-S state.
 
@@ -176,25 +162,6 @@ def lambda_basis(index: int, sign: int) -> np.ndarray:
     psi[hi] = 1.0 / math.sqrt(2.0)
     psi[lo] = sign / math.sqrt(2.0)
     return psi
-
-
-_NAMED = {
-    "ghz": ghz_state,
-    "w": w_state,
-    "wtilde": w_tilde_state,
-}
-
-
-def named_pure(name: str) -> np.ndarray:
-    """Named pure state: 'ghz', 'w', 'wtilde' or 'lambda,<i><+->'."""
-    key = name.strip().lower()
-    if key in _NAMED:
-        return _NAMED[key]()
-    if key.startswith("lambda,") and len(key) == 9:
-        idx, sgn = key[7], key[8]
-        if idx.isdigit() and sgn in "+-":
-            return lambda_basis(int(idx), 1 if sgn == "+" else -1)
-    raise ValueError(f"unknown pure state name {name!r}")
 
 
 def omega_operator() -> np.ndarray:
@@ -271,53 +238,73 @@ def rho8(p: float) -> np.ndarray:
     )
 
 
-_MIXED_BUILDERS = {
-    Family.RHO2: lambda params: rho2(params.p),
-    Family.RHO3: lambda params: rho3(params.p, params.k if params.k is not None else 1),
-    Family.RHO4: lambda params: rho4(params.p),
-    Family.RHO5: lambda params: rho5(params.p),
-    Family.RHO6: lambda params: rho6(params.p),
-    Family.RHO7: lambda params: rho7(params.p),
-    Family.RHO8: lambda params: rho8(params.p),
+# Mixing weight p -> density matrix; rho3 also takes its integer k.
+_WEIGHT_BUILDERS = {
+    Family.RHO2: rho2,
+    Family.RHO3: rho3,
+    Family.RHO4: rho4,
+    Family.RHO5: rho5,
+    Family.RHO6: rho6,
+    Family.RHO7: rho7,
+    Family.RHO8: rho8,
 }
+MIXED_FAMILIES = tuple(_WEIGHT_BUILDERS)
 
 
-def mixed_family(params: FamilyParams) -> np.ndarray:
-    """Density matrix of one of the mixed families rho2..rho8."""
-    if params.family not in _MIXED_BUILDERS:
-        raise ValueError(f"{params.family} is not a mixed family")
-    if params.p is None:
-        raise ValueError(f"{params.family.value} requires the mixing weight p")
-    return qalg.check_density_matrix(_MIXED_BUILDERS[params.family](params))
+def mixed_builder(family: Family, k: int | None = None) -> Callable[[float], np.ndarray]:
+    """Map a mixing weight p to the density matrix of a mixed family."""
+    family = Family(family)
+    if family is Family.RHO3:
+        if k is None:
+            raise ValueError("rho3 requires the integer k")
+        return lambda p: rho3(p, k)
+    if family not in _WEIGHT_BUILDERS:
+        raise ValueError(f"{family.value} has no mixing-weight builder")
+    return _WEIGHT_BUILDERS[family]
 
 
-def family_state(params: FamilyParams) -> np.ndarray:
-    """Density matrix for any family (pure families become projectors)."""
-    fam = params.family
-    if fam in _MIXED_BUILDERS:
-        return mixed_family(params)
-    if fam is Family.GGHZ:
-        _require(params.eta is not None, "gghz requires eta")
-        return qalg.projector(gghz(params.eta))
-    if fam is Family.MS:
-        _require(params.eta is not None, "ms requires eta")
-        return qalg.projector(ms(params.eta))
-    if fam is Family.EXT_S:
-        _require(params.lambdas is not None, "ext_s requires (lam0, lam3, lam4)")
-        return qalg.projector(extended_ghz(*params.lambdas))
-    if fam is Family.GHZ:
-        return qalg.projector(ghz_state())
-    if fam is Family.W:
-        return qalg.projector(w_state())
-    if fam is Family.WTILDE:
-        return qalg.projector(w_tilde_state())
-    if fam is Family.LAMBDA_BASIS:
+def family_state(
+    family: Family,
+    *,
+    eta: float | None = None,
+    lambdas: Sequence[float] | None = None,
+    p: float | None = None,
+    k: int | None = None,
+    basis_index: int | None = None,
+    sign: int | None = None,
+) -> np.ndarray:
+    """Density matrix for any family (pure families become projectors).
+
+    Each family reads only its own keywords: eta (gghz, ms), lambdas (ext_s),
+    p (rho2..rho8), k (rho3), basis_index and sign (lambda_basis).
+    """
+    family = Family(family)
+    if family in MIXED_FAMILIES:
+        build = mixed_builder(family, k)
+        _require(p is not None, f"{family.value} requires the mixing weight p")
+        return qalg.check_density_matrix(build(p))
+    if family is Family.GGHZ:
+        _require(eta is not None, "gghz requires eta")
+        psi = gghz(eta)
+    elif family is Family.MS:
+        _require(eta is not None, "ms requires eta")
+        psi = ms(eta)
+    elif family is Family.EXT_S:
+        _require(lambdas is not None, "ext_s requires (lam0, lam3, lam4)")
+        psi = extended_ghz(*lambdas)
+    elif family is Family.GHZ:
+        psi = ghz_state()
+    elif family is Family.W:
+        psi = w_state()
+    elif family is Family.WTILDE:
+        psi = w_tilde_state()
+    else:
         _require(
-            params.basis_index is not None and params.sign is not None,
+            basis_index is not None and sign is not None,
             "lambda_basis requires basis_index and sign",
         )
-        return qalg.projector(lambda_basis(params.basis_index, params.sign))
-    raise ValueError(f"unhandled family {fam!r}")
+        psi = lambda_basis(basis_index, sign)
+    return qalg.projector(psi)
 
 
 def white_noise_mix(rho: np.ndarray, alpha: float) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .bell import (
     visibility_threshold_ns99,
     visibility_threshold_svetlichny,
 )
-from .states import Family
+from .states import Family, mixed_builder
 
 DEFAULT_BISECT_TOL = 1e-5
 MIN_BISECT_TOL = 1e-7
@@ -46,26 +46,6 @@ class NoCrossingError(RuntimeError):
 
 class NoViolationError(RuntimeError):
     """The pure state does not violate the operator; no visibility threshold."""
-
-
-def mixed_builder(family: Family, k: int | None = None) -> Callable[[float], np.ndarray]:
-    """Map a mixing weight p to the density matrix of a mixed family."""
-    family = Family(family)
-    if family is Family.RHO3:
-        if k is None:
-            raise ValueError("rho3 requires the integer k")
-        return lambda p: states.rho3(p, k)
-    builders = {
-        Family.RHO2: states.rho2,
-        Family.RHO4: states.rho4,
-        Family.RHO5: states.rho5,
-        Family.RHO6: states.rho6,
-        Family.RHO7: states.rho7,
-        Family.RHO8: states.rho8,
-    }
-    if family not in builders:
-        raise ValueError(f"{family.value} has no mixing-weight builder")
-    return builders[family]
 
 
 @dataclass
@@ -291,9 +271,10 @@ SWEEP_COLUMNS = (
     "visibility_svet",
 )
 
-# Families swept over eta carry closed forms; mixed families only carry the
-# optimizer columns (plus the tabulated ns bound for rank >= 4).
-_FORMULA_FAMILIES = (Family.GGHZ, Family.MS, Family.EXT_S)
+# Families swept over a pure-state parameter carry closed forms; every other
+# family sweeps the mixing weight 'p' and only carries the optimizer columns
+# (plus the tabulated ns bound for rank >= 4).
+_PURE_SWEEP_PARAM = {Family.GGHZ: "eta", Family.MS: "eta", Family.EXT_S: "tau"}
 
 
 @dataclass
@@ -320,11 +301,7 @@ class SweepSpec:
         unknown = [c for c in self.columns if c not in SWEEP_COLUMNS]
         if unknown:
             raise ValueError(f"unknown sweep columns {unknown}; choose from {SWEEP_COLUMNS}")
-        expected_param = {
-            Family.GGHZ: "eta",
-            Family.MS: "eta",
-            Family.EXT_S: "tau",
-        }.get(self.family, "p")
+        expected_param = _PURE_SWEEP_PARAM.get(self.family, "p")
         if self.param != expected_param:
             raise ValueError(
                 f"family {self.family.value} sweeps over '{expected_param}', got {self.param!r}"
@@ -338,17 +315,18 @@ def _sweep_point(spec: SweepSpec, x: float) -> dict[str, float]:
     out: dict[str, float] = {}
     fam = spec.family
     need_opt = any(c in spec.columns for c in ("ns_opt", "svet_opt"))
-    if fam in _FORMULA_FAMILIES:
+    if fam in _PURE_SWEEP_PARAM:
+        if fam is Family.EXT_S:
+            tau, c12 = x, float(spec.c12sq)
+        else:
+            tau, c12 = states.eta_tau_c12sq(fam, x)
         if fam is Family.GGHZ:
-            tau, c12 = math.sin(2.0 * x) ** 2, 0.0
             psi = states.gghz(x)
             out["delta_d"] = entangle.delta_d_gghz(x)
         elif fam is Family.MS:
-            tau, c12 = math.sin(x) ** 2, math.cos(x) ** 2
             psi = states.ms(x)
             out["delta_d"] = entangle.delta_d_subclass_s(tau)
         else:
-            tau, c12 = x, float(spec.c12sq)
             psi = states.extended_ghz(*states.ext_s_lambdas_from_tau_c12(tau, c12))
             out["delta_d"] = entangle.delta_d_subclass_s(tau)
         out["tau"] = tau

@@ -126,8 +126,6 @@ def test_scenario_helpers():
     scen = MeasurementScenario.all_z()
     assert scen.n_parties == 3
     assert np.allclose(scen.vector(0, 0), [0, 0, 1])
-    swapped = scen.swap_parties(1, 2)
-    assert np.allclose(swapped.angles, scen.angles)
     with pytest.raises(ValueError):
         MeasurementScenario(np.zeros((5, 2)))
     flat = scen.flat()

@@ -139,6 +139,36 @@ def test_visibility_exit_3_when_no_violation(capsys):
     assert "no" in err.lower()
 
 
+def test_visibility_eta_rejects_ext_s(capsys):
+    # ext_s has no angle eta; it must not fall back to the gghz map
+    code, out, err = run_cli(
+        capsys, "visibility", "--family", "ext_s", "--eta", "0.5", "--operator", "ns99",
+    )
+    assert code == 2
+    assert out == ""
+    assert "ext_s has no angle eta" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("optimize", "--family", "rho3", "--p", "0.9", "--operator", "ns99"),
+        ("membership", "--family", "rho3", "--p", "0.9", "--optimize-scenario", "ns99",
+         "--model", "ns2"),
+        ("channel", "--family", "rho3", "--p", "0.9", "--kind", "depolarize",
+         "--strengths", "0.8", "0.7", "0.6"),
+        ("threshold", "--family", "rho3", "--operator", "ns99"),
+        ("sweep", "--family", "rho3", "--param", "p", "--from", "0.6", "--to", "0.9",
+         "--steps", "2", "--columns", "ns_opt"),
+    ],
+)
+def test_rho3_without_k_exits_2_in_every_verb(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "rho3 requires the integer k" in err
+
+
 def test_sweep_csv_output(capsys, tmp_path):
     out_file = tmp_path / "sweep.csv"
     code, _, _ = run_cli(

@@ -6,7 +6,6 @@ from tribell.bell import (
     BellKind,
     OptimizeOptions,
     bound_b1_b3,
-    canonicalize_angles,
     operator_value,
     optimize_operator,
 )
@@ -37,7 +36,8 @@ def test_product_state_reaches_local_bound_only():
 
 
 def test_reported_scenario_reproduces_value():
-    # even a report stopped by the iteration cap must be reproducible
+    # even a report stopped by the iteration cap must be reproducible, and
+    # its angles canonical: theta in [0, pi], phi in [0, 2 pi)
     rho = qalg.projector(states.gghz(0.6))
     capped = OptimizeOptions(restarts=FAST.restarts, seed=FAST.seed, max_iter=1)
     for opts, n_capped in ((FAST, 0), (capped, FAST.restarts)):
@@ -46,6 +46,9 @@ def test_reported_scenario_reproduces_value():
             rep.value, abs=1e-9
         )
         assert rep.capped == n_capped
+        thetas, phis = rep.scenario.angles[:, 0], rep.scenario.angles[:, 1]
+        assert np.all((thetas >= 0) & (thetas <= np.pi))
+        assert np.all((phis >= 0) & (phis < 2 * np.pi))
 
 
 @pytest.mark.parametrize(
@@ -147,16 +150,3 @@ def test_options_validation():
         OptimizeOptions(restarts=0)
     with pytest.raises(ValueError):
         OptimizeOptions(max_iter=0)
-
-
-def test_canonicalize_angles_wraps_ranges():
-    raw = np.array([4.0, -1.0, -0.5, 9.0])
-    wrapped = canonicalize_angles(raw)
-    thetas, phis = wrapped[0::2], wrapped[1::2]
-    assert np.all((thetas >= 0) & (thetas <= np.pi))
-    assert np.all((phis >= 0) & (phis < 2 * np.pi))
-    # wrapping preserves the Bloch vector
-    for t_raw, p_raw, t_new, p_new in [(*raw[:2], *wrapped[:2]), (*raw[2:], *wrapped[2:])]:
-        assert np.allclose(
-            qalg.bloch_vector(t_raw, p_raw), qalg.bloch_vector(t_new, p_new), atol=1e-12
-        )

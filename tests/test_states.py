@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tribell import entangle, qalg, states
-from tribell.states import FamilyParams
+from tribell.states import Family
 
 
 def test_gghz_is_ghz_at_quarter_pi():
@@ -76,17 +76,15 @@ def test_ms_detection_example_amplitudes():
 
 
 def test_named_pure_states():
-    ghz = states.named_pure("ghz")
+    ghz = states.ghz_state()
     assert ghz[0] == pytest.approx(1 / np.sqrt(2))
-    wt = states.named_pure("wtilde")
+    wt = states.w_tilde_state()
     assert wt[0b011] == pytest.approx(1 / np.sqrt(3))
     assert wt[0b110] == pytest.approx(1 / np.sqrt(3))
     assert wt[0b101] == pytest.approx(1 / np.sqrt(3))
-    lam = states.named_pure("lambda,4-")
+    lam = states.lambda_basis(4, -1)
     assert lam[0b011] == pytest.approx(1 / np.sqrt(2))
     assert lam[0b100] == pytest.approx(-1 / np.sqrt(2))
-    with pytest.raises(ValueError):
-        states.named_pure("bogus")
 
 
 def test_rho3_k1_equals_rho2():
@@ -119,11 +117,50 @@ def test_mixed_family_weight_guards():
 
 def test_mixed_families_are_valid_states(rng):
     for fam in states.MIXED_FAMILIES:
+        build = states.mixed_builder(fam, k=3)
         for p in rng.uniform(0, 1, size=4):
-            params = FamilyParams(family=fam, p=float(p), k=3)
-            rho = states.mixed_family(params)
+            rho = build(float(p))
             assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.eigvalsh(rho).min() >= -1e-10
+    for fam in set(Family) - set(states.MIXED_FAMILIES):
+        with pytest.raises(ValueError):
+            states.mixed_builder(fam, k=3)
+
+
+# The keywords each family requires, with one admissible value each.
+FAMILY_KEYWORDS = {
+    Family.GGHZ: {"eta": 0.5},
+    Family.MS: {"eta": 0.5},
+    Family.EXT_S: {"lambdas": (0.8, 0.36, 0.48)},
+    Family.GHZ: {},
+    Family.W: {},
+    Family.WTILDE: {},
+    Family.LAMBDA_BASIS: {"basis_index": 3, "sign": -1},
+    Family.RHO2: {"p": 0.7},
+    Family.RHO3: {"p": 0.7, "k": 4},
+    Family.RHO4: {"p": 0.7},
+    Family.RHO5: {"p": 0.7},
+    Family.RHO6: {"p": 0.7},
+    Family.RHO7: {"p": 0.7},
+    Family.RHO8: {"p": 0.7},
+}
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_family_state_builds_every_family(family):
+    keywords = FAMILY_KEYWORDS[family]
+    rho = states.family_state(family, **keywords)
+    assert rho.shape == (8, 8)
+    assert np.allclose(rho, rho.conj().T, atol=1e-12)
+    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.eigvalsh(rho).min() >= -1e-10
+    if family in states.MIXED_FAMILIES:
+        expected = states.mixed_builder(family, keywords.get("k"))(keywords["p"])
+        assert np.array_equal(rho, expected)
+    # every required keyword is enforced
+    for name in keywords:
+        with pytest.raises(ValueError):
+            states.family_state(family, **{**keywords, name: None})
 
 
 def test_white_noise_mix_endpoints(rng):
