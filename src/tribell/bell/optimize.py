@@ -14,7 +14,9 @@ seed. After each sweep an extrapolation along the sweep's move is tried and
 kept per restart only if it raises the value; this crosses the flat ridges
 on which plain see-saw crawls. A restart freezes once a sweep raises its
 value by at most ``RISE_TOL``; ``max_iter`` caps the iterations (one sweep
-plus one extrapolation trial each).
+plus one extrapolation trial each). With ``OptimizeOptions.stop_above`` set,
+the batch stops once one restart's value exceeds it by ``STOP_MARGIN``; no
+value ever falls, so a full run would give the same verdict on the stop value.
 
 The reported values are recomputed by ``make_batched_value`` at the final
 settings, expressed as canonical angles ([0, pi] polar, [0, 2 pi) azimuth),
@@ -47,6 +49,8 @@ RISE_TOL = 1e-13
 # If the two best restart outcomes disagree by more than this, the landscape
 # was not reproducibly covered and the report is flagged unconverged.
 RESTART_SPREAD_TOL = 1e-6
+# Covers the rounding between a sweep value and its recomputed report value.
+STOP_MARGIN = 1e-12
 
 
 @dataclass
@@ -55,6 +59,7 @@ class OptimizeOptions:
     seed: int = DEFAULT_SEED
     max_iter: int = MAX_ITERATIONS
     spread_tol: float = RESTART_SPREAD_TOL
+    stop_above: float | None = None
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -70,7 +75,8 @@ class ViolationReport:
     ``residual`` is the best restart's largest first-order residual
     ``|g_s| - <g_s, v_s>`` over all parties and settings (zero at a
     stationary point); ``capped`` counts the restarts that ``max_iter``
-    stopped before they froze.
+    stopped before they froze. A run halted by ``stop_above`` is unconverged:
+    its value is certified above the stop value but is not the maximum.
     """
 
     value: float
@@ -153,8 +159,9 @@ def _residual(mats: list[np.ndarray], aug: np.ndarray) -> float:
     return float(np.max(gaps))
 
 
-def _see_saw(mats: list[np.ndarray], aug: np.ndarray, max_iter: int):
-    """Ascend every row of ``aug``; returns (vectors, rows stopped by the cap)."""
+def _see_saw(mats: list[np.ndarray], aug: np.ndarray, max_iter: int, stop: float):
+    """Ascend every row of ``aug``; returns (vectors, rows stopped by the cap,
+    whether a value above ``stop`` ended the run)."""
     aug = aug.copy()
     values = np.full(len(aug), -np.inf)
     step = np.ones(len(aug))
@@ -173,9 +180,11 @@ def _see_saw(mats: list[np.ndarray], aug: np.ndarray, max_iter: int):
         values[live] = np.where(better, ahead_values, after)
         step[live] = np.where(better, 2.0 * step[live], 1.0)
         live = live[after - before > RISE_TOL]
+        if values.max() > stop:
+            return aug, 0, True
         if live.size == 0:
             break
-    return aug, live.size
+    return aug, live.size, False
 
 
 def optimize_operator(
@@ -185,7 +194,8 @@ def optimize_operator(
 
     The reported value is a lower bound on the true projective maximum;
     ``converged`` is False when the two best restarts disagree by more than
-    the spread tolerance. Identical seeds give bit-identical reports.
+    the spread tolerance or ``stop_above`` halted the run. Identical seeds
+    give bit-identical reports.
     """
     kind = BellKind(kind)
     options = options or OptimizeOptions()
@@ -194,14 +204,15 @@ def optimize_operator(
     mats = _party_matrices(_fused_coefficient_tensor(rho, kind))
 
     start = augmented_vectors(_initial_points(options.restarts, 4 * n, options.seed))
-    aug, capped = _see_saw(mats, start.reshape(-1, n, 2, 4), options.max_iter)
+    stop = np.inf if options.stop_above is None else options.stop_above + STOP_MARGIN
+    aug, capped, stopped = _see_saw(mats, start.reshape(-1, n, 2, 4), options.max_iter, stop)
     points = _angles(aug)
     restart_values = value_fn(points)
     best_index = int(np.argmax(restart_values))  # ties: lowest restart index
     best_value = float(restart_values[best_index])
 
     top_two = np.sort(restart_values)[-2:]  # one restart is trivially converged
-    converged = bool(top_two[-1] - top_two[0] <= options.spread_tol)
+    converged = not stopped and bool(top_two[-1] - top_two[0] <= options.spread_tol)
 
     bound = CLASSICAL_BOUND[kind]
     return ViolationReport(

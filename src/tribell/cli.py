@@ -30,8 +30,6 @@ from .bell import (
     chsh_pure_max,
     ns99_mixed_bound,
     optimize_operator,
-    visibility_threshold_ns99,
-    visibility_threshold_svetlichny,
 )
 from .states import Family
 
@@ -192,6 +190,8 @@ def cmd_threshold(args) -> int:
 def cmd_visibility(args) -> int:
     if args.tau is not None:
         tau, c12sq = args.tau, args.c12sq or 0.0
+        if args.family == Family.GGHZ.value and c12sq != 0.0:
+            raise ValueError("a gghz state has C12^2 = 0; use --family ext_s for C12^2 > 0")
     elif args.eta is not None:
         tau, c12sq = states.eta_tau_c12sq(args.family or Family.GGHZ, args.eta)
     else:
@@ -217,12 +217,7 @@ def cmd_visibility(args) -> int:
                 args.json,
             )
         else:
-            fn = (
-                visibility_threshold_ns99
-                if op is BellKind.NS99
-                else visibility_threshold_svetlichny
-            )
-            threshold = fn(tau, c12sq)
+            threshold = workflows.VISIBILITY_THRESHOLDS[op](tau, c12sq)
             if threshold is None:
                 raise workflows.NoViolationError(
                     f"no violation of {op.value} for tau={tau}, C12^2={c12sq}"

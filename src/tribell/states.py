@@ -263,6 +263,18 @@ def mixed_builder(family: Family, k: int | None = None) -> Callable[[float], np.
     return _WEIGHT_BUILDERS[family]
 
 
+# Pure families: the keywords each takes, in call order, and its state vector.
+_PURE_BUILDERS = {
+    Family.GGHZ: (("eta",), gghz),
+    Family.MS: (("eta",), ms),
+    Family.EXT_S: (("lambdas",), lambda lambdas: extended_ghz(*lambdas)),
+    Family.GHZ: ((), ghz_state),
+    Family.W: ((), w_state),
+    Family.WTILDE: ((), w_tilde_state),
+    Family.LAMBDA_BASIS: (("basis_index", "sign"), lambda_basis),
+}
+
+
 def family_state(
     family: Family,
     *,
@@ -275,36 +287,23 @@ def family_state(
 ) -> np.ndarray:
     """Density matrix for any family (pure families become projectors).
 
-    Each family reads only its own keywords: eta (gghz, ms), lambdas (ext_s),
-    p (rho2..rho8), k (rho3), basis_index and sign (lambda_basis).
+    Each family takes only its own keywords, all of them required: eta (gghz,
+    ms), lambdas (ext_s), p (rho2..rho8), k (rho3), basis_index and sign
+    (lambda_basis); any other keyword that is not None raises ValueError.
     """
     family = Family(family)
+    given = dict(eta=eta, lambdas=lambdas, p=p, k=k, basis_index=basis_index, sign=sign)
     if family in MIXED_FAMILIES:
-        build = mixed_builder(family, k)
-        _require(p is not None, f"{family.value} requires the mixing weight p")
-        return qalg.check_density_matrix(build(p))
-    if family is Family.GGHZ:
-        _require(eta is not None, "gghz requires eta")
-        psi = gghz(eta)
-    elif family is Family.MS:
-        _require(eta is not None, "ms requires eta")
-        psi = ms(eta)
-    elif family is Family.EXT_S:
-        _require(lambdas is not None, "ext_s requires (lam0, lam3, lam4)")
-        psi = extended_ghz(*lambdas)
-    elif family is Family.GHZ:
-        psi = ghz_state()
-    elif family is Family.W:
-        psi = w_state()
-    elif family is Family.WTILDE:
-        psi = w_tilde_state()
+        own, build = ("p", "k") if family is Family.RHO3 else ("p",), mixed_builder(family, k)
     else:
-        _require(
-            basis_index is not None and sign is not None,
-            "lambda_basis requires basis_index and sign",
-        )
-        psi = lambda_basis(basis_index, sign)
-    return qalg.projector(psi)
+        own, build = _PURE_BUILDERS[family]
+    foreign = [name for name, value in given.items() if value is not None and name not in own]
+    _require(not foreign, f"{family.value} does not take {', '.join(foreign)}")
+    missing = [name for name in own if given[name] is None]
+    _require(not missing, f"{family.value} requires {', '.join(missing)}")
+    if family in MIXED_FAMILIES:
+        return qalg.check_density_matrix(build(p))
+    return qalg.projector(build(*(given[name] for name in own)))
 
 
 def white_noise_mix(rho: np.ndarray, alpha: float) -> np.ndarray:

@@ -149,6 +149,33 @@ def test_visibility_eta_rejects_ext_s(capsys):
     assert "ext_s has no angle eta" in err
 
 
+def test_visibility_tau_rejects_c12sq_for_gghz(capsys):
+    # a gghz state has C12^2 = 0; --family must not be ignored next to --tau
+    code, out, err = run_cli(
+        capsys, "visibility", "--family", "gghz", "--tau", "0.5", "--c12sq", "0.3",
+        "--operator", "ns99", "--no-confirm",
+    )
+    assert code == 2
+    assert out == ""
+    assert "gghz state has C12^2 = 0" in err
+    code, out, _ = run_cli(
+        capsys, "visibility", "--family", "gghz", "--tau", "0.5",
+        "--operator", "ns99", "--no-confirm",
+    )
+    assert code == 0
+    assert float(parse_kv(out)["c12sq"]) == 0.0
+
+
+def test_optimize_rejects_foreign_family_options(capsys):
+    code, out, err = run_cli(
+        capsys, "optimize", "--family", "gghz", "--eta", "0.5", "--p", "0.3", "--k", "7",
+        "--operator", "ns99",
+    )
+    assert code == 2
+    assert out == ""
+    assert "gghz does not take p, k" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,15 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from tribell import qalg, states, workflows
 from tribell.bell import (
+    CLASSICAL_BOUND,
     BellKind,
     OptimizeOptions,
     bound_b1_b3,
     operator_value,
     optimize_operator,
 )
-from tribell.bell.optimize import _initial_points
+from tribell.bell.operators import VIOLATION_ATOL
+from tribell.bell.optimize import ViolationReport, _initial_points
 
 FAST = OptimizeOptions(restarts=16, seed=1)
 
@@ -150,3 +154,43 @@ def test_options_validation():
         OptimizeOptions(restarts=0)
     with pytest.raises(ValueError):
         OptimizeOptions(max_iter=0)
+
+
+# rho4 Svetlichny crosses its bound tangentially at 5/8, rho8 ns99 crosses
+# near 0.762845; each family is probed on both sides of its crossing.
+STOP_CASES = [
+    *((states.Family.RHO4, BellKind.SVETLICHNY, 0.625, p) for p in (0.62, 0.6251, 0.626, 0.63)),
+    *((states.Family.RHO8, BellKind.NS99, 0.762845, p) for p in (0.76, 0.7629)),
+]
+
+
+@pytest.mark.parametrize("family, kind, crossing, p", STOP_CASES)
+def test_stop_above_keeps_the_full_runs_verdict(family, kind, crossing, p):
+    rho = states.mixed_builder(family)(p)
+    opts = OptimizeOptions(restarts=workflows.ROOT_RESTARTS, seed=1)
+    cut = CLASSICAL_BOUND[kind] + VIOLATION_ATOL
+    full = optimize_operator(rho, kind, opts)
+    stopped = optimize_operator(rho, kind, dataclasses.replace(opts, stop_above=cut))
+    assert stopped.violated == full.violated == (p > crossing)
+    if stopped.violated:
+        # a certified lower bound on the maximum, flagged as not the maximum
+        assert cut < stopped.value <= full.value
+        assert not stopped.converged
+        assert operator_value(rho, stopped.scenario, kind) == pytest.approx(
+            stopped.value, abs=1e-9
+        )
+    else:
+        assert stopped.value == full.value
+
+
+def test_unreached_stop_leaves_the_report_unchanged():
+    rho = states.mixed_builder(states.Family.RHO4)(0.63)
+    default = optimize_operator(rho, BellKind.SVETLICHNY, FAST)
+    for stop_above in (None, 1e9):
+        opts = dataclasses.replace(FAST, stop_above=stop_above)
+        rep = optimize_operator(rho, BellKind.SVETLICHNY, opts)
+        for f in dataclasses.fields(ViolationReport):
+            got, want = getattr(rep, f.name), getattr(default, f.name)
+            if f.name == "scenario":
+                got, want = got.angles, want.angles
+            assert np.array_equal(got, want), f.name

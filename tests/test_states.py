@@ -163,6 +163,24 @@ def test_family_state_builds_every_family(family):
             states.family_state(family, **{**keywords, name: None})
 
 
+# One admissible value for every keyword that family_state takes.
+ANY_KEYWORD = {
+    "eta": 0.5, "lambdas": (0.8, 0.36, 0.48), "p": 0.7, "k": 4, "basis_index": 3, "sign": -1,
+}
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_family_state_rejects_foreign_keywords(family):
+    keywords = FAMILY_KEYWORDS[family]
+    foreign = sorted(ANY_KEYWORD.keys() - keywords.keys())
+    assert len(foreign) == len(ANY_KEYWORD) - len(keywords)
+    for name in foreign:
+        with pytest.raises(ValueError, match=f"{family.value} does not take {name}"):
+            states.family_state(family, **keywords, **{name: ANY_KEYWORD[name]})
+        # None stands for "not given", as the CLI passes every option
+        states.family_state(family, **keywords, **{name: None})
+
+
 def test_white_noise_mix_endpoints(rng):
     rho = qalg.projector(states.ghz_state())
     assert np.allclose(states.white_noise_mix(rho, 1.0), rho)

@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from tribell import workflows
-from tribell.bell import BellKind
+from tribell.bell import CLASSICAL_BOUND, BellKind, optimize_operator
 from tribell.states import Family
 from tribell.workflows import SweepSpec, ThresholdQuery
 
@@ -31,6 +32,37 @@ def test_threshold_no_crossing_raises():
     )
     with pytest.raises(workflows.NoCrossingError):
         workflows.threshold_bisect(query)
+
+
+@pytest.mark.parametrize(
+    "family, operator, p_star",
+    [
+        (Family.RHO4, BellKind.SVETLICHNY, 0.6250366210937501),
+        (Family.RHO8, BellKind.NS99, 0.76280517578125),
+    ],
+)
+def test_threshold_pinned_at_table_settings(family, operator, p_star):
+    # the tables' settings; both roots are dyadic, so they compare exactly
+    query = ThresholdQuery(family=family, operator=operator, tol=2.5e-4, seed=1, restarts=64)
+    result = workflows.threshold_bisect(query)
+    assert result.p_star == p_star
+    # two bracket ends and eleven halvings of the width 0.45 down to 2.5e-4
+    assert result.evaluations == 13
+    bound = CLASSICAL_BOUND[operator]
+    assert result.value_lo <= bound + 1e-9 < result.value_hi
+
+
+@pytest.mark.parametrize("operator", [BellKind.NS99, BellKind.SVETLICHNY])
+@pytest.mark.parametrize("family", [Family.RHO2, Family.RHO4, Family.RHO8])
+def test_optimized_value_is_convex_in_the_weight(family, operator):
+    # the premise of threshold_bisect: v(p) is a maximum of affine functions
+    build = workflows.mixed_builder(family)
+    rng = np.random.default_rng(7)
+    for a, b in np.sort(rng.uniform(0.0, 1.0, size=(3, 2)), axis=1):
+        va, vm, vb = (
+            optimize_operator(build(float(p)), operator).value for p in (a, 0.5 * (a + b), b)
+        )
+        assert vm <= 0.5 * (va + vb) + 1e-7
 
 
 def test_threshold_query_validation():
