@@ -159,9 +159,9 @@ def _residual(mats: list[np.ndarray], aug: np.ndarray) -> float:
     return float(np.max(gaps))
 
 
-def _see_saw(mats: list[np.ndarray], aug: np.ndarray, max_iter: int, stop: float):
+def _see_saw(mats: list[np.ndarray], aug: np.ndarray, max_iter: int, stop: float | None):
     """Ascend every row of ``aug``; returns (vectors, rows stopped by the cap,
-    whether a value above ``stop`` ended the run)."""
+    whether a value above ``stop`` ended the run; None never stops it)."""
     aug = aug.copy()
     values = np.full(len(aug), -np.inf)
     step = np.ones(len(aug))
@@ -180,7 +180,7 @@ def _see_saw(mats: list[np.ndarray], aug: np.ndarray, max_iter: int, stop: float
         values[live] = np.where(better, ahead_values, after)
         step[live] = np.where(better, 2.0 * step[live], 1.0)
         live = live[after - before > RISE_TOL]
-        if values.max() > stop:
+        if stop is not None and values.max() > stop:
             return aug, 0, True
         if live.size == 0:
             break
@@ -204,7 +204,7 @@ def optimize_operator(
     mats = _party_matrices(_fused_coefficient_tensor(rho, kind))
 
     start = augmented_vectors(_initial_points(options.restarts, 4 * n, options.seed))
-    stop = np.inf if options.stop_above is None else options.stop_above + STOP_MARGIN
+    stop = None if options.stop_above is None else options.stop_above + STOP_MARGIN
     aug, capped, stopped = _see_saw(mats, start.reshape(-1, n, 2, 4), options.max_iter, stop)
     points = _angles(aug)
     restart_values = value_fn(points)

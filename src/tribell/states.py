@@ -238,15 +238,15 @@ def rho8(p: float) -> np.ndarray:
     )
 
 
-# Mixing weight p -> density matrix; rho3 also takes its integer k.
+# Mixed families: the keywords each takes, in call order, and its density matrix.
 _WEIGHT_BUILDERS = {
-    Family.RHO2: rho2,
-    Family.RHO3: rho3,
-    Family.RHO4: rho4,
-    Family.RHO5: rho5,
-    Family.RHO6: rho6,
-    Family.RHO7: rho7,
-    Family.RHO8: rho8,
+    Family.RHO2: (("p",), rho2),
+    Family.RHO3: (("p", "k"), rho3),
+    Family.RHO4: (("p",), rho4),
+    Family.RHO5: (("p",), rho5),
+    Family.RHO6: (("p",), rho6),
+    Family.RHO7: (("p",), rho7),
+    Family.RHO8: (("p",), rho8),
 }
 MIXED_FAMILIES = tuple(_WEIGHT_BUILDERS)
 
@@ -254,13 +254,12 @@ MIXED_FAMILIES = tuple(_WEIGHT_BUILDERS)
 def mixed_builder(family: Family, k: int | None = None) -> Callable[[float], np.ndarray]:
     """Map a mixing weight p to the density matrix of a mixed family."""
     family = Family(family)
-    if family is Family.RHO3:
-        if k is None:
-            raise ValueError("rho3 requires the integer k")
-        return lambda p: rho3(p, k)
-    if family not in _WEIGHT_BUILDERS:
-        raise ValueError(f"{family.value} has no mixing-weight builder")
-    return _WEIGHT_BUILDERS[family]
+    _require(family in _WEIGHT_BUILDERS, f"{family.value} has no mixing-weight builder")
+    own, build = _WEIGHT_BUILDERS[family]
+    if "k" in own:
+        _require(k is not None, f"{family.value} requires the integer k")
+        return lambda p: build(p, k)
+    return build
 
 
 # Pure families: the keywords each takes, in call order, and its state vector.
@@ -293,17 +292,16 @@ def family_state(
     """
     family = Family(family)
     given = dict(eta=eta, lambdas=lambdas, p=p, k=k, basis_index=basis_index, sign=sign)
-    if family in MIXED_FAMILIES:
-        own, build = ("p", "k") if family is Family.RHO3 else ("p",), mixed_builder(family, k)
-    else:
-        own, build = _PURE_BUILDERS[family]
+    mixed = family in MIXED_FAMILIES
+    own, build = (_WEIGHT_BUILDERS if mixed else _PURE_BUILDERS)[family]
     foreign = [name for name, value in given.items() if value is not None and name not in own]
     _require(not foreign, f"{family.value} does not take {', '.join(foreign)}")
+    if mixed:
+        own, build = ("p",), mixed_builder(family, k)  # a missing k raises here
     missing = [name for name in own if given[name] is None]
     _require(not missing, f"{family.value} requires {', '.join(missing)}")
-    if family in MIXED_FAMILIES:
-        return qalg.check_density_matrix(build(p))
-    return qalg.projector(build(*(given[name] for name in own)))
+    state = build(*(given[name] for name in own))
+    return qalg.check_density_matrix(state) if mixed else qalg.projector(state)
 
 
 def white_noise_mix(rho: np.ndarray, alpha: float) -> np.ndarray:

@@ -29,6 +29,7 @@ from .bell import (
     visibility_threshold_ns99,
     visibility_threshold_svetlichny,
 )
+from .bell.operators import VIOLATION_ATOL
 from .states import Family, mixed_builder
 
 DEFAULT_BISECT_TOL = 1e-5
@@ -70,8 +71,8 @@ class ThresholdQuery:
 
 @dataclass
 class ThresholdResult:
-    """``value_hi`` is certified above the bound, but it is not the maximum at
-    the bracket's upper end: probes stop at the first violating restart."""
+    """The bracket ends' probe values; a probe stops at its first certified violation,
+    so a value above the bound (always ``value_hi``) is a lower bound, not the maximum."""
 
     p_star: float
     query: ThresholdQuery
@@ -92,7 +93,7 @@ def threshold_bisect(query: ThresholdQuery) -> ThresholdResult:
     """
     build = mixed_builder(query.family, query.k)
     target = CLASSICAL_BOUND[query.operator]
-    cut = target + 1e-9  # some families sit exactly on the bound below threshold
+    cut = target + VIOLATION_ATOL  # some families sit exactly on the bound below threshold
 
     def value_at(p: float, restarts: int) -> float:
         opts = OptimizeOptions(restarts=restarts, seed=query.seed, stop_above=cut)
@@ -104,7 +105,7 @@ def threshold_bisect(query: ThresholdQuery) -> ThresholdResult:
     if value_lo > cut or value_hi <= cut:
         raise NoCrossingError(
             f"no violation onset of {target} in bracket {query.bracket}: "
-            f"endpoint values {value_lo:.6f}, {value_hi:.6f}"
+            f"endpoint values {value_lo:.6f}, {value_hi:.6f} (probes stop at a violation)"
         )
 
     while hi - lo > query.tol:
