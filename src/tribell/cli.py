@@ -190,8 +190,14 @@ def cmd_threshold(args) -> int:
 def cmd_visibility(args) -> int:
     if args.tau is not None:
         tau, c12sq = args.tau, args.c12sq or 0.0
-        if args.family == Family.GGHZ.value and c12sq != 0.0:
-            raise ValueError("a gghz state has C12^2 = 0; use --family ext_s for C12^2 > 0")
+        if args.family in (Family.GGHZ.value, Family.MS.value):
+            # gghz and ms states have C12^2 = 0 and 1 - tau (see states.eta_tau_c12sq)
+            c12sq = 0.0 if args.family == Family.GGHZ.value else 1.0 - tau
+            if args.c12sq not in (None, c12sq):
+                raise ValueError(
+                    f"a {args.family} state has C12^2 = {c12sq:g}; "
+                    "use --family ext_s for other C12^2"
+                )
     elif args.eta is not None:
         tau, c12sq = states.eta_tau_c12sq(args.family or Family.GGHZ, args.eta)
     else:

@@ -14,9 +14,17 @@ supported, each as the convex hull of an explicit vertex set:
 
 Each model's vertex matrix is built once per process and kept read-only.
 
-Membership is a pure feasibility question: nonnegative weights over the
-union of the model's vertices that sum to one and reproduce the behavior.
-It is decided by a self-contained phase-1 revised simplex with Bland's
+Membership is a pure feasibility question. For FULLY_LOCAL and NS2 it asks
+for nonnegative weights over the model's vertices that sum to one and
+reproduce the behavior. S2 is solved over pair tables instead of its 3072
+vertices: every conditional pair table is a mixture of deterministic ones,
+so the S2 hull is the set of sums over bipartitions k and third-party
+strategies s of r_{k,s}(a_i a_j|x_i x_j) δ(a_t = s(x_t)), with each r_{k,s} a
+nonnegative 16-entry table of equal mass for all four (x_i, x_j). That LP
+has 192 columns and 64 + 36 rows. Its solution is split back into weights
+on the S2 vertices, so every witness is a vertex decomposition.
+
+Each LP is decided by a self-contained phase-1 revised simplex with Bland's
 rule. Only the basis inverse is updated per pivot; columns are priced in
 chunks of the cached constraint matrix, stopping at the first chunk that
 holds an improving column, which is the one Bland's rule picks. At an
@@ -187,9 +195,10 @@ _BIPARTITIONS = ((0, 1), (0, 2), (1, 2))
 
 @functools.cache
 def _lp_columns(kind: HybridKind) -> np.ndarray:
-    """Columns [v; 1] of the membership LP, one row per vertex v; read-only.
+    """Columns [v; 1] of the vertex LP, one row per vertex v; read-only.
 
-    The row order is the column order Bland's rule sees.
+    The row order is the column order Bland's rule sees in the fully-local
+    and NS2 membership LPs; S2 membership solves ``_s2_pair_columns``.
     """
     if kind is HybridKind.FULLY_LOCAL:
         vertices = deterministic_local_vertices()
@@ -199,6 +208,49 @@ def _lp_columns(kind: HybridKind) -> np.ndarray:
     columns = np.hstack([vertices, np.ones((vertices.shape[0], 1))])
     columns.setflags(write=False)
     return columns
+
+
+@functools.cache
+def _s2_pair_columns() -> np.ndarray:
+    """Columns of the compact S2 LP, one row per pair-table entry; read-only, (192, 100).
+
+    Row (k*4 + s)*16 + (2x+y)*4 + 2a+b is entry r(ab|xy) of the table r_{k,s}
+    of bipartition k and third-party strategy s. Its first 64 entries lift
+    the unit table like a vertex; the last 36 hold, per block (k, s),
+    sum_ab r(ab|xy) - sum_ab r(ab|00) for (x, y) = (0,1), (1,0), (1,1).
+    """
+    units = np.eye(16).reshape(16, 2, 2, 2, 2).transpose(0, 3, 4, 1, 2).reshape(16, 16)
+    lifted = [
+        _pair_product_vertices(units, pair).reshape(16, 4, 64).transpose(1, 0, 2).reshape(64, 64)
+        for pair in _BIPARTITIONS
+    ]
+    # [(2x+y)*4 + 2a+b, i]: +1 on input pair i+1, -1 on (0,0)
+    mass_change = np.kron(np.eye(4)[:, 1:] - np.eye(4)[:, :1], np.ones((4, 1)))
+    columns = np.hstack([np.vstack(lifted), np.kron(np.eye(12), mass_change)])
+    columns.setflags(write=False)
+    return columns
+
+
+def _s2_vertex_weights(tables: np.ndarray) -> np.ndarray:
+    """Split the compact S2 solution into weights on the rows of ``enumerate_vertices(S2)``.
+
+    Each block r_{k,s} is split by the quantile (staircase) coupling of its
+    four conditional tables: the cumulative sums over outputs 2a+b cut the
+    block's mass into at most 13 intervals, and on each interval every input
+    pair has one output, which makes one deterministic box. Box o of block
+    (k, s) is vertex row k*1024 + o*4 + s.
+    """
+    cum = np.cumsum(tables.reshape(12, 4, 4), axis=2)  # [k*4+s, 2x+y, 2a+b]
+    mass = cum[:, :, 3].mean(axis=1, keepdims=True)
+    cuts = np.sort(np.minimum(np.hstack([cum[:, :, :3].reshape(12, 12), mass]), mass), axis=1)
+    edges = np.hstack([np.zeros((12, 1)), cuts])
+    lengths = np.diff(edges, axis=1)
+    mids = edges[:, :-1] + 0.5 * lengths
+    outputs = (cum[:, :, :3, None] < mids[:, None, None, :]).sum(axis=2)  # [block, 2x+y, interval]
+    boxes = np.einsum("bij,i->bj", outputs, 4 ** np.arange(3, -1, -1))
+    block = np.arange(12)[:, None]
+    rows = (block // 4) * 1024 + boxes * 4 + block % 4
+    return np.bincount(rows.ravel(), weights=lengths.ravel(), minlength=3072)
 
 
 def enumerate_vertices(kind: HybridKind) -> np.ndarray:
@@ -285,10 +337,14 @@ def _phase1_simplex(at: np.ndarray, b: np.ndarray, max_iter: int = 50000):
 class MembershipResult:
     """LP verdict: a witness decomposition or a separating certificate.
 
-    ``certificate`` is set for outside verdicts only: a vector y of length
-    65 with y.[v; 1] <= 1e-11 for every model vertex v and y.[p; 1] =
-    phase1_objective > 0 for the behavior p, i.e. the Bell inequality
-    y[:64].p <= -y[64] holds on the model and is violated by p.
+    ``weights`` (inside verdicts only) are weights on the rows of
+    ``enumerate_vertices(kind)``. ``certificate`` is set for outside verdicts
+    only: a vector y of length 65 with y.[v; 1] <= 1e-11 for every model
+    vertex v (4e-11 for S2, whose vertices each sum four compact columns)
+    and y.[p; 1] = phase1_objective > 0 for the behavior p, i.e. the Bell
+    inequality y[:64].p <= -y[64] holds on the model and is violated by p.
+    ``phase1_objective`` and ``iterations`` are those of the LP solved,
+    which for S2 is the compact one.
     """
 
     inside: bool
@@ -303,14 +359,20 @@ class MembershipResult:
 def membership(behavior: Behavior, kind: HybridKind) -> MembershipResult:
     """Decide whether a behavior lies in the convex hull of a model's vertices.
 
-    Feasibility of: nonnegative vertex weights, summing to one, reproducing
-    all 64 probabilities to within 1e-8. Simplex breakdown raises
-    LPNumericalError instead of being reported as infeasibility.
+    Feasibility of: nonnegative vertex weights (for S2, pair tables),
+    summing to one, reproducing all 64 probabilities to within 1e-8.
+    Simplex breakdown raises LPNumericalError instead of being reported as
+    infeasibility.
     """
     kind = HybridKind(kind)
     vertices = enumerate_vertices(kind)
     target = behavior.flat()
-    objective, weights, dual, iterations = _phase1_simplex(_lp_columns(kind), np.append(target, 1.0))
+    compact = kind is HybridKind.S2
+    if compact:
+        columns, rhs = _s2_pair_columns(), np.append(target, np.zeros(36))
+    else:
+        columns, rhs = _lp_columns(kind), np.append(target, 1.0)
+    objective, weights, dual, iterations = _phase1_simplex(columns, rhs)
     if objective > MEMBERSHIP_ATOL:
         return MembershipResult(
             inside=False,
@@ -319,9 +381,9 @@ def membership(behavior: Behavior, kind: HybridKind) -> MembershipResult:
             phase1_objective=objective,
             residual=math.inf,
             iterations=iterations,
-            certificate=dual,
+            certificate=np.append(dual[:64], 0.0) if compact else dual,
         )
-    weights = np.maximum(weights, 0.0)
+    weights = _s2_vertex_weights(weights) if compact else np.maximum(weights, 0.0)
     residual = float(max(np.max(np.abs(weights @ vertices - target)), abs(weights.sum() - 1.0)))
     if residual > MEMBERSHIP_ATOL:
         raise LPNumericalError(

@@ -274,6 +274,14 @@ _PURE_BUILDERS = {
 }
 
 
+def reject_foreign(family: Family, **given) -> None:
+    """Raise ValueError if a keyword that is not None is not one the family takes."""
+    family = Family(family)
+    own = (_WEIGHT_BUILDERS if family in MIXED_FAMILIES else _PURE_BUILDERS)[family][0]
+    foreign = [name for name, value in given.items() if value is not None and name not in own]
+    _require(not foreign, f"{family.value} does not take {', '.join(foreign)}")
+
+
 def family_state(
     family: Family,
     *,
@@ -292,10 +300,9 @@ def family_state(
     """
     family = Family(family)
     given = dict(eta=eta, lambdas=lambdas, p=p, k=k, basis_index=basis_index, sign=sign)
+    reject_foreign(family, **given)
     mixed = family in MIXED_FAMILIES
     own, build = (_WEIGHT_BUILDERS if mixed else _PURE_BUILDERS)[family]
-    foreign = [name for name, value in given.items() if value is not None and name not in own]
-    _require(not foreign, f"{family.value} does not take {', '.join(foreign)}")
     if mixed:
         own, build = ("p",), mixed_builder(family, k)  # a missing k raises here
     missing = [name for name in own if given[name] is None]

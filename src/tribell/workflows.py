@@ -62,6 +62,7 @@ class ThresholdQuery:
     def __post_init__(self):
         self.family = Family(self.family)
         self.operator = BellKind(self.operator)
+        states.reject_foreign(self.family, k=self.k)
         lo, hi = self.bracket
         if not (0.0 <= lo < hi <= 1.0):
             raise ValueError(f"bracket must satisfy 0 <= lo < hi <= 1, got {self.bracket}")
@@ -301,8 +302,11 @@ class SweepSpec:
             raise ValueError(
                 f"family {self.family.value} sweeps over '{expected_param}', got {self.param!r}"
             )
+        states.reject_foreign(self.family, k=self.k)
         if self.family is Family.EXT_S and self.c12sq is None:
             raise ValueError("ext_s sweeps need the fixed c12sq value")
+        if self.family is not Family.EXT_S and self.c12sq is not None:
+            raise ValueError(f"{self.family.value} does not take c12sq; only ext_s sweeps do")
 
 
 def _sweep_point(spec: SweepSpec, x: float) -> dict[str, float]:

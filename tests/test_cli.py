@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -164,6 +165,53 @@ def test_visibility_tau_rejects_c12sq_for_gghz(capsys):
     )
     assert code == 0
     assert float(parse_kv(out)["c12sq"]) == 0.0
+
+
+@pytest.mark.parametrize("operator", ["ns99", "svetlichny"])
+def test_visibility_ms_tau_matches_eta(capsys, operator):
+    # an ms state with tau = sin^2 eta has C12^2 = 1 - tau = cos^2 eta
+    code, by_tau, _ = run_cli(
+        capsys, "visibility", "--family", "ms", "--tau", "0.8",
+        "--operator", operator, "--no-confirm",
+    )
+    assert code == 0
+    code, by_eta, _ = run_cli(
+        capsys, "visibility", "--family", "ms", "--eta", repr(math.atan(2.0)),
+        "--operator", operator, "--no-confirm",
+    )
+    assert code == 0
+    by_tau, by_eta = parse_kv(by_tau), parse_kv(by_eta)
+    assert float(by_tau["c12sq"]) == pytest.approx(0.2, abs=1e-15)
+    assert by_tau["threshold"] == by_eta["threshold"]
+
+
+def test_visibility_ms_tau_rejects_conflicting_c12sq(capsys):
+    code, out, err = run_cli(
+        capsys, "visibility", "--family", "ms", "--tau", "0.8", "--c12sq", "0.3",
+        "--operator", "ns99", "--no-confirm",
+    )
+    assert code == 2
+    assert out == ""
+    assert "ms state has C12^2 = 0.2" in err
+
+
+def test_threshold_rejects_k_for_families_other_than_rho3(capsys):
+    code, out, err = run_cli(
+        capsys, "threshold", "--family", "rho2", "--k", "7", "--operator", "ns99", "--tol", "1e-2",
+    )
+    assert code == 2
+    assert out == ""
+    assert "rho2 does not take k" in err
+
+
+def test_sweep_rejects_c12sq_for_families_other_than_ext_s(capsys):
+    code, out, err = run_cli(
+        capsys, "sweep", "--family", "gghz", "--param", "eta", "--from", "0.1", "--to", "0.7",
+        "--steps", "2", "--c12sq", "0.3", "--columns", "tau,c12sq",
+    )
+    assert code == 2
+    assert out == ""
+    assert "gghz does not take c12sq" in err
 
 
 def test_optimize_rejects_foreign_family_options(capsys):

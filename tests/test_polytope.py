@@ -310,6 +310,40 @@ def test_ghz_optimal_scenario_outside_ns2():
     _assert_certificate(res, beh)
 
 
+def test_ghz_svetlichny_optimal_scenario_outside_s2():
+    ghz = qalg.projector(states.ghz_state())
+    rep = optimize_operator(ghz, BellKind.SVETLICHNY, OptimizeOptions(restarts=16, seed=1))
+    assert rep.value == pytest.approx(4.0 * math.sqrt(2.0), abs=1e-9)
+    beh = polytope.quantum_behavior(ghz, rep.scenario)
+    res = polytope.membership(beh, HybridKind.S2)
+    assert not res.inside
+    assert res.phase1_objective > 1e-3
+    _assert_certificate(res, beh)  # against all 3072 S2 vertices
+
+
+def test_s2_pair_columns_lift_every_vertex():
+    # Each S2 vertex is the compact column sum over its deterministic pair
+    # box, one entry per input pair, and the split maps that table back to
+    # unit weight on the vertex's own row.
+    columns = polytope._s2_pair_columns()
+    assert columns.shape == (192, 100)
+    assert not columns.flags.writeable
+    verts = polytope.enumerate_vertices(HybridKind.S2)
+    inputs = np.arange(4)
+    for row in range(verts.shape[0]):
+        pair, rest = divmod(row, 1024)
+        box, s = divmod(rest, 4)
+        outputs = (box // 4 ** (3 - inputs)) % 4  # output 2a+b of input pair 2x+y
+        tables = np.zeros(192)
+        tables[(pair * 4 + s) * 16 + inputs * 4 + outputs] = 1.0
+        lifted = tables @ columns
+        assert np.array_equal(lifted[:64], verts[row])
+        assert not lifted[64:].any()
+        weights = polytope._s2_vertex_weights(tables)
+        assert weights[row] == 1.0
+        assert np.count_nonzero(weights) == 1
+
+
 def test_inside_ns2_implies_facet_satisfied(rng):
     # noisy GHZ at a visibility below the 99th-facet threshold
     ghz = qalg.projector(states.ghz_state())
@@ -372,6 +406,11 @@ def _oracle_behaviors(seed, count):
 
 
 def test_membership_matches_dense_tableau_oracle():
+    # Verdicts agree with the dense vertex LP in every model. S2 membership
+    # solves the compact pair-table LP, whose phase-1 value differs from the
+    # vertex LP's, so its objective is checked against the dense solver run
+    # on that same compact LP.
+    compact = polytope._s2_pair_columns().T
     inside = set()
     for beh in _oracle_behaviors(seed=2024, count=32):
         for kind in MODELS:
@@ -381,6 +420,9 @@ def test_membership_matches_dense_tableau_oracle():
             objective, _, _ = _dense_phase1_simplex(A, b)
             res = polytope.membership(beh, kind)
             assert res.inside == (objective <= polytope.MEMBERSHIP_ATOL), kind
+            if kind is HybridKind.S2:
+                b = np.append(beh.flat(), np.zeros(36))
+                objective, _, _ = _dense_phase1_simplex(compact, b)
             assert res.phase1_objective == pytest.approx(objective, abs=1e-9)
             if res.inside:
                 inside.add(kind)

@@ -72,6 +72,9 @@ def test_threshold_query_validation():
         ThresholdQuery(family=Family.RHO2, operator=BellKind.NS99, tol=1e-9)
     with pytest.raises(ValueError):
         workflows.mixed_builder(Family.RHO3)  # k missing
+    with pytest.raises(ValueError, match="rho2 does not take k"):
+        ThresholdQuery(family=Family.RHO2, operator=BellKind.NS99, k=7)
+    ThresholdQuery(family=Family.RHO3, operator=BellKind.NS99, k=7)
 
 
 def test_sweep_gghz_formula_columns():
@@ -129,6 +132,12 @@ def test_sweep_validation():
         SweepSpec(family=Family.GGHZ, param="eta", start=0.0, stop=0.5, steps=3, columns=("bogus",))
     with pytest.raises(ValueError):
         SweepSpec(family=Family.EXT_S, param="tau", start=0.0, stop=0.5, steps=3, columns=("tau",))
+    with pytest.raises(ValueError, match="gghz does not take c12sq"):
+        SweepSpec(family=Family.GGHZ, param="eta", start=0.0, stop=0.5, steps=3, columns=("tau",),
+                  c12sq=0.3)
+    with pytest.raises(ValueError, match="rho2 does not take k"):
+        SweepSpec(family=Family.RHO2, param="p", start=0.1, stop=0.9, steps=2, columns=("ns_opt",),
+                  k=3)
     # delta_d unavailable for mixed families
     spec = SweepSpec(
         family=Family.RHO2, param="p", start=0.1, stop=0.9, steps=2, columns=("delta_d",)
