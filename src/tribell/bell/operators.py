@@ -13,15 +13,22 @@ observables, two settings per party:
 
 A term slot of ``None`` means the identity on that party (a marginal
 correlator). ``operator_value`` evaluates the printed term list directly by
-8x8 (or 4x4) traces; ``make_batched_value`` precomputes the state's Pauli
-correlation tensors once and evaluates batches of measurement angles with
-tensor contractions, which is what the optimizer uses. The two paths agree
-to machine precision.
+8x8 (or 4x4) traces; it is the oracle the tests and the benchmark check
+against, and no production path calls it. Everywhere else ``TERMS`` is read
+once per operator, into the cached +-1 mask ``_term_mask`` over the fused
+per-party index ``4*s + component`` (components x, y, z, 1). A state's
+correlations are its full Pauli tensor R = ``qalg.pauli_tensor`` over
+(X, Y, Z, I): the fold is ``mask * tile(R)``, which ``make_batched_value``
+contracts with batches of measurement angles for the optimizer;
+``correlation_tensors`` are slices of R; ``behavior_operator_value``
+contracts a behavior table with the mask's z and constant components. The
+paths agree to machine precision.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -143,27 +150,35 @@ def correlation_tensors(rho: np.ndarray, n_parties: int) -> dict:
 
     For three parties: T3[i,j,k] = Tr[rho s_i x s_j x s_k] under key
     (0,1,2), and the pair tensors with an identity slot under (0,1), (0,2),
-    (1,2). For two parties only the full (0,1) tensor is produced.
+    (1,2). For two parties only the full (0,1) tensor is produced. All are
+    slices of ``qalg.pauli_tensor``.
     """
-    rho = np.asarray(rho, dtype=complex)
-    paulis = np.stack(qalg.PAULIS)  # (3, 2, 2)
-    if n_parties == 2:
-        r = rho.reshape(2, 2, 2, 2)
-        t = np.einsum("abde,ida,jeb->ij", r, paulis, paulis)
-        return {(0, 1): np.ascontiguousarray(t.real)}
-    if n_parties != 3:
+    if n_parties not in (2, 3):
         raise ValueError(f"unsupported party count {n_parties}")
-    r = rho.reshape(2, 2, 2, 2, 2, 2)
-    t3 = np.einsum("abcdef,ida,jeb,kfc->ijk", r, paulis, paulis, paulis)
-    t_ab = np.einsum("abcdec,ida,jeb->ij", r, paulis, paulis)
-    t_ac = np.einsum("abcdbf,ida,kfc->ik", r, paulis, paulis)
-    t_bc = np.einsum("abcaef,jeb,kfc->jk", r, paulis, paulis)
+    r = qalg.pauli_tensor(rho, n_parties)
+    if n_parties == 2:
+        return {(0, 1): r[:3, :3]}
     return {
-        (0, 1, 2): np.ascontiguousarray(t3.real),
-        (0, 1): np.ascontiguousarray(t_ab.real),
-        (0, 2): np.ascontiguousarray(t_ac.real),
-        (1, 2): np.ascontiguousarray(t_bc.real),
+        (0, 1, 2): r[:3, :3, :3],
+        (0, 1): r[:3, :3, 3],
+        (0, 2): r[:3, 3, :3],
+        (1, 2): r[3, :3, :3],
     }
+
+
+@functools.cache
+def _term_mask(kind: BellKind) -> np.ndarray:
+    """The operator's signs on the fused index 4*s + component; read-only, (8,) * n.
+
+    Each term is +-1 on the block of its settings' Bloch components (0..2);
+    an identity slot sits on the constant component (3) of setting 0. No two
+    blocks overlap, so every entry is 0 or +-1.
+    """
+    mask = np.zeros((8,) * N_PARTIES[kind])
+    for slots, sign in TERMS[kind]:
+        mask[np.ix_(*[[3] if s is None else 4 * s + np.arange(3) for s in slots])] = sign
+    mask.setflags(write=False)
+    return mask
 
 
 def _fused_coefficient_tensor(rho: np.ndarray, kind: BellKind) -> np.ndarray:
@@ -171,29 +186,13 @@ def _fused_coefficient_tensor(rho: np.ndarray, kind: BellKind) -> np.ndarray:
 
     Party p is represented by an 8-vector concatenating the augmented
     Bloch vectors (vx, vy, vz, 1) of its two settings, so index
-    4*s + component addresses setting s. Identity slots use the constant
-    component of an arbitrary setting (0). The operator value is the full
+    4*s + component addresses setting s. The operator value is the full
     contraction of these per-party 8-vectors with the returned tensor of
-    shape (8,) * n_parties.
+    shape (8,) * n_parties: the term mask times the Pauli tensor tiled over
+    both settings of every party.
     """
     n = N_PARTIES[kind]
-    tensors = correlation_tensors(rho, n)
-    fused = np.zeros((8,) * n)
-    for slots, sign in TERMS[kind]:
-        active = tuple(p for p, s in enumerate(slots) if s is not None)
-        tensor = tensors[active]
-        index_sets = []
-        for p, s in enumerate(slots):
-            if s is None:
-                index_sets.append(np.array([3]))  # constant slot of setting 0
-            else:
-                index_sets.append(4 * s + np.arange(3))
-        block = sign * tensor
-        # Broadcast the term tensor into the slots of the fused tensor.
-        expanded_shape = tuple(len(ix) for ix in index_sets)
-        grid = np.ix_(*index_sets)
-        fused[grid] += block.reshape(expanded_shape)
-    return fused
+    return _term_mask(BellKind(kind)) * np.tile(qalg.pauli_tensor(rho, n), (2,) * n)
 
 
 def augmented_vectors(angles: np.ndarray) -> np.ndarray:
@@ -237,30 +236,19 @@ def make_batched_value(rho: np.ndarray, kind: BellKind):
     return value
 
 
-def behavior_correlators(table: np.ndarray) -> dict:
-    """Correlators of a behavior table p[a,b,c,x,y,z].
-
-    Returns full correlators E3[x,y,z] = sum (-1)^(a+b+c) p and the pair
-    correlators with the unused party marginalized at its setting 0 (for
-    no-signaling behaviors the choice of that setting is immaterial).
-    """
-    signs = np.array([1.0, -1.0])
-    e3 = np.einsum("abcxyz,a,b,c->xyz", table, signs, signs, signs)
-    e_ab = np.einsum("abcxy,a,b->xy", table[..., 0], signs, signs)
-    e_ac = np.einsum("abcxz,a,c->xz", table[:, :, :, :, 0, :], signs, signs)
-    e_bc = np.einsum("abcyz,b,c->yz", table[:, :, :, 0, :, :], signs, signs)
-    return {(0, 1, 2): e3, (0, 1): e_ab, (0, 2): e_ac, (1, 2): e_bc}
-
-
 def behavior_operator_value(table: np.ndarray, kind: BellKind) -> float:
-    """Operator value of a fixed behavior table (no optimization)."""
+    """Operator value of a fixed behavior table p[a,b,c,x,y,z] (no optimization).
+
+    Outcome a of a setting contributes (-1)^a to its z component and 1 to its
+    constant one, so a full term reads sum (-1)^(a+b+c) p and a marginal term
+    reads the unused party at its setting 0 (for no-signaling behaviors the
+    choice of that setting is immaterial).
+    """
     kind = BellKind(kind)
     if N_PARTIES[kind] != 3:
         raise ValueError("behavior tables are three-party objects")
-    cors = behavior_correlators(np.asarray(table, dtype=float))
-    total = 0.0
-    for slots, sign in TERMS[kind]:
-        active = tuple(p for p, s in enumerate(slots) if s is not None)
-        idx = tuple(slots[p] for p in active)
-        total += sign * float(cors[active][idx])
-    return total
+    # [x, i, y, j, z, k] with i, j, k = 0 for the z component and 1 for the constant
+    zc = _term_mask(kind).reshape(2, 4, 2, 4, 2, 4)[:, 2:, :, 2:, :, 2:]
+    w = np.array([[1.0, 1.0], [-1.0, 1.0]])  # [outcome, i]
+    table = np.asarray(table, dtype=float)
+    return float(np.einsum("abcxyz,ai,bj,ck,xiyjzk->", table, w, w, w, zc))

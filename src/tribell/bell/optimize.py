@@ -58,7 +58,6 @@ class OptimizeOptions:
     restarts: int = DEFAULT_RESTARTS
     seed: int = DEFAULT_SEED
     max_iter: int = MAX_ITERATIONS
-    spread_tol: float = RESTART_SPREAD_TOL
     stop_above: float | None = None
 
     def __post_init__(self):
@@ -212,7 +211,7 @@ def optimize_operator(
     best_value = float(restart_values[best_index])
 
     top_two = np.sort(restart_values)[-2:]  # one restart is trivially converged
-    converged = not stopped and bool(top_two[-1] - top_two[0] <= options.spread_tol)
+    converged = not stopped and bool(top_two[-1] - top_two[0] <= RESTART_SPREAD_TOL)
 
     bound = CLASSICAL_BOUND[kind]
     return ViolationReport(

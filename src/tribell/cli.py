@@ -113,21 +113,17 @@ def cmd_bound(args) -> int:
         if args.c12sq is None:
             raise ValueError("chsh bound needs --c12sq")
         value = chsh_pure_max(args.c12sq)
-    elif family is Family.GGHZ:
-        if args.tau is None:
-            raise ValueError("gghz bounds need --tau")
-        value = bound_b1_b3(args.tau) if op is BellKind.NS99 else bound_b2(args.tau)
-    elif family in (Family.MS, Family.EXT_S):
-        if args.tau is None or args.c12sq is None:
-            raise ValueError(f"{family.value} bounds need --tau and --c12sq")
-        value = (
-            bound_b5(args.tau, args.c12sq)
-            if op is BellKind.NS99
-            else bound_b4(args.tau, args.c12sq)
-        )
+    elif family in (Family.GGHZ, Family.MS, Family.EXT_S):
+        states.reject_foreign(family, p=args.p)
+        tau, c12sq = states.tau_c12sq(family, tau=args.tau, c12sq=args.c12sq)
+        if family is Family.GGHZ:
+            value = bound_b1_b3(tau) if op is BellKind.NS99 else bound_b2(tau)
+        else:
+            value = bound_b5(tau, c12sq) if op is BellKind.NS99 else bound_b4(tau, c12sq)
     elif family in (Family.RHO4, Family.RHO5, Family.RHO6, Family.RHO7, Family.RHO8):
         if op is not BellKind.NS99:
             raise ValueError(f"no closed-form {op.value} bound for {family.value}")
+        states.reject_foreign(family, tau=args.tau, c12sq=args.c12sq)
         if args.p is None:
             raise ValueError("mixed-family bounds need --p")
         value = ns99_mixed_bound(family, args.p)
@@ -188,20 +184,12 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_visibility(args) -> int:
-    if args.tau is not None:
-        tau, c12sq = args.tau, args.c12sq or 0.0
-        if args.family in (Family.GGHZ.value, Family.MS.value):
-            # gghz and ms states have C12^2 = 0 and 1 - tau (see states.eta_tau_c12sq)
-            c12sq = 0.0 if args.family == Family.GGHZ.value else 1.0 - tau
-            if args.c12sq not in (None, c12sq):
-                raise ValueError(
-                    f"a {args.family} state has C12^2 = {c12sq:g}; "
-                    "use --family ext_s for other C12^2"
-                )
-    elif args.eta is not None:
-        tau, c12sq = states.eta_tau_c12sq(args.family or Family.GGHZ, args.eta)
+    if args.tau is not None and args.eta is None and args.family in (None, Family.EXT_S.value):
+        # --tau without a family (or with ext_s) names a subclass-S point; C12^2 defaults to 0.
+        family, c12sq = Family.EXT_S, args.c12sq or 0.0
     else:
-        raise ValueError("visibility needs --tau (with optional --c12sq) or --eta")
+        family, c12sq = Family(args.family or Family.GGHZ), args.c12sq
+    tau, c12sq = states.tau_c12sq(family, eta=args.eta, tau=args.tau, c12sq=c12sq)
     op = BellKind(args.operator)
     try:
         if args.confirm:

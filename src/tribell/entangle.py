@@ -5,9 +5,12 @@ three-qubit states, two-qubit quantum discord by explicit minimization over
 rank-1 projective measurements, and the discord monogamy score
 delta_D = D(A:BC) - D(AB) - D(AC) with qubit A as the nodal observer.
 
-The discord works on the state's Pauli expansion, where the states left by
-a measurement along n have closed-form spectra: a grid, then a zoom
-refinement, each level one batched real-arithmetic call over many axes.
+The discord works on the state's Pauli expansion (``qalg.pauli_tensor``),
+where the states left by a measurement along n have closed-form spectra: a
+grid, then a zoom refinement, each level one batched real-arithmetic call
+over many axes. The closed-form monogamy scores and X-state discord are
+differences of binary entropies and are evaluated through
+``binary_entropy``.
 
 All entropies and discords are in bits.
 """
@@ -30,7 +33,6 @@ REFINE_STENCIL = 9
 REFINE_STEP_TOL = 1e-10
 
 _SIGMA_YY = np.kron(qalg.PAULI_Y, qalg.PAULI_Y)
-_PAULI_BASIS = np.stack([qalg.IDENTITY_2, *qalg.PAULIS])
 
 
 def binary_entropy(x: float) -> float:
@@ -125,37 +127,30 @@ def _conditional_entropy_batch(
         return np.sum(np.where(p > 1e-14, ent + p * np.log2(p), 0.0), axis=0)
 
 
-def discord_numeric(
-    rho: np.ndarray,
-    dims: tuple[int, int] = (2, 2),
-    measured: int = 1,
-    theta_grid: int = THETA_GRID,
-    phi_grid: int = PHI_GRID,
-) -> float:
+def discord_numeric(rho: np.ndarray, measured: int = 1) -> float:
     """Quantum discord D(A|B) of a two-qubit state, rank-1 projective measurements.
 
-    ``dims`` must be (2, 2); any other factorization raises ValueError.
-    ``measured`` selects the measured qubit (0 or 1).
+    ``rho`` must be 4x4. ``measured`` selects the measured qubit (0 or 1).
     D = I - J = S(B) - S(AB) + min over axes of sum_i p_i S(rho_{A|i}),
     minimized on a theta x phi grid followed by a batched zoom refinement.
     """
     rho = qalg.check_density_matrix(rho)
-    if tuple(dims) != (2, 2) or rho.shape != (4, 4):
-        raise ValueError(f"discord_numeric takes two qubits, got dims {dims}, shape {rho.shape}")
+    if rho.shape != (4, 4):
+        raise ValueError(f"discord_numeric takes two qubits, got shape {rho.shape}")
     if measured not in (0, 1):
         raise ValueError(f"measured must be 0 or 1, got {measured}")
     # Pauli expansion r_ij = Tr(rho sigma_i x sigma_j), sigma_0 = I, with the
     # unmeasured qubit on the rows.
-    r = np.einsum("abcd,ica,jdb->ij", rho.reshape(2, 2, 2, 2), _PAULI_BASIS, _PAULI_BASIS).real
+    r = np.roll(qalg.pauli_tensor(rho, 2), 1, axis=(0, 1))
     if measured == 0:
         r = r.T
     a, b, t = r[1:, 0], r[0, 1:], r[1:, 1:]
 
     s_ab = qalg.von_neumann_entropy(rho)
-    s_b = qalg.von_neumann_entropy(qalg.partial_trace_dims(rho, dims, keep=[measured]))
+    s_b = qalg.von_neumann_entropy(qalg.partial_trace_dims(rho, (2, 2), keep=[measured]))
 
-    thetas = np.linspace(0.0, math.pi, theta_grid)
-    phis = np.linspace(0.0, 2.0 * math.pi, phi_grid, endpoint=False)
+    thetas = np.linspace(0.0, math.pi, THETA_GRID)
+    phis = np.linspace(0.0, 2.0 * math.pi, PHI_GRID, endpoint=False)
     tg, pg = (g.ravel() for g in np.meshgrid(thetas, phis, indexing="ij"))
     vals = _conditional_entropy_batch(a, b, t, tg, pg)
     i = int(np.argmin(vals))
@@ -205,25 +200,21 @@ def discord_monogamy_score(psi: np.ndarray) -> MonogamyScore:
     d_a_bc = qalg.von_neumann_entropy(qalg.partial_trace(rho, keep=[1]))
     rho_ab = qalg.partial_trace(rho, keep=[1, 2])
     rho_ac = qalg.partial_trace(rho, keep=[1, 3])
-    d_ab = discord_numeric(rho_ab, dims=(2, 2), measured=0)
-    d_ac = discord_numeric(rho_ac, dims=(2, 2), measured=0)
+    d_ab = discord_numeric(rho_ab, measured=0)
+    d_ac = discord_numeric(rho_ac, measured=0)
     return MonogamyScore(
         delta_d=d_a_bc - d_ab - d_ac, d_a_bc=d_a_bc, d_ab=d_ab, d_ac=d_ac
     )
 
 
 def delta_d_gghz(eta: float) -> float:
-    """Closed-form delta_D of a GGHZ state: h(cos^2 eta) in bits."""
+    """Closed-form delta_D of a GGHZ state: h(cos^2 eta) in bits.
+
+    Evaluated as h(sin^2 eta), which keeps the precision of the small weight.
+    """
     if not 0.0 <= eta <= math.pi / 4 + 1e-12:
         raise ValueError(f"eta must lie in [0, pi/4], got {eta}")
-    c2 = math.cos(eta) ** 2
-    s2 = math.sin(eta) ** 2
-    out = 0.0
-    if c2 > 0.0:
-        out -= c2 * math.log2(c2)
-    if s2 > 0.0:
-        out -= s2 * math.log2(s2)
-    return out
+    return binary_entropy(math.sin(eta) ** 2)
 
 
 def delta_d_subclass_s(tau: float) -> float:
@@ -236,13 +227,7 @@ def delta_d_subclass_s(tau: float) -> float:
     """
     if not -1e-12 <= tau <= 1.0 + 1e-12:
         raise ValueError(f"tau must lie in [0,1], got {tau}")
-    r = math.sqrt(max(1.0 - tau, 0.0))
-    total = 0.0
-    for sign in (-1.0, 1.0):
-        w = 1.0 + sign * r
-        if w > 0.0:
-            total += w * math.log(w / 2.0)
-    return -total / math.log(4.0)
+    return binary_entropy((1.0 - math.sqrt(max(1.0 - tau, 0.0))) / 2.0)
 
 
 def xstate_discord_subclass_s(l0: float, l3: float) -> float:
@@ -255,21 +240,12 @@ def xstate_discord_subclass_s(l0: float, l3: float) -> float:
       [-ln4 (l0^2 ln l0^2 + (1-l0^2) ln(1-l0^2))
        + ln2 ((1+r) ln((1+r)/2) + (1-r) ln((1-r)/2))] / (ln2 ln4)
 
-    i.e. h(l0^2) - h((1+r)/2) in bits.
+    i.e. h(l0^2) - h((1+r)/2) in bits, evaluated as h(l0^2) - h((1-r)/2) to
+    keep the precision of the small weight. r > 1 means l0^2 + l3^2 > 1, which
+    is not a state, and raises ValueError.
     """
     a = l0 * l0
     if not 0.0 <= a <= 1.0:
         raise ValueError(f"l0^2 must lie in [0,1], got {a}")
-    r_sq = 1.0 + 4.0 * a * a + 4.0 * a * (l3 * l3 - 1.0)
-    r = math.sqrt(max(r_sq, 0.0))
-    ln2, ln4 = math.log(2.0), math.log(4.0)
-    first = 0.0
-    for w in (a, 1.0 - a):
-        if w > 0.0:
-            first += w * math.log(w)
-    second = 0.0
-    for sign in (1.0, -1.0):
-        w = 1.0 + sign * r
-        if w > 0.0:
-            second += w * math.log(w / 2.0)
-    return (-ln4 * first + ln2 * second) / (ln2 * ln4)
+    r = math.sqrt(max(1.0 + 4.0 * a * a + 4.0 * a * (l3 * l3 - 1.0), 0.0))
+    return binary_entropy(a) - binary_entropy((1.0 - r) / 2.0)

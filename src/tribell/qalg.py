@@ -31,6 +31,8 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
+# sigma_0..3 = X, Y, Z, I: the identity last, so index 3 is the constant slot.
+_PAULI_TENSOR_BASIS = np.stack([*PAULIS, IDENTITY_2])
 
 
 def _as_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -186,6 +188,20 @@ def permute_qubits(state: np.ndarray, perm: Sequence[int]) -> np.ndarray:
         axes = perm0 + [p + 3 for p in perm0]
         return arr.reshape((2,) * 6).transpose(axes).reshape(8, 8)
     raise ValueError(f"expected shape (8,) or (8,8), got {arr.shape}")
+
+
+def pauli_tensor(rho: np.ndarray, n: int) -> np.ndarray:
+    """Full Pauli expansion R[i, j, ...] = Tr[rho s_i x s_j x ...] of an n-qubit state.
+
+    ``s = (X, Y, Z, I)``: the identity is index 3, so R[..., 3] holds the
+    marginals and R[3, 3, ...] = Tr rho. Returns a real array of shape (4,) * n.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if not 1 <= n <= 3 or rho.shape != (2**n, 2**n):
+        raise ValueError(f"expected a {n}-qubit density matrix, got shape {rho.shape}")
+    rows, cols, out = "abc"[:n], "def"[:n], "ijk"[:n]
+    spec = rows + cols + "".join(f",{o}{c}{r}" for o, c, r in zip(out, cols, rows)) + "->" + out
+    return np.einsum(spec, rho.reshape((2,) * (2 * n)), *[_PAULI_TENSOR_BASIS] * n).real
 
 
 def bloch_vector(theta: float, phi: float) -> np.ndarray:

@@ -102,14 +102,37 @@ def ms(eta: float) -> np.ndarray:
     return extended_ghz(r, math.cos(eta) * r, math.sin(eta) * r)
 
 
-def eta_tau_c12sq(family: Family, eta: float) -> tuple[float, float]:
-    """(tau, C12^2) of the gghz state (sin^2 2eta, 0) or ms state (sin^2 eta, cos^2 eta)."""
+def tau_c12sq(
+    family: Family,
+    *,
+    eta: float | None = None,
+    tau: float | None = None,
+    c12sq: float | None = None,
+) -> tuple[float, float]:
+    """(tau, C12^2) of a gghz, ms or ext_s state.
+
+    gghz has (sin^2 2eta, 0) and ms (sin^2 eta, cos^2 eta); each takes eta or
+    tau, not both, and tau fixes C12^2 (0 and 1 - tau). A c12sq more than
+    1e-12 from the family's value raises ValueError. ext_s has no angle and takes
+    tau and c12sq as given.
+    """
     family = Family(family)
+    if family is Family.EXT_S:
+        _require(eta is None, "ext_s has no angle eta")
+        _require(tau is not None and c12sq is not None, "ext_s needs tau and c12sq")
+        return float(tau), float(c12sq)
+    _require(family in (Family.GGHZ, Family.MS), f"{family.value} has no (tau, C12^2) form")
+    _require((eta is None) != (tau is None), f"{family.value} takes eta or tau, exactly one")
     if family is Family.GGHZ:
-        return math.sin(2.0 * eta) ** 2, 0.0
-    if family is Family.MS:
-        return math.sin(eta) ** 2, math.cos(eta) ** 2
-    raise ValueError(f"{family.value} has no angle eta")
+        tau, own = (math.sin(2.0 * eta) ** 2 if tau is None else tau), 0.0
+    else:
+        tau, own = (math.sin(eta) ** 2, math.cos(eta) ** 2) if tau is None else (tau, 1.0 - tau)
+    # 1e-12 forgives the rounding of 1 - tau, so an ms --c12sq of 0.2 fits tau 0.8.
+    _require(
+        c12sq is None or abs(c12sq - own) <= 1e-12,
+        f"a {family.value} state has C12^2 = {own:g}; only ext_s takes other values",
+    )
+    return float(tau), own
 
 
 def ext_s_lambdas_from_tau_c12(tau: float, c12sq: float) -> tuple[float, float, float]:

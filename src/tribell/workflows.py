@@ -315,10 +315,7 @@ def _sweep_point(spec: SweepSpec, x: float) -> dict[str, float]:
     fam = spec.family
     need_opt = any(c in spec.columns for c in ("ns_opt", "svet_opt"))
     if fam in _PURE_SWEEP_PARAM:
-        if fam is Family.EXT_S:
-            tau, c12 = x, float(spec.c12sq)
-        else:
-            tau, c12 = states.eta_tau_c12sq(fam, x)
+        tau, c12 = states.tau_c12sq(fam, c12sq=spec.c12sq, **{spec.param: x})
         if fam is Family.GGHZ:
             psi = states.gghz(x)
             out["delta_d"] = entangle.delta_d_gghz(x)

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from tribell import qalg, states
+from tribell import polytope, qalg, states
 from tribell.bell import (
     BellKind,
     MeasurementScenario,
@@ -14,6 +14,7 @@ from tribell.bell import (
     make_batched_value,
     operator_value,
 )
+from tribell.bell.operators import N_PARTIES, _fused_coefficient_tensor
 from tribell.polytope import quantum_behavior
 from conftest import random_density_matrix
 
@@ -130,3 +131,105 @@ def test_scenario_helpers():
         MeasurementScenario(np.zeros((5, 2)))
     flat = scen.flat()
     assert flat.shape == (12,)
+
+
+# Reference fold, one term at a time: the four correlation einsums and a
+# scatter of each signed term tensor into its block of the fused tensor.
+def _reference_correlation_tensors(rho, n_parties):
+    rho = np.asarray(rho, dtype=complex)
+    paulis = np.stack(qalg.PAULIS)  # (3, 2, 2)
+    if n_parties == 2:
+        r = rho.reshape(2, 2, 2, 2)
+        t = np.einsum("abde,ida,jeb->ij", r, paulis, paulis)
+        return {(0, 1): np.ascontiguousarray(t.real)}
+    r = rho.reshape(2, 2, 2, 2, 2, 2)
+    t3 = np.einsum("abcdef,ida,jeb,kfc->ijk", r, paulis, paulis, paulis)
+    t_ab = np.einsum("abcdec,ida,jeb->ij", r, paulis, paulis)
+    t_ac = np.einsum("abcdbf,ida,kfc->ik", r, paulis, paulis)
+    t_bc = np.einsum("abcaef,jeb,kfc->jk", r, paulis, paulis)
+    return {
+        (0, 1, 2): np.ascontiguousarray(t3.real),
+        (0, 1): np.ascontiguousarray(t_ab.real),
+        (0, 2): np.ascontiguousarray(t_ac.real),
+        (1, 2): np.ascontiguousarray(t_bc.real),
+    }
+
+
+def _reference_fold(rho, kind):
+    n = N_PARTIES[kind]
+    tensors = _reference_correlation_tensors(rho, n)
+    fused = np.zeros((8,) * n)
+    for slots, sign in TERMS[kind]:
+        active = tuple(p for p, s in enumerate(slots) if s is not None)
+        tensor = tensors[active]
+        index_sets = []
+        for p, s in enumerate(slots):
+            if s is None:
+                index_sets.append(np.array([3]))  # constant slot of setting 0
+            else:
+                index_sets.append(4 * s + np.arange(3))
+        block = sign * tensor
+        expanded_shape = tuple(len(ix) for ix in index_sets)
+        grid = np.ix_(*index_sets)
+        fused[grid] += block.reshape(expanded_shape)
+    return fused
+
+
+def test_fused_tensor_equals_per_term_fold(rng):
+    for kind in BellKind:
+        dim = 2 ** N_PARTIES[kind]
+        for rank in range(1, dim + 1):
+            for _ in range(4):
+                rho = random_density_matrix(rng, dim=dim, rank=rank)
+                fused = _fused_coefficient_tensor(rho, kind)
+                assert np.array_equal(fused, _reference_fold(rho, kind))
+    for family in states.MIXED_FAMILIES:
+        for p in np.linspace(0.0, 1.0, 11):
+            k = 3 if family is states.Family.RHO3 else None
+            rho = states.family_state(family, p=float(p), k=k)
+            for kind in (BellKind.NS99, BellKind.SVETLICHNY):
+                fused = _fused_coefficient_tensor(rho, kind)
+                assert np.array_equal(fused, _reference_fold(rho, kind))
+
+
+def test_correlation_tensors_match_trace_correlators(rng):
+    axes = np.eye(3)
+    for n in (2, 3):
+        for _ in range(3):
+            rho = random_density_matrix(rng, dim=2**n)
+            for active, tensor in correlation_tensors(rho, n).items():
+                assert tensor.shape == (3,) * len(active)
+                for idx in itertools.product(range(3), repeat=len(active)):
+                    obs = [None] * n
+                    for party, i in zip(active, idx):
+                        obs[party] = axes[i]
+                    assert tensor[idx] == pytest.approx(correlator(rho, obs), abs=1e-14)
+
+
+def _reference_behavior_value(table, kind):
+    """Per-term loop over the behavior's correlators, unused parties at setting 0."""
+    signs = np.array([1.0, -1.0])
+    cors = {
+        (0, 1, 2): np.einsum("abcxyz,a,b,c->xyz", table, signs, signs, signs),
+        (0, 1): np.einsum("abcxy,a,b->xy", table[..., 0], signs, signs),
+        (0, 2): np.einsum("abcxz,a,c->xz", table[:, :, :, :, 0, :], signs, signs),
+        (1, 2): np.einsum("abcyz,b,c->yz", table[:, :, :, 0, :, :], signs, signs),
+    }
+    total = 0.0
+    for slots, sign in TERMS[kind]:
+        active = tuple(p for p, s in enumerate(slots) if s is not None)
+        total += sign * float(cors[active][tuple(slots[p] for p in active)])
+    return total
+
+
+def test_behavior_operator_value_matches_per_term_loop(rng):
+    # S2 vertices signal, so the setting-0 convention for marginal terms matters.
+    vertices = polytope.enumerate_vertices(polytope.HybridKind.S2)
+    tables = list(vertices.reshape(-1, *polytope.BEHAVIOR_SHAPE))
+    for _ in range(20):
+        scen = MeasurementScenario.from_flat(rng.uniform(0, 2 * np.pi, size=12))
+        tables.append(quantum_behavior(random_density_matrix(rng), scen).table)
+    for table in tables:
+        for kind in (BellKind.NS99, BellKind.SVETLICHNY):
+            value = behavior_operator_value(table, kind)
+            assert abs(value - _reference_behavior_value(table, kind)) <= 1e-14

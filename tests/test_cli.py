@@ -52,6 +52,38 @@ def test_bound_invalid_input_exits_2(capsys):
     assert "error" in err
 
 
+def test_bound_ms_tau_derives_c12sq(capsys):
+    # an ms state has C12^2 = 1 - tau; --c12sq may be left out or must agree
+    from tribell.bell import bound_b4, bound_b5
+
+    for operator, bound in (("ns99", bound_b5), ("svetlichny", bound_b4)):
+        code, out, _ = run_cli(capsys, "bound", "--family", "ms", "--operator", operator,
+                               "--tau", "0.8")
+        assert code == 0
+        assert float(parse_kv(out)["bound"]) == pytest.approx(bound(0.8, 0.2), abs=1e-8)
+        # 1 - 0.8 rounds to 0.19999999999999996; a typed 0.2 must still agree
+        code, same, _ = run_cli(capsys, "bound", "--family", "ms", "--operator", operator,
+                                "--tau", "0.8", "--c12sq", "0.2")
+        assert code == 0
+        assert same == out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--family", "ms", "--tau", "0.5", "--c12sq", "0.1"), "ms state has C12^2 = 0.5"),
+    (("--family", "gghz", "--tau", "0.5", "--c12sq", "0.3"), "gghz state has C12^2 = 0"),
+    (("--family", "gghz", "--tau", "0.5", "--p", "0.3"), "gghz does not take p"),
+    (("--family", "ext_s", "--tau", "0.5", "--c12sq", "0.3", "--p", "0.3"),
+     "ext_s does not take p"),
+    (("--family", "rho4", "--p", "0.9", "--tau", "0.5"), "rho4 does not take tau"),
+    (("--family", "rho8", "--p", "0.9", "--c12sq", "0.5"), "rho8 does not take c12sq"),
+])
+def test_bound_rejects_inconsistent_or_foreign_options(capsys, argv, message):
+    code, out, err = run_cli(capsys, "bound", "--operator", "ns99", *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_optimize_family_violates(capsys):
     code, out, _ = run_cli(
         capsys, "optimize", "--family", "gghz", "--eta", "0.69",
@@ -130,6 +162,21 @@ def test_visibility_closed_form(capsys):
     )
     assert code == 0
     assert float(parse_kv(out)["threshold"]) == pytest.approx(0.70711, abs=1e-5)
+
+
+def test_visibility_tau_without_family_takes_c12sq_as_given(capsys):
+    from tribell import workflows
+    from tribell.bell import BellKind
+
+    code, out, _ = run_cli(
+        capsys, "visibility", "--operator", "ns99", "--tau", "0.5", "--c12sq", "0.3",
+        "--no-confirm",
+    )
+    assert code == 0
+    pairs = parse_kv(out)
+    assert float(pairs["c12sq"]) == 0.3
+    expected = workflows.VISIBILITY_THRESHOLDS[BellKind.NS99](0.5, 0.3)
+    assert float(pairs["threshold"]) == pytest.approx(expected, abs=1e-8)
 
 
 def test_visibility_exit_3_when_no_violation(capsys):

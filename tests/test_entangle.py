@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -94,7 +96,7 @@ def test_discord_pure_state_equals_marginal_entropy(rng):
     for _ in range(5):
         psi = random_pure_state(rng, dim=4)
         rho = qalg.projector(psi)
-        d = entangle.discord_numeric(rho, dims=(2, 2), measured=1)
+        d = entangle.discord_numeric(rho, measured=1)
         s_a = qalg.von_neumann_entropy(qalg.partial_trace_dims(rho, [2, 2], keep=[0]))
         assert d == pytest.approx(s_a, abs=1e-7)
 
@@ -107,7 +109,7 @@ def test_discord_xstate_closed_form(rng):
         rho_ab = qalg.partial_trace(
             qalg.projector(states.extended_ghz(l0, l3, l4)), keep=[1, 2]
         )
-        numeric = entangle.discord_numeric(rho_ab, dims=(2, 2), measured=1)
+        numeric = entangle.discord_numeric(rho_ab, measured=1)
         closed = entangle.xstate_discord_subclass_s(l0, l3)
         assert numeric == pytest.approx(closed, abs=1e-6)
 
@@ -115,19 +117,20 @@ def test_discord_xstate_closed_form(rng):
 def test_discord_nonnegative_random(rng):
     for _ in range(10):
         rho = random_density_matrix(rng, dim=4)
-        assert entangle.discord_numeric(rho, dims=(2, 2)) >= -1e-9
+        assert entangle.discord_numeric(rho) >= -1e-9
 
 
 def test_discord_rejects_non_qubit_measured_side():
+    # a three-qubit state has no two-qubit split to measure
     rho = np.eye(8, dtype=complex) / 8
     with pytest.raises(ValueError):
-        entangle.discord_numeric(rho, dims=(2, 4), measured=1)
+        entangle.discord_numeric(rho, measured=1)
 
 
 def test_discord_rejects_non_two_qubit_dims():
-    rho = np.eye(8, dtype=complex) / 8
+    rho = np.eye(2, dtype=complex) / 2
     with pytest.raises(ValueError):
-        entangle.discord_numeric(rho, dims=(4, 2), measured=1)
+        entangle.discord_numeric(rho, measured=1)
 
 
 def _reference_conditional_entropy(rho, theta, phi):
@@ -234,3 +237,49 @@ def test_monogamy_components_structure():
         score.d_a_bc - score.d_ab - score.d_ac, abs=1e-15
     )
     assert score.d_ac == pytest.approx(0.0, abs=1e-8)
+
+
+# The closed forms written out term by term, as they were before the module
+# evaluated each through binary_entropy.
+def _reference_delta_d_gghz(eta):
+    out = 0.0
+    for w in (math.cos(eta) ** 2, math.sin(eta) ** 2):
+        if w > 0.0:
+            out -= w * math.log2(w)
+    return out
+
+
+def _reference_delta_d_subclass_s(tau):
+    r = math.sqrt(max(1.0 - tau, 0.0))
+    total = 0.0
+    for w in (1.0 - r, 1.0 + r):
+        if w > 0.0:
+            total += w * math.log(w / 2.0)
+    return -total / math.log(4.0)
+
+
+def _reference_xstate_discord(l0, l3):
+    a = l0 * l0
+    r = math.sqrt(max(1.0 + 4.0 * a * a + 4.0 * a * (l3 * l3 - 1.0), 0.0))
+    first = sum(w * math.log(w) for w in (a, 1.0 - a) if w > 0.0)
+    second = sum(w * math.log(w / 2.0) for w in (1.0 + r, 1.0 - r) if w > 0.0)
+    ln2, ln4 = math.log(2.0), math.log(4.0)
+    return (-ln4 * first + ln2 * second) / (ln2 * ln4)
+
+
+def test_closed_form_entropies_match_term_by_term_forms():
+    for eta in np.linspace(0.0, math.pi / 4, 401):
+        assert abs(entangle.delta_d_gghz(eta) - _reference_delta_d_gghz(eta)) <= 1e-15
+    for tau in np.linspace(0.0, 1.0, 401):
+        assert abs(entangle.delta_d_subclass_s(tau) - _reference_delta_d_subclass_s(tau)) <= 1e-15
+    for l0 in np.linspace(0.0, 1.0, 81):
+        for frac in np.linspace(0.0, 1.0, 81):
+            l3 = frac * math.sqrt(max(1.0 - l0 * l0, 0.0))
+            got = entangle.xstate_discord_subclass_s(l0, l3)
+            assert abs(got - _reference_xstate_discord(l0, l3)) <= 1e-15
+
+
+def test_xstate_discord_rejects_non_state():
+    # l0^2 + l3^2 > 1 leaves no weight for l4^2
+    with pytest.raises(ValueError):
+        entangle.xstate_discord_subclass_s(0.8, 0.8)

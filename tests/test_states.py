@@ -221,6 +221,32 @@ def test_ext_s_half_lambda0_tangle_identity(rng):
         assert tau == pytest.approx(1.0 - c12 * c12, abs=1e-10)
 
 
+def test_tau_c12sq_matches_the_states(rng):
+    for _ in range(5):
+        eta = float(rng.uniform(0, np.pi / 4))
+        for family, build in ((Family.GGHZ, states.gghz), (Family.MS, states.ms)):
+            psi = build(eta)
+            tau, c12sq = states.tau_c12sq(family, eta=eta)
+            assert tau == pytest.approx(entangle.three_tangle_pure(psi), abs=1e-10)
+            rho_ab = qalg.partial_trace(qalg.projector(psi), keep=[1, 2])
+            assert c12sq == pytest.approx(entangle.concurrence(rho_ab) ** 2, abs=1e-10)
+            assert states.tau_c12sq(family, tau=tau)[1] == pytest.approx(c12sq, abs=1e-12)
+    assert states.tau_c12sq(Family.EXT_S, tau=0.3, c12sq=0.4) == (0.3, 0.4)
+    # 1 - 0.8 is 0.19999999999999996; the typed 0.2 fits and the derived value is kept
+    assert states.tau_c12sq(Family.MS, tau=0.8, c12sq=0.2) == (0.8, 1.0 - 0.8)
+    for family, given in [
+        (Family.GGHZ, dict(tau=0.5, c12sq=0.3)),
+        (Family.MS, dict(tau=0.5, c12sq=0.1)),
+        (Family.MS, dict(eta=0.5, tau=0.5)),
+        (Family.MS, dict()),
+        (Family.EXT_S, dict(tau=0.5)),
+        (Family.EXT_S, dict(eta=0.5, c12sq=0.3)),
+        (Family.RHO4, dict(tau=0.5)),
+    ]:
+        with pytest.raises(ValueError):
+            states.tau_c12sq(family, **given)
+
+
 def test_ext_s_lambdas_from_tau_c12():
     l0, l3, l4 = states.ext_s_lambdas_from_tau_c12(0.3, 0.4)
     assert l0 * l0 + l3 * l3 + l4 * l4 == pytest.approx(1.0, abs=1e-12)
