@@ -10,8 +10,7 @@ from .bounds import (
     bound_table2,
     chsh_pure_max,
     ns99_mixed_bound,
-    visibility_threshold_ns99,
-    visibility_threshold_svetlichny,
+    visibility_threshold,
 )
 from .operators import (
     CLASSICAL_BOUND,
@@ -54,6 +53,5 @@ __all__ = [
     "ns99_mixed_bound",
     "operator_value",
     "optimize_operator",
-    "visibility_threshold_ns99",
-    "visibility_threshold_svetlichny",
+    "visibility_threshold",
 ]

@@ -2,10 +2,12 @@
 
 For the GGHZ and extended-GHZ (subclass S) pure families the projective
 maxima of both operators are known in closed form as functions of the
-three-tangle tau and the squared concurrence C12^2. For the rank-4..8
-mixed families the 99th-facet maxima are known as functions of the mixing
-weight p. The numerical optimizer is the independent cross-check for all
-of them.
+three-tangle tau and the squared concurrence C12^2: B5 for the 99th facet
+and B4 for Svetlichny's operator. The GGHZ forms B1/B3 and B2 are their
+C12^2 = 0 cases, and each white-noise visibility threshold is the local
+bound divided by one of them. For the rank-4..8 mixed families the
+99th-facet maxima are known as functions of the mixing weight p. The
+numerical optimizer is the independent cross-check for all of them.
 
 The rank-6 expression is reproduced here with the leading factor 2 on its
 radical, matching the rank-4/5 pattern; without that factor the expression
@@ -20,33 +22,16 @@ from __future__ import annotations
 import math
 
 from ..states import Family
+from .operators import CLASSICAL_BOUND, BellKind
 
-NS99_LOCAL_BOUND = 3.0
-SVETLICHNY_LOCAL_BOUND = 4.0
+NS99_LOCAL_BOUND = CLASSICAL_BOUND[BellKind.NS99]
+SVETLICHNY_LOCAL_BOUND = CLASSICAL_BOUND[BellKind.SVETLICHNY]
 
 
 def _check_unit(value: float, name: str) -> float:
     if not -1e-12 <= value <= 1.0 + 1e-12:
         raise ValueError(f"{name} must lie in [0,1], got {value}")
     return min(max(value, 0.0), 1.0)
-
-
-def bound_b1_b3(tau: float) -> float:
-    """99th-facet maximum 1 + 2 sqrt(1 + tau) for GGHZ (and MS) states."""
-    tau = _check_unit(tau, "tau")
-    return 1.0 + 2.0 * math.sqrt(1.0 + tau)
-
-
-def bound_b2(tau: float) -> float:
-    """Svetlichny maximum for GGHZ states.
-
-    4 sqrt(1 - tau) for tau <= 1/3, else 4 sqrt(2 tau); the branches agree
-    at tau = 1/3.
-    """
-    tau = _check_unit(tau, "tau")
-    if tau <= 1.0 / 3.0:
-        return 4.0 * math.sqrt(1.0 - tau)
-    return 4.0 * math.sqrt(2.0 * tau)
 
 
 def _check_tau_c12(tau: float, c12sq: float) -> tuple[float, float]:
@@ -82,6 +67,19 @@ def bound_b5(tau: float, c12sq: float) -> float:
     a = 1.0 + tau
     c = math.sqrt(max(c12sq * (1.0 - tau - c12sq), 0.0))
     return 1.0 + math.sqrt(max(a + 2.0 * c, 0.0)) + math.sqrt(max(a - 2.0 * c, 0.0))
+
+
+def bound_b1_b3(tau: float) -> float:
+    """99th-facet maximum 1 + 2 sqrt(1 + tau) of a GGHZ state: B5 at C12^2 = 0."""
+    return bound_b5(tau, 0.0)
+
+
+def bound_b2(tau: float) -> float:
+    """Svetlichny maximum of a GGHZ state, B4 at C12^2 = 0.
+
+    4 sqrt(1 - tau) for tau <= 1/3, else 4 sqrt(2 tau).
+    """
+    return bound_b4(tau, 0.0)
 
 
 def bound_rho4(p: float) -> float:
@@ -138,23 +136,21 @@ def chsh_pure_max(c12sq: float) -> float:
     return 2.0 * math.sqrt(1.0 + c12sq)
 
 
-def visibility_threshold_ns99(tau: float, c12sq: float = 0.0) -> float | None:
-    """Largest white-noise visibility at which the 99th facet is satisfied.
+def visibility_threshold(kind: BellKind, tau: float, c12sq: float = 0.0) -> float | None:
+    """Largest white-noise visibility at which a subclass-S state stays local.
 
-    3 / (1 + sqrt(A+2C) + sqrt(A-2C)); for C12^2 = 0 this is the GGHZ form
-    3 / (1 + 2 sqrt(1 + tau)). Returns None when the pure state itself does
-    not violate (no threshold below 1).
+    Every term of both three-party operators is a product of traceless Pauli
+    observables, so the white noise in alpha |psi><psi| + (1 - alpha) I/8
+    adds nothing and the maximum scales as alpha times the pure maximum (B5
+    or B4): the threshold is the local bound divided by that maximum. Returns
+    None when the pure state itself does not violate (no threshold below 1).
+    CHSH, a two-party operator, raises ValueError.
     """
-    bound = bound_b5(tau, c12sq)
-    if bound <= NS99_LOCAL_BOUND + 1e-12:
+    kind = BellKind(kind)
+    if kind is BellKind.CHSH:
+        raise ValueError("no visibility threshold for operator chsh")
+    maximum = (bound_b5 if kind is BellKind.NS99 else bound_b4)(tau, c12sq)
+    bound = CLASSICAL_BOUND[kind]
+    if maximum <= bound + 1e-12:
         return None
-    return NS99_LOCAL_BOUND / bound
-
-
-def visibility_threshold_svetlichny(tau: float, c12sq: float = 0.0) -> float | None:
-    """Svetlichny analogue: 1 / sqrt(2 tau + C12^2), None when >= 1."""
-    tau, c12sq = _check_tau_c12(tau, c12sq)
-    arg = 2.0 * tau + c12sq
-    if arg <= 1.0 + 1e-12:
-        return None
-    return 1.0 / math.sqrt(arg)
+    return bound / maximum

@@ -23,26 +23,27 @@ from .bell import (
     BellKind,
     MeasurementScenario,
     OptimizeOptions,
-    bound_b1_b3,
-    bound_b2,
     bound_b4,
     bound_b5,
     chsh_pure_max,
     ns99_mixed_bound,
     optimize_operator,
+    visibility_threshold,
 )
 from .states import Family
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
+THREE_PARTY = [BellKind.NS99.value, BellKind.SVETLICHNY.value]
 
 
 def _default_seed() -> int:
+    text = os.environ.get("NL_SEED", "1")
     try:
-        return int(os.environ.get("NL_SEED", "1"))
+        return int(text)
     except ValueError:
-        return 1
+        raise ValueError(f"NL_SEED must be an integer, got {text!r}") from None
 
 
 def _fmt(value) -> str:
@@ -110,16 +111,13 @@ def cmd_bound(args) -> int:
     op = BellKind(args.operator)
     family = Family(args.family)
     if op is BellKind.CHSH:
-        if args.c12sq is None:
-            raise ValueError("chsh bound needs --c12sq")
+        if args.c12sq is None or args.tau is not None or args.p is not None:
+            raise ValueError("the chsh bound takes --c12sq and neither --tau nor --p")
         value = chsh_pure_max(args.c12sq)
     elif family in (Family.GGHZ, Family.MS, Family.EXT_S):
         states.reject_foreign(family, p=args.p)
         tau, c12sq = states.tau_c12sq(family, tau=args.tau, c12sq=args.c12sq)
-        if family is Family.GGHZ:
-            value = bound_b1_b3(tau) if op is BellKind.NS99 else bound_b2(tau)
-        else:
-            value = bound_b5(tau, c12sq) if op is BellKind.NS99 else bound_b4(tau, c12sq)
+        value = (bound_b5 if op is BellKind.NS99 else bound_b4)(tau, c12sq)
     elif family in (Family.RHO4, Family.RHO5, Family.RHO6, Family.RHO7, Family.RHO8):
         if op is not BellKind.NS99:
             raise ValueError(f"no closed-form {op.value} bound for {family.value}")
@@ -191,38 +189,23 @@ def cmd_visibility(args) -> int:
         family, c12sq = Family(args.family or Family.GGHZ), args.c12sq
     tau, c12sq = states.tau_c12sq(family, eta=args.eta, tau=args.tau, c12sq=c12sq)
     op = BellKind(args.operator)
-    try:
-        if args.confirm:
-            check = workflows.visibility_check(
-                op, tau, c12sq, delta=args.delta, seed=args.seed, restarts=args.restarts
-            )
-            _emit(
-                {
-                    "operator": op.value,
-                    "tau": tau,
-                    "c12sq": c12sq,
-                    "threshold": check.threshold,
-                    "below_value": check.below_value,
-                    "below_violates": check.below_violates,
-                    "above_value": check.above_value,
-                    "above_violates": check.above_violates,
-                    "confirmed": check.confirmed,
-                },
-                args.json,
-            )
-        else:
-            threshold = workflows.VISIBILITY_THRESHOLDS[op](tau, c12sq)
-            if threshold is None:
-                raise workflows.NoViolationError(
-                    f"no violation of {op.value} for tau={tau}, C12^2={c12sq}"
-                )
-            _emit(
-                {"operator": op.value, "tau": tau, "c12sq": c12sq, "threshold": threshold},
-                args.json,
-            )
-    except workflows.NoViolationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    threshold = visibility_threshold(op, tau, c12sq)
+    if threshold is None:
+        print(f"error: no violation of {op.value} for tau={tau}, C12^2={c12sq}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    pairs = {"operator": op.value, "tau": tau, "c12sq": c12sq, "threshold": threshold}
+    if args.confirm:
+        check = workflows.visibility_check(
+            op, tau, c12sq, delta=args.delta, seed=args.seed, restarts=args.restarts
+        )
+        pairs.update(
+            below_value=check.below_value,
+            below_violates=check.below_violates,
+            above_value=check.above_value,
+            above_violates=check.above_violates,
+            confirmed=check.confirmed,
+        )
+    _emit(pairs, args.json)
     return EXIT_OK
 
 
@@ -290,6 +273,11 @@ def cmd_membership(args) -> int:
 
 
 def cmd_channel(args) -> int:
+    if args.closed_form:
+        if args.family != Family.GGHZ.value or args.eta is None:
+            raise ValueError("--closed-form applies to --family gghz with --eta")
+        if args.alpha is not None:
+            raise ValueError("--alpha would mix only the Kraus input; drop it or --closed-form")
     rho = _state_from_args(args)
     spec = channels.ChannelSpec(
         channels.ChannelKind(args.kind), tuple(args.strengths)
@@ -302,8 +290,6 @@ def cmd_channel(args) -> int:
         pairs[f"kraus_{op.value}"] = report.value
         pairs[f"kraus_{op.value}_violated"] = report.violated
     if args.closed_form:
-        if args.family != Family.GGHZ.value or args.eta is None:
-            raise ValueError("--closed-form applies to --family gghz with --eta")
         if spec.kind is channels.ChannelKind.DEPOLARIZE:
             closed = channels.closed_form_depolarized_gghz(args.eta, *spec.strengths)
         else:
@@ -337,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="maximize an operator over measurement angles")
     _add_state_options(p)
-    p.add_argument("--operator", required=True, choices=[k.value for k in BellKind])
+    p.add_argument("--operator", required=True, choices=THREE_PARTY)
     p.add_argument("--restarts", type=int, default=64)
     _add_common(p)
     p.set_defaults(func=cmd_optimize)
@@ -345,8 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("threshold", help="bisect a mixed-family violation threshold")
     p.add_argument("--family", required=True,
                    choices=[f.value for f in states.MIXED_FAMILIES])
-    p.add_argument("--operator", required=True,
-                   choices=[BellKind.NS99.value, BellKind.SVETLICHNY.value])
+    p.add_argument("--operator", required=True, choices=THREE_PARTY)
     p.add_argument("--k", type=int)
     p.add_argument("--bracket", type=float, nargs=2, default=(0.55, 1.0),
                    metavar=("LO", "HI"))
@@ -357,8 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("visibility", help="white-noise visibility threshold")
     p.add_argument("--family", choices=[Family.GGHZ.value, Family.MS.value, Family.EXT_S.value])
-    p.add_argument("--operator", required=True,
-                   choices=[BellKind.NS99.value, BellKind.SVETLICHNY.value])
+    p.add_argument("--operator", required=True, choices=THREE_PARTY)
     p.add_argument("--tau", type=float)
     p.add_argument("--c12sq", type=float)
     p.add_argument("--eta", type=float)
@@ -397,8 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_options(p)
     p.add_argument("--angles", type=float, nargs=12,
                    help="12 measurement angles (theta,phi pairs, radians)")
-    p.add_argument("--optimize-scenario",
-                   choices=[BellKind.NS99.value, BellKind.SVETLICHNY.value],
+    p.add_argument("--optimize-scenario", choices=THREE_PARTY,
                    help="use the scenario found by maximizing this operator")
     p.add_argument("--model", required=True, choices=[k.value for k in polytope.HybridKind])
     p.add_argument("--behavior-out", help="also export the generated behavior table")
@@ -423,9 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is None:
-        args.seed = _default_seed()
     try:
+        if args.seed is None:
+            args.seed = _default_seed()
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -126,7 +126,10 @@ def load_behavior(path) -> Behavior:
         parts = line.replace(",", " ").split()
         if len(parts) != 7:
             raise ValueError(f"behavior rows need 7 fields, got {raw!r}")
-        x, y, z, a, b, c = (int(t) for t in parts[:6])
+        fields = [int(t) for t in parts[:6]]
+        if not set(fields) <= {0, 1}:
+            raise ValueError(f"settings and outcomes must be 0 or 1, got {raw!r}")
+        x, y, z, a, b, c = fields
         table[a, b, c, x, y, z] = float(parts[6])
     if np.isnan(table).any():
         raise ValueError("behavior file does not cover all 64 entries")

@@ -356,19 +356,28 @@ def load_state_file(path) -> np.ndarray:
         pairs = doc["amplitudes"]
         if len(pairs) != 8:
             raise ValueError(f"state file must list 8 amplitudes, got {len(pairs)}")
-        psi = np.array([complex(re, im) for re, im in pairs])
+        psi = np.array([_complex_entry(e) for e in pairs])
         norm = float(np.linalg.norm(psi))
         if abs(norm - 1.0) > FILE_NORM_ATOL:
             raise ValueError(f"state vector norm {norm} too far from 1")
         return qalg.projector(psi / norm)
     if "density" in doc:
         rows = doc["density"]
-        mat = np.array([[complex(re, im) for re, im in row] for row in rows])
+        mat = np.array([[_complex_entry(e) for e in row] for row in rows])
         if mat.shape != (8, 8):
             raise ValueError(f"density must be 8x8, got {mat.shape}")
         mat = (mat + mat.conj().T) / 2.0
         return qalg.check_density_matrix(mat, name="state file density")
     raise ValueError("state file must contain 'amplitudes' or 'density'")
+
+
+def _complex_entry(entry) -> complex:
+    """One ``[re, im]`` pair of a state file; any other entry raises ValueError."""
+    try:
+        re, im = entry
+        return complex(float(re), float(im))
+    except (TypeError, ValueError):
+        raise ValueError(f"state file entries must be [re, im] pairs, got {entry!r}") from None
 
 
 def _check_weight(p: float) -> None:

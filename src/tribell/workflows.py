@@ -20,14 +20,11 @@ from .bell import (
     BellKind,
     CLASSICAL_BOUND,
     OptimizeOptions,
-    bound_b1_b3,
-    bound_b2,
     bound_b4,
     bound_b5,
     ns99_mixed_bound,
     optimize_operator,
-    visibility_threshold_ns99,
-    visibility_threshold_svetlichny,
+    visibility_threshold,
 )
 from .bell.operators import VIOLATION_ATOL
 from .states import Family, mixed_builder
@@ -159,22 +156,10 @@ TABLE2_ROWS = (
 
 
 @dataclass
-class TableCell:
-    published: float
-    recomputed: float
-
-    @property
-    def difference(self) -> float:
-        return abs(self.recomputed - self.published)
-
-
-@dataclass
 class TableRow:
-    label: str
-    tau_positive_from: float
-    tau_note: str
-    ns99: TableCell
-    svetlichny: TableCell
+    spec: TableRowSpec
+    ns99: float  # recomputed thresholds
+    svetlichny: float
 
 
 def compute_table(
@@ -193,31 +178,13 @@ def compute_table(
         raise ValueError(f"table must be 1 or 2, got {which}")
     rows = []
     for spec in rows_spec:
-        cells = {}
-        for op, published in (
-            (BellKind.NS99, spec.ns99_threshold),
-            (BellKind.SVETLICHNY, spec.svetlichny_threshold),
-        ):
-            result = threshold_bisect(
-                ThresholdQuery(
-                    family=spec.family,
-                    operator=op,
-                    k=spec.k,
-                    tol=tol,
-                    seed=seed,
-                    restarts=restarts,
-                )
-            )
-            cells[op] = TableCell(published=published, recomputed=result.p_star)
-        rows.append(
-            TableRow(
-                label=spec.label,
-                tau_positive_from=spec.tau_positive_from,
-                tau_note=TAU_REFERENCE_NOTE,
-                ns99=cells[BellKind.NS99],
-                svetlichny=cells[BellKind.SVETLICHNY],
-            )
+        ns99, svetlichny = (
+            threshold_bisect(
+                ThresholdQuery(spec.family, op, spec.k, tol=tol, seed=seed, restarts=restarts)
+            ).p_star
+            for op in (BellKind.NS99, BellKind.SVETLICHNY)
         )
+        rows.append(TableRow(spec, ns99, svetlichny))
     return rows
 
 
@@ -226,17 +193,10 @@ def format_table(rows: Sequence[TableRow], fmt: str = "md") -> str:
               "svet published", "svet recomputed", "svet |diff|"]
     body = []
     for r in rows:
+        pairs = ((r.spec.ns99_threshold, r.ns99), (r.spec.svetlichny_threshold, r.svetlichny))
         body.append(
-            [
-                r.label,
-                f"p>={r.tau_positive_from:g} ({r.tau_note})",
-                f"{r.ns99.published:.6f}",
-                f"{r.ns99.recomputed:.6f}",
-                f"{r.ns99.difference:.6f}",
-                f"{r.svetlichny.published:.6f}",
-                f"{r.svetlichny.recomputed:.6f}",
-                f"{r.svetlichny.difference:.6f}",
-            ]
+            [r.spec.label, f"p>={r.spec.tau_positive_from:g} ({TAU_REFERENCE_NOTE})"]
+            + [f"{v:.6f}" for pub, rec in pairs for v in (pub, rec, abs(rec - pub))]
         )
     if fmt == "csv":
         return "\n".join(",".join(row) for row in [header] + body)
@@ -327,14 +287,12 @@ def _sweep_point(spec: SweepSpec, x: float) -> dict[str, float]:
             out["delta_d"] = entangle.delta_d_subclass_s(tau)
         out["tau"] = tau
         out["c12sq"] = c12
-        out["ns_bound"] = bound_b5(tau, c12) if c12 > 0.0 else bound_b1_b3(tau)
-        out["svet_bound"] = bound_b4(tau, c12) if c12 > 0.0 else bound_b2(tau)
+        out["ns_bound"] = bound_b5(tau, c12)
+        out["svet_bound"] = bound_b4(tau, c12)
         # Visibility columns report 1.0 when the pure state never violates
-        # (threshold semantics: no threshold below 1), keeping CSV finite.
-        vns = visibility_threshold_ns99(tau, c12)
-        vsv = visibility_threshold_svetlichny(tau, c12)
-        out["visibility_ns"] = 1.0 if vns is None else vns
-        out["visibility_svet"] = 1.0 if vsv is None else vsv
+        # (threshold semantics: no threshold below 1, and none is 0), keeping CSV finite.
+        out["visibility_ns"] = visibility_threshold(BellKind.NS99, tau, c12) or 1.0
+        out["visibility_svet"] = visibility_threshold(BellKind.SVETLICHNY, tau, c12) or 1.0
         rho = qalg.projector(psi)
     else:
         build = mixed_builder(fam, spec.k)
@@ -377,12 +335,6 @@ def sweep_csv(header: list[str], rows: list[list[float]]) -> str:
 # ---------------------------------------------------------------------------
 # Visibility thresholds with numerical confirmation
 
-VISIBILITY_THRESHOLDS = {
-    BellKind.NS99: visibility_threshold_ns99,
-    BellKind.SVETLICHNY: visibility_threshold_svetlichny,
-}
-
-
 @dataclass
 class VisibilityCheck:
     operator: BellKind
@@ -414,9 +366,7 @@ def visibility_check(
     Raises NoViolationError when the pure state never violates.
     """
     operator = BellKind(operator)
-    if operator not in VISIBILITY_THRESHOLDS:
-        raise ValueError(f"no visibility threshold for operator {operator.value}")
-    threshold = VISIBILITY_THRESHOLDS[operator](tau, c12sq)
+    threshold = visibility_threshold(operator, tau, c12sq)
     if threshold is None:
         raise NoViolationError(
             f"state with tau={tau}, C12^2={c12sq} never violates {operator.value}; "

@@ -60,8 +60,7 @@ from tribell.bell import (
     ns99_mixed_bound,
     operator_value,
     optimize_operator,
-    visibility_threshold_ns99,
-    visibility_threshold_svetlichny,
+    visibility_threshold,
 )
 from tribell.polytope import Behavior, HybridKind
 from tribell.workflows import ThresholdQuery
@@ -327,11 +326,8 @@ def test_criterion_07_visibility_thresholds():
     """Violation switches on across the closed-form visibility threshold."""
     cases = []
     for tau in (0.5, 1.0):
-        for op, fn in (
-            (BellKind.NS99, visibility_threshold_ns99),
-            (BellKind.SVETLICHNY, visibility_threshold_svetlichny),
-        ):
-            if fn(tau) is None:
+        for op in (BellKind.NS99, BellKind.SVETLICHNY):
+            if visibility_threshold(op, tau) is None:
                 continue  # svetlichny has no threshold below 1 at tau = 0.5
             check = workflows.visibility_check(op, tau, delta=0.01, seed=1)
             cases.append((tau, op, check))

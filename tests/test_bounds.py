@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from tribell.bell import (
+    BellKind,
     bound_b1_b3,
     bound_b2,
     bound_b4,
@@ -11,10 +14,69 @@ from tribell.bell import (
     bound_table2,
     chsh_pure_max,
     ns99_mixed_bound,
-    visibility_threshold_ns99,
-    visibility_threshold_svetlichny,
+    visibility_threshold,
 )
+from tribell.bell.bounds import NS99_LOCAL_BOUND, _check_tau_c12, _check_unit
 from tribell.states import Family
+
+
+# The separate GGHZ and visibility formulas that bound_b2 and
+# visibility_threshold replaced, kept verbatim as references.
+
+
+def _reference_bound_b2(tau: float) -> float:
+    tau = _check_unit(tau, "tau")
+    if tau <= 1.0 / 3.0:
+        return 4.0 * math.sqrt(1.0 - tau)
+    return 4.0 * math.sqrt(2.0 * tau)
+
+
+def _reference_visibility_ns99(tau: float, c12sq: float = 0.0) -> float | None:
+    bound = bound_b5(tau, c12sq)
+    if bound <= NS99_LOCAL_BOUND + 1e-12:
+        return None
+    return NS99_LOCAL_BOUND / bound
+
+
+def _reference_visibility_svetlichny(tau: float, c12sq: float = 0.0) -> float | None:
+    tau, c12sq = _check_tau_c12(tau, c12sq)
+    arg = 2.0 * tau + c12sq
+    if arg <= 1.0 + 1e-12:
+        return None
+    return 1.0 / math.sqrt(arg)
+
+
+def _tau_c12_grid():
+    """A 201 x 201 grid of feasible (tau, C12^2) pairs plus, per C12^2, the
+    branch points of B4 and B5 and the tau + C12^2 = 1 edge."""
+    axis = np.linspace(0.0, 1.0, 201)
+    points = [(float(t), float(c)) for c in axis for t in axis if t + c <= 1.0]
+    for c in map(float, axis):
+        points += [((1.0 - c) / 3.0, c), (c * (1.0 - c) / (1.0 + c), c), (1.0 - c, c)]
+    return points
+
+
+def test_gghz_forms_are_the_c12_zero_cases():
+    for tau in map(float, np.linspace(0.0, 1.0, 22001)):
+        assert bound_b2(tau) == _reference_bound_b2(tau)
+        expected = 1.0 + 2.0 * math.sqrt(1.0 + tau)
+        assert abs(bound_b1_b3(tau) - expected) <= math.ulp(expected)
+
+
+def test_visibility_threshold_matches_reference_formulas():
+    references = (
+        (BellKind.NS99, _reference_visibility_ns99),
+        (BellKind.SVETLICHNY, _reference_visibility_svetlichny),
+    )
+    verdicts = {None: 0, "threshold": 0}
+    for tau, c12 in _tau_c12_grid():
+        for kind, reference in references:
+            got, want = visibility_threshold(kind, tau, c12), reference(tau, c12)
+            assert got == want, (kind, tau, c12, got, want)  # None verdicts included
+            verdicts[None if want is None else "threshold"] += 1
+    assert min(verdicts.values()) > 1000  # both verdicts are exercised
+    with pytest.raises(ValueError):
+        visibility_threshold(BellKind.CHSH, 1.0)
 
 
 def test_bound_b1_values():
@@ -115,14 +177,15 @@ def test_chsh_pure_max():
 
 
 def test_visibility_thresholds():
-    assert visibility_threshold_ns99(1.0) == pytest.approx(3 / (1 + 2 * np.sqrt(2)))
-    assert visibility_threshold_ns99(1.0) == pytest.approx(0.78361, abs=1e-5)
-    assert visibility_threshold_svetlichny(1.0) == pytest.approx(1 / np.sqrt(2))
-    assert visibility_threshold_ns99(0.0) is None
+    ns99, svetlichny = BellKind.NS99, BellKind.SVETLICHNY
+    assert visibility_threshold(ns99, 1.0) == pytest.approx(3 / (1 + 2 * np.sqrt(2)))
+    assert visibility_threshold(ns99, 1.0) == pytest.approx(0.78361, abs=1e-5)
+    assert visibility_threshold(svetlichny, 1.0) == pytest.approx(1 / np.sqrt(2))
+    assert visibility_threshold(ns99, 0.0) is None
     # 1/sqrt(0.2) > 1: no threshold below 1
-    assert visibility_threshold_svetlichny(0.1) is None
-    assert visibility_threshold_svetlichny(0.5) is None  # exactly at the bound
-    assert visibility_threshold_svetlichny(0.6) == pytest.approx(1 / np.sqrt(1.2))
+    assert visibility_threshold(svetlichny, 0.1) is None
+    assert visibility_threshold(svetlichny, 0.5) is None  # exactly at the bound
+    assert visibility_threshold(svetlichny, 0.6) == pytest.approx(1 / np.sqrt(1.2))
 
 
 def test_bound_domain_guards():

@@ -165,8 +165,7 @@ def test_visibility_closed_form(capsys):
 
 
 def test_visibility_tau_without_family_takes_c12sq_as_given(capsys):
-    from tribell import workflows
-    from tribell.bell import BellKind
+    from tribell.bell import BellKind, visibility_threshold
 
     code, out, _ = run_cli(
         capsys, "visibility", "--operator", "ns99", "--tau", "0.5", "--c12sq", "0.3",
@@ -175,7 +174,7 @@ def test_visibility_tau_without_family_takes_c12sq_as_given(capsys):
     assert code == 0
     pairs = parse_kv(out)
     assert float(pairs["c12sq"]) == 0.3
-    expected = workflows.VISIBILITY_THRESHOLDS[BellKind.NS99](0.5, 0.3)
+    expected = visibility_threshold(BellKind.NS99, 0.5, 0.3)
     assert float(pairs["threshold"]) == pytest.approx(expected, abs=1e-8)
 
 
@@ -369,3 +368,70 @@ def test_bad_state_file_exits_2(capsys, tmp_path):
         capsys, "optimize", "--state", str(path), "--operator", "ns99",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("row, bad", [
+    ("0 0 0 0 0 0 ", "0 2 0 0 0 0 "),  # an IndexError traceback before the check
+    ("1 0 0 0 0 0 ", "-1 0 0 0 0 0 "),  # read as setting 1, exit 0, before the check
+])
+def test_membership_bad_behavior_field_exits_2(capsys, tmp_path, row, bad):
+    path = tmp_path / "behavior.txt"
+    polytope.save_behavior(
+        polytope.quantum_behavior(np.eye(8, dtype=complex) / 8, MeasurementScenario.all_z()),
+        path,
+    )
+    path.write_text(path.read_text().replace("\n" + row, "\n" + bad, 1))
+    code, out, err = run_cli(capsys, "membership", "--behavior", str(path), "--model", "ns2")
+    assert code == 2
+    assert out == ""
+    assert "must be 0 or 1" in err
+
+
+def test_state_file_amplitudes_not_pairs_exits_2(capsys, tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"amplitudes": [1, 0, 0, 0, 0, 0, 0, 0]}))
+    code, out, err = run_cli(capsys, "optimize", "--state", str(path), "--operator", "ns99")
+    assert code == 2
+    assert out == ""
+    assert "[re, im] pairs" in err
+
+
+def test_nl_seed_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("NL_SEED", "abc")
+    code, out, err = run_cli(capsys, "bound", "--family", "gghz", "--operator", "ns99",
+                             "--tau", "1")
+    assert code == 2
+    assert out == ""
+    assert "NL_SEED must be an integer" in err
+    # an explicit --seed does not read the environment
+    code, _, _ = run_cli(capsys, "bound", "--family", "gghz", "--operator", "ns99",
+                         "--tau", "1", "--seed", "3")
+    assert code == 0
+
+
+def test_channel_rejects_alpha_with_closed_form(capsys):
+    # --alpha would mix only the Kraus input, so the two models would see different states
+    code, out, err = run_cli(
+        capsys, "channel", "--kind", "depolarize", "--strengths", "0.1", "0.1", "0.1",
+        "--family", "gghz", "--eta", "0.69", "--alpha", "0.5", "--closed-form",
+    )
+    assert code == 2
+    assert out == ""
+    assert "--alpha" in err
+
+
+@pytest.mark.parametrize("extra", [("--tau", "0.5"), ("--p", "0.5")])
+def test_bound_chsh_rejects_tau_and_p(capsys, extra):
+    code, out, err = run_cli(capsys, "bound", "--family", "gghz", "--operator", "chsh",
+                             "--c12sq", "0.5", *extra)
+    assert code == 2
+    assert out == ""
+    assert "neither --tau nor --p" in err
+
+
+def test_optimize_rejects_chsh(capsys):
+    # every optimize input is a three-qubit state, so chsh could never run
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["optimize", "--family", "ghz", "--operator", "chsh"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'chsh'" in capsys.readouterr().err

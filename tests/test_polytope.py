@@ -454,3 +454,20 @@ def test_phase1_simplex_matches_dense_oracle_on_signed_rows():
             assert np.max(np.abs(A @ w - b)) <= 1e-8
         infeasible += objective > 1e-6
     assert infeasible >= 10
+
+
+@pytest.mark.parametrize("row, bad", [
+    ("0 0 0 0 0 0 ", "2 0 0 0 0 0 "),  # setting 2
+    ("0 0 0 0 0 0 ", "0 0 0 2 0 0 "),  # outcome 2
+    ("1 0 0 0 0 0 ", "-1 0 0 0 0 0 "),  # would index setting 1 from the end
+])
+def test_load_behavior_rejects_fields_other_than_0_or_1(tmp_path, row, bad):
+    path = tmp_path / "behavior.txt"
+    polytope.save_behavior(
+        polytope.quantum_behavior(np.eye(8, dtype=complex) / 8, MeasurementScenario.all_z()),
+        path,
+    )
+    text = path.read_text()
+    path.write_text(text.replace("\n" + row, "\n" + bad, 1))
+    with pytest.raises(ValueError, match="must be 0 or 1"):
+        polytope.load_behavior(path)

@@ -282,3 +282,15 @@ def test_state_file_rejects_garbage(tmp_path):
     path.write_text(json.dumps({"nothing": 1}))
     with pytest.raises(ValueError):
         states.load_state_file(path)
+
+
+@pytest.mark.parametrize("layout, entries", [
+    ("amplitudes", [1, 0, 0, 0, 0, 0, 0, 0]),
+    ("amplitudes", [[1.0, 0.0]] * 7 + ["ab"]),
+    ("density", [[0] * 8] * 8),
+])
+def test_state_file_rejects_entries_that_are_not_pairs(tmp_path, layout, entries):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({layout: entries}))
+    with pytest.raises(ValueError, match=r"\[re, im\] pairs"):
+        states.load_state_file(path)

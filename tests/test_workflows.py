@@ -176,11 +176,9 @@ def test_table_row_specs_cover_published_values():
 def test_format_table_shapes():
     rows = [
         workflows.TableRow(
-            label="demo",
-            tau_positive_from=0.5,
-            tau_note=workflows.TAU_REFERENCE_NOTE,
-            ns99=workflows.TableCell(published=0.8, recomputed=0.81),
-            svetlichny=workflows.TableCell(published=0.7, recomputed=0.7),
+            spec=workflows.TableRowSpec("demo", Family.RHO2, None, 0.5, 0.8, 0.7),
+            ns99=0.81,
+            svetlichny=0.7,
         )
     ]
     md = workflows.format_table(rows, fmt="md")
