@@ -9,7 +9,9 @@ density matrix:
 * amplitude damping with
   E0 = [[1, 0], [0, sqrt(1-g)]], E1 = [[0, sqrt(g)], [0, 0]].
 
-The generic Kraus application is the authoritative physical model. The
+The generic Kraus application is the authoritative physical model: each
+Kraus operator K contracts the addressed qubit's row and column axes of the
+(2,)*6 view of rho, giving sum_k K rho K^dagger without 8x8 operators. The
 module also reproduces two published closed-form matrices for noisy
 generalized-GHZ states (one per channel); both are restricted to the
 |000>/|111> block and are kept for diagnostic comparison only. The
@@ -76,19 +78,19 @@ def _amplitude_damping_kraus(gamma: float) -> list[np.ndarray]:
 
 
 def _apply_kraus_on_qubit(rho: np.ndarray, kraus, qubit: int) -> np.ndarray:
+    """sum_k K rho K^dagger with K on one qubit's row and column axes of the (2,)*6 view."""
     rho = np.asarray(rho, dtype=complex)
-    n = round(math.log2(rho.shape[0]))
-    if qubit not in range(1, n + 1):
-        raise ValueError(f"qubit must be in 1..{n}, got {qubit}")
-    eye = np.eye(2, dtype=complex)
-    out = np.zeros_like(rho)
+    if rho.shape != (8, 8):
+        raise ValueError(f"channels address three-qubit states, got shape {rho.shape}")
+    if qubit not in (1, 2, 3):
+        raise ValueError(f"qubit must be in 1..3, got {qubit}")
+    row, col = qubit - 1, qubit + 2
+    r = rho.reshape((2,) * 6)
+    out = np.zeros_like(r)
     for k in kraus:
-        factors = [k if q == qubit else eye for q in range(1, n + 1)]
-        op = factors[0]
-        for f in factors[1:]:
-            op = np.kron(op, f)
-        out += op @ rho @ op.conj().T
-    return out
+        kr = np.moveaxis(np.tensordot(k, r, axes=(1, row)), 0, row)
+        out += np.moveaxis(np.tensordot(kr, k.conj(), axes=(col, 1)), -1, col)
+    return out.reshape(8, 8)
 
 
 def depolarize_qubit(rho: np.ndarray, qubit: int, p: float) -> np.ndarray:
@@ -110,8 +112,6 @@ def apply_channel_spec(rho: np.ndarray, spec: ChannelSpec) -> np.ndarray:
     irrelevant.
     """
     rho = qalg.check_density_matrix(rho)
-    if rho.shape[0] != 8:
-        raise ValueError("channel specs address three-qubit states")
     kraus_of = {
         ChannelKind.DEPOLARIZE: _depolarizing_kraus,
         ChannelKind.AMPLITUDE_DAMP: _amplitude_damping_kraus,

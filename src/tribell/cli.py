@@ -279,25 +279,18 @@ def cmd_channel(args) -> int:
         if args.alpha is not None:
             raise ValueError("--alpha would mix only the Kraus input; drop it or --closed-form")
     rho = _state_from_args(args)
-    spec = channels.ChannelSpec(
-        channels.ChannelKind(args.kind), tuple(args.strengths)
-    )
-    noisy = channels.apply_channel_spec(rho, spec)
+    spec = channels.ChannelSpec(channels.ChannelKind(args.kind), tuple(args.strengths))
+    noisy = {"kraus": channels.apply_channel_spec(rho, spec)}
+    if args.closed_form:
+        dep = spec.kind is channels.ChannelKind.DEPOLARIZE
+        build = channels.closed_form_depolarized_gghz if dep else channels.closed_form_damped_gghz
+        noisy["closed_form"] = build(args.eta, *spec.strengths)
     opts = OptimizeOptions(restarts=args.restarts, seed=args.seed)
     pairs = {"kind": spec.kind.value, "strengths": list(spec.strengths)}
-    for op in (BellKind.NS99, BellKind.SVETLICHNY):
-        report = optimize_operator(noisy, op, opts)
-        pairs[f"kraus_{op.value}"] = report.value
-        pairs[f"kraus_{op.value}_violated"] = report.violated
-    if args.closed_form:
-        if spec.kind is channels.ChannelKind.DEPOLARIZE:
-            closed = channels.closed_form_depolarized_gghz(args.eta, *spec.strengths)
-        else:
-            closed = channels.closed_form_damped_gghz(args.eta, *spec.strengths)
-        for op in (BellKind.NS99, BellKind.SVETLICHNY):
-            report = optimize_operator(closed, op, opts)
-            pairs[f"closed_form_{op.value}"] = report.value
-            pairs[f"closed_form_{op.value}_violated"] = report.violated
+    for model, state in noisy.items():
+        for report in workflows.optimize_ns99_svetlichny(state, opts):
+            pairs[f"{model}_{report.operator.value}"] = report.value
+            pairs[f"{model}_{report.operator.value}_violated"] = report.violated
     _emit(pairs, args.json)
     return EXIT_OK
 

@@ -60,7 +60,7 @@ def concurrence(rho: np.ndarray) -> float:
     if rho.shape[0] != 4:
         raise ValueError(f"concurrence expects a 4x4 matrix, got {rho.shape}")
     evals, vecs = np.linalg.eigh(rho)
-    root = np.sqrt(np.maximum(qalg.clamp_spectrum(evals), 0.0))
+    root = np.sqrt(np.maximum(evals, 0.0))
     sqrt_rho = (vecs * root) @ vecs.conj().T
     m = sqrt_rho @ _SIGMA_YY @ sqrt_rho.conj()
     roots = np.sort(np.linalg.svd(m, compute_uv=False))[::-1]
@@ -147,7 +147,8 @@ def discord_numeric(rho: np.ndarray, measured: int = 1) -> float:
     a, b, t = r[1:, 0], r[0, 1:], r[1:, 1:]
 
     s_ab = qalg.von_neumann_entropy(rho)
-    s_b = qalg.von_neumann_entropy(qalg.partial_trace_dims(rho, (2, 2), keep=[measured]))
+    # The measured qubit's spectrum is (1 +- |b|)/2.
+    s_b = binary_entropy((1.0 + min(float(np.linalg.norm(b)), 1.0)) / 2.0)
 
     thetas = np.linspace(0.0, math.pi, THETA_GRID)
     phis = np.linspace(0.0, 2.0 * math.pi, PHI_GRID, endpoint=False)

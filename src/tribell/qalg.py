@@ -1,8 +1,9 @@
 """Dense complex linear algebra for one-, two- and three-qubit systems.
 
 Everything downstream (states, channels, Bell operators, discord) is built on
-the small set of exact operations in this module: Kronecker products, partial
-traces, Hermitian spectra and von Neumann entropy.
+the small set of exact operations in this module: projectors, state checks,
+one einsum partial trace, the Pauli expansion, von Neumann entropy and Bloch
+observables.
 
 Basis convention: a three-qubit computational basis index is
 ``b = 4*q1 + 2*q2 + q3`` with qubit 1 the most significant bit, i.e. qubit 1
@@ -16,15 +17,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 # Tolerances for the structural invariants of density matrices and state
-# vectors. Eigenvalues in [-EIG_CLAMP, 0) are treated as exact zeros before
-# logs and square roots (floating-point PSD drift).
+# vectors. EIG_CLAMP is the floating-point slack allowed on spectra and on
+# quantities confined to [0, 1] (binary-entropy arguments, the tangle).
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 PSD_ATOL = 1e-10
 NORM_ATOL = 1e-12
 EIG_CLAMP = 1e-10
-
-MAX_DIM = 8
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -44,34 +43,10 @@ def _as_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the left factor most significant.
-
-    The result dimension is capped at 8 (three qubits); larger products are
-    rejected rather than silently growing.
-    """
-    a = _as_square(a, "left factor")
-    b = _as_square(b, "right factor")
-    for m in (a, b):
-        d = m.shape[0]
-        if d & (d - 1) or d == 0:
-            raise ValueError(f"dimension {d} is not a power of two")
-    if a.shape[0] * b.shape[0] > MAX_DIM:
-        raise ValueError(
-            f"tensor product dimension {a.shape[0] * b.shape[0]} exceeds {MAX_DIM}"
-        )
-    return np.kron(a, b)
-
-
 def projector(psi: np.ndarray) -> np.ndarray:
     """Rank-1 projector |psi><psi| of a state vector."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     return np.outer(psi, psi.conj())
-
-
-def is_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> bool:
-    m = np.asarray(m, dtype=complex)
-    return bool(np.max(np.abs(m - m.conj().T)) <= atol)
 
 
 def check_state_vector(psi: np.ndarray, name: str = "state") -> np.ndarray:
@@ -93,7 +68,7 @@ def check_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
     d = rho.shape[0]
     if d not in (2, 4, 8):
         raise ValueError(f"{name} dimension must be 2, 4 or 8, got {d}")
-    if not is_hermitian(rho):
+    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_ATOL:
         raise ValueError(f"{name} is not Hermitian to {HERMITICITY_ATOL}")
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > TRACE_ATOL:
@@ -104,70 +79,34 @@ def check_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
     return rho
 
 
-def partial_trace_dims(
-    rho: np.ndarray, dims: Sequence[int], keep: Sequence[int]
-) -> np.ndarray:
-    """Partial trace over a general tensor factorization.
-
-    ``dims`` are subsystem dimensions in tensor order, ``keep`` the 0-based
-    indices of the subsystems to retain (order preserved).
-    """
-    dims = list(dims)
-    n = len(dims)
-    keep = sorted(set(keep))
-    if any(i < 0 or i >= n for i in keep):
-        raise ValueError(f"keep indices {keep} out of range for {n} subsystems")
-    rho = _as_square(rho)
-    if rho.shape[0] != int(np.prod(dims)):
-        raise ValueError(f"shape {rho.shape} does not match dims {dims}")
-    reshaped = rho.reshape(tuple(dims) + tuple(dims))
-    drop = [i for i in range(n) if i not in keep]
-    for idx in sorted(drop, reverse=True):
-        half = reshaped.ndim // 2
-        reshaped = np.trace(reshaped, axis1=idx, axis2=idx + half)
-        dims.pop(idx)
-    d = int(np.prod(dims)) if dims else 1
-    return reshaped.reshape(d, d)
-
-
 def partial_trace(rho: np.ndarray, keep: Iterable[int]) -> np.ndarray:
-    """Reduced state of an 8x8 three-qubit density matrix.
+    """Reduced state of a 4x4 two-qubit or 8x8 three-qubit density matrix.
 
-    ``keep`` is a non-empty proper subset of the 1-based qubit labels
-    {1, 2, 3}; the qubit ordering of the result follows the input ordering.
+    ``keep`` is a non-empty proper subset of the 1-based qubit labels; the
+    qubit ordering of the result follows the input ordering. One einsum over
+    the ``(2,) * 2n`` view: a traced qubit's column axis reuses its row label.
     """
-    keep_set = sorted(set(int(q) for q in keep))
-    if not keep_set or not all(q in (1, 2, 3) for q in keep_set):
-        raise ValueError(f"keep must be a non-empty subset of {{1,2,3}}, got {keep_set}")
-    if len(keep_set) == 3:
-        raise ValueError("keep must be a proper subset; nothing to trace out")
     rho = _as_square(rho, "rho")
-    if rho.shape[0] != 8:
-        raise ValueError(f"partial_trace expects an 8x8 matrix, got {rho.shape}")
-    return partial_trace_dims(rho, [2, 2, 2], [q - 1 for q in keep_set])
-
-
-def hermitian_eigenvalues(m: np.ndarray, atol: float = 1e-10) -> np.ndarray:
-    """Real spectrum of a Hermitian matrix, sorted descending."""
-    m = _as_square(m, "matrix")
-    if not is_hermitian(m, atol=atol):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    evals = np.linalg.eigvalsh(m)
-    return evals[::-1].copy()
-
-
-def clamp_spectrum(evals: np.ndarray) -> np.ndarray:
-    """Zero out eigenvalues in [-EIG_CLAMP, 0) ahead of logs/square roots."""
-    evals = np.asarray(evals, dtype=float).copy()
-    mask = (evals < 0.0) & (evals >= -EIG_CLAMP)
-    evals[mask] = 0.0
-    return evals
+    n = {4: 2, 8: 3}.get(rho.shape[0])
+    if n is None:
+        raise ValueError(f"partial_trace expects a 4x4 or 8x8 matrix, got {rho.shape}")
+    keep_set = sorted(set(int(q) for q in keep))
+    if not keep_set or keep_set[0] < 1 or keep_set[-1] > n:
+        labels = ",".join(map(str, range(1, n + 1)))
+        raise ValueError(f"keep must be a non-empty subset of {{{labels}}}, got {keep_set}")
+    if len(keep_set) == n:
+        raise ValueError("keep must be a proper subset; nothing to trace out")
+    kept = [q - 1 for q in keep_set]
+    cols = [i + n if i in kept else i for i in range(n)]
+    out = np.einsum(rho.reshape((2,) * (2 * n)), [*range(n), *cols], kept + [i + n for i in kept])
+    d = 2 ** len(keep_set)
+    return out.reshape(d, d)
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """Von Neumann entropy -sum(l log2 l) in bits, with 0*log0 := 0."""
     rho = _as_square(rho, "rho")
-    evals = clamp_spectrum(np.linalg.eigvalsh(rho))
+    evals = np.linalg.eigvalsh(rho)
     positive = evals[evals > 0.0]
     return float(-np.sum(positive * np.log2(positive)))
 

@@ -352,8 +352,10 @@ def load_state_file(path) -> np.ndarray:
     """
     text = Path(path).read_text(encoding="utf-8")
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"state file must hold a JSON object, got {type(doc).__name__}")
     if "amplitudes" in doc:
-        pairs = doc["amplitudes"]
+        pairs = _json_list(doc["amplitudes"], "amplitudes")
         if len(pairs) != 8:
             raise ValueError(f"state file must list 8 amplitudes, got {len(pairs)}")
         psi = np.array([_complex_entry(e) for e in pairs])
@@ -362,13 +364,19 @@ def load_state_file(path) -> np.ndarray:
             raise ValueError(f"state vector norm {norm} too far from 1")
         return qalg.projector(psi / norm)
     if "density" in doc:
-        rows = doc["density"]
+        rows = [_json_list(row, "density rows") for row in _json_list(doc["density"], "density")]
         mat = np.array([[_complex_entry(e) for e in row] for row in rows])
         if mat.shape != (8, 8):
             raise ValueError(f"density must be 8x8, got {mat.shape}")
         mat = (mat + mat.conj().T) / 2.0
         return qalg.check_density_matrix(mat, name="state file density")
     raise ValueError("state file must contain 'amplitudes' or 'density'")
+
+
+def _json_list(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"state file {name} must be a JSON list, got {value!r}")
+    return value
 
 
 def _complex_entry(entry) -> complex:

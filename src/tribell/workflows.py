@@ -20,6 +20,7 @@ from .bell import (
     BellKind,
     CLASSICAL_BOUND,
     OptimizeOptions,
+    ViolationReport,
     bound_b4,
     bound_b5,
     ns99_mixed_bound,
@@ -267,6 +268,15 @@ class SweepSpec:
             raise ValueError("ext_s sweeps need the fixed c12sq value")
         if self.family is not Family.EXT_S and self.c12sq is not None:
             raise ValueError(f"{self.family.value} does not take c12sq; only ext_s sweeps do")
+        if self.family in _PURE_SWEEP_PARAM:
+            available = SWEEP_COLUMNS
+        elif self.family in (Family.RHO2, Family.RHO3):
+            available = ("ns_opt", "svet_opt")
+        else:
+            available = ("ns_bound", "ns_opt", "svet_opt")
+        missing = [c for c in self.columns if c not in available]
+        if missing:
+            raise ValueError(f"columns {missing} are not available for family {self.family.value}")
 
 
 def _sweep_point(spec: SweepSpec, x: float) -> dict[str, float]:
@@ -297,7 +307,7 @@ def _sweep_point(spec: SweepSpec, x: float) -> dict[str, float]:
     else:
         build = mixed_builder(fam, spec.k)
         rho = build(x)
-        if fam not in (Family.RHO2, Family.RHO3):
+        if "ns_bound" in spec.columns:
             out["ns_bound"] = ns99_mixed_bound(fam, x)
     if need_opt:
         opts = OptimizeOptions(restarts=spec.restarts, seed=spec.seed)
@@ -305,9 +315,6 @@ def _sweep_point(spec: SweepSpec, x: float) -> dict[str, float]:
             out["ns_opt"] = optimize_operator(rho, BellKind.NS99, opts).value
         if "svet_opt" in spec.columns:
             out["svet_opt"] = optimize_operator(rho, BellKind.SVETLICHNY, opts).value
-    missing = [c for c in spec.columns if c not in out]
-    if missing:
-        raise ValueError(f"columns {missing} are not available for family {fam.value}")
     return out
 
 
@@ -413,6 +420,13 @@ class ChannelExampleVerdict:
         return self.ns99_violated and not self.svetlichny_violated
 
 
+def optimize_ns99_svetlichny(
+    rho: np.ndarray, opts: OptimizeOptions
+) -> tuple[ViolationReport, ViolationReport]:
+    """The per-model step of the channel examples: NS99, then Svetlichny, on one state."""
+    return tuple(optimize_operator(rho, op, opts) for op in (BellKind.NS99, BellKind.SVETLICHNY))
+
+
 def _example_states() -> list[tuple[str, np.ndarray, np.ndarray | None]]:
     """(label, kraus-model state, closed-form-model state or None) per example."""
     eta1 = 0.69
@@ -464,8 +478,7 @@ def channel_example_report(seed: int = 1, restarts: int = 64) -> list[ChannelExa
         for model, rho in (("kraus", kraus_state), ("closed_form", closed_state)):
             if rho is None:
                 continue
-            ns = optimize_operator(rho, BellKind.NS99, opts)
-            sv = optimize_operator(rho, BellKind.SVETLICHNY, opts)
+            ns, sv = optimize_ns99_svetlichny(rho, opts)
             verdicts.append(
                 ChannelExampleVerdict(
                     example=label,

@@ -113,6 +113,52 @@ def test_depolarization_coherence_factor_exact(rng):
     assert np.allclose(o[1, :, 0, :], (1 - p) * r[1, :, 0, :], atol=1e-13)
 
 
+def _kron_kraus_on_qubit(rho, kraus, qubit):
+    """The former Kraus map: each K embedded as an 8x8 kron operator, then K rho K^dagger."""
+    eye = np.eye(2, dtype=complex)
+    out = np.zeros_like(rho)
+    for k in kraus:
+        factors = [k if q == qubit else eye for q in range(1, 4)]
+        op = factors[0]
+        for f in factors[1:]:
+            op = np.kron(op, f)
+        out += op @ rho @ op.conj().T
+    return out
+
+
+def test_kraus_map_matches_kron_oracle(rng):
+    rhos = [random_density_matrix(rng, rank=r) for r in (1, 2, 8) for _ in range(3)]
+    rhos.append(qalg.projector(states.gghz(0.69)))
+    for rho in rhos:
+        for qubit in (1, 2, 3):
+            s = float(rng.uniform())
+            assert np.array_equal(
+                channels.depolarize_qubit(rho, qubit, s),
+                _kron_kraus_on_qubit(rho, channels._depolarizing_kraus(s), qubit),
+            )
+            assert np.array_equal(
+                channels.amplitude_damp_qubit(rho, qubit, s),
+                _kron_kraus_on_qubit(rho, channels._amplitude_damping_kraus(s), qubit),
+            )
+        for kind, builder in (
+            (ChannelKind.DEPOLARIZE, channels._depolarizing_kraus),
+            (ChannelKind.AMPLITUDE_DAMP, channels._amplitude_damping_kraus),
+        ):
+            strengths = tuple(float(x) for x in rng.uniform(size=3))
+            ref = rho
+            for qubit, s in enumerate(strengths, start=1):
+                ref = _kron_kraus_on_qubit(ref, builder(s), qubit)
+            got = channels.apply_channel_spec(rho, ChannelSpec(kind, strengths))
+            assert np.array_equal(got, ref)
+
+
+def test_channels_reject_states_that_are_not_three_qubits():
+    with pytest.raises(ValueError, match="three-qubit"):
+        channels.depolarize_qubit(np.eye(4) / 4, 1, 0.5)
+    with pytest.raises(ValueError, match="three-qubit"):
+        channels.apply_channel_spec(np.eye(2) / 2, ChannelSpec(ChannelKind.DEPOLARIZE, (0.1,) * 3))
+
+
 def test_closed_form_depolarized_limits():
     rho = channels.closed_form_depolarized_gghz(0.41, 0.0, 0.0, 0.0)
     assert np.allclose(rho, qalg.projector(states.gghz(0.41)), atol=1e-14)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tribell import cli, polytope
+from tribell import cli, polytope, workflows
 from tribell.bell import MeasurementScenario
 
 
@@ -355,6 +355,12 @@ def test_channel_command_both_models(capsys):
         )
     assert code == 0
     pairs = parse_kv(out)
+    assert list(pairs) == ["kind", "strengths"] + [
+        f"{model}_{op}{suffix}"
+        for model in ("kraus", "closed_form")
+        for op in ("ns99", "svetlichny")
+        for suffix in ("", "_violated")
+    ]
     assert pairs["kraus_ns99_violated"] == "true"
     assert pairs["kraus_svetlichny_violated"] == "false"
     assert pairs["closed_form_ns99_violated"] == "true"
@@ -394,6 +400,30 @@ def test_state_file_amplitudes_not_pairs_exits_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "[re, im] pairs" in err
+
+
+@pytest.mark.parametrize("doc", [{"amplitudes": 5}, {"density": 5}, {"density": [5]}, 5])
+def test_state_file_wrong_container_exits_2(capsys, tmp_path, doc):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "optimize", "--state", str(path), "--operator", "ns99")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: state file")
+
+
+def test_sweep_rejects_unavailable_column_before_optimizing(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("optimize_operator called before the column check")
+
+    monkeypatch.setattr(workflows, "optimize_operator", fail)
+    code, out, err = run_cli(
+        capsys, "sweep", "--family", "rho2", "--param", "p", "--from", "0.6", "--to", "0.9",
+        "--steps", "2", "--columns", "ns_opt,ns_bound",
+    )
+    assert code == 2
+    assert out == ""
+    assert "columns ['ns_bound'] are not available for family rho2" in err
 
 
 def test_nl_seed_must_be_an_integer(capsys, monkeypatch):

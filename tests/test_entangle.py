@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tribell import entangle, qalg, states
-from conftest import random_pure_state, random_density_matrix
+from conftest import partial_trace_dims, random_pure_state, random_density_matrix
 
 
 def test_concurrence_bell_state():
@@ -97,7 +97,7 @@ def test_discord_pure_state_equals_marginal_entropy(rng):
         psi = random_pure_state(rng, dim=4)
         rho = qalg.projector(psi)
         d = entangle.discord_numeric(rho, measured=1)
-        s_a = qalg.von_neumann_entropy(qalg.partial_trace_dims(rho, [2, 2], keep=[0]))
+        s_a = qalg.von_neumann_entropy(qalg.partial_trace(rho, keep=[1]))
         assert d == pytest.approx(s_a, abs=1e-7)
 
 
@@ -175,6 +175,58 @@ def test_conditional_entropy_kernel_matches_block_oracle(rng):
         kernel = entangle._conditional_entropy_batch(*_bloch_expansion(rho), theta, phi)
         reference = _reference_conditional_entropy(rho, theta, phi)
         assert np.max(np.abs(kernel - reference)) <= 1e-12
+
+
+def _former_discord_numeric(rho, measured):
+    """discord_numeric as it was when S(B) came from a partial trace and its spectrum."""
+    r = np.roll(qalg.pauli_tensor(rho, 2), 1, axis=(0, 1))
+    if measured == 0:
+        r = r.T
+    a, b, t = r[1:, 0], r[0, 1:], r[1:, 1:]
+
+    s_ab = qalg.von_neumann_entropy(rho)
+    s_b = qalg.von_neumann_entropy(partial_trace_dims(rho, (2, 2), keep=[measured]))
+
+    thetas = np.linspace(0.0, math.pi, entangle.THETA_GRID)
+    phis = np.linspace(0.0, 2.0 * math.pi, entangle.PHI_GRID, endpoint=False)
+    tg, pg = (g.ravel() for g in np.meshgrid(thetas, phis, indexing="ij"))
+    vals = entangle._conditional_entropy_batch(a, b, t, tg, pg)
+    i = int(np.argmin(vals))
+    best, theta0, phi0 = float(vals[i]), tg[i], pg[i]
+
+    step = max(thetas[1] - thetas[0], phis[1] - phis[0])
+    half = (entangle.REFINE_STENCIL - 1) // 2
+    off_t, off_p = np.mgrid[-half : half + 1, -half : half + 1].reshape(2, -1).astype(float)
+    edge = np.maximum(np.abs(off_t), np.abs(off_p)) == half
+    while step > entangle.REFINE_STEP_TOL:
+        vals = entangle._conditional_entropy_batch(
+            a, b, t, theta0 + step * off_t, phi0 + step * off_p
+        )
+        i = int(np.argmin(vals))
+        improved = vals[i] < best - 1e-16
+        if improved:
+            best = float(vals[i])
+            theta0 += step * off_t[i]
+            phi0 += step * off_p[i]
+        if not (improved and edge[i]):
+            step /= half
+    return s_b - s_ab + best
+
+
+def test_discord_matches_former_partial_trace_path(rng):
+    product = np.zeros((4, 4), dtype=complex)
+    product[0, 0] = 1.0
+    rhos = [product, np.eye(4, dtype=complex) / 4]
+    rhos += [random_density_matrix(rng, dim=4, rank=r) for r in (1, 2, 3, 4) for _ in range(3)]
+    rhos += [
+        qalg.partial_trace(qalg.projector(random_pure_state(rng)), keep=keep)
+        for keep in ([1, 2], [1, 3], [2, 3])
+    ]
+    for rho in rhos:
+        for measured in (0, 1):
+            assert entangle.discord_numeric(rho, measured) == pytest.approx(
+                _former_discord_numeric(rho, measured), abs=1e-12
+            )
 
 
 def test_discord_pure_marginals_match_koashi_winter(rng):

@@ -2,17 +2,7 @@ import numpy as np
 import pytest
 
 from tribell import qalg
-from conftest import random_density_matrix, random_pure_state
-
-
-def test_tensor_identity():
-    assert np.allclose(qalg.tensor(qalg.IDENTITY_2, qalg.IDENTITY_2), np.eye(4))
-
-
-def test_tensor_zz_diagonal_entry():
-    zz = qalg.tensor(qalg.PAULI_Z, qalg.PAULI_Z)
-    # |00> is the +1 eigenvector: diagonal entry at basis index 0 is +1
-    assert zz[0, 0] == pytest.approx(1.0)
+from conftest import partial_trace_dims, random_density_matrix, random_pure_state
 
 
 def test_tensor_xxx_ghz_expectation():
@@ -23,21 +13,7 @@ def test_tensor_xxx_ghz_expectation():
     xxx = np.kron(np.kron(qalg.PAULI_X, qalg.PAULI_X), qalg.PAULI_X)
     expected = np.trace(rho @ xxx).real
     assert expected == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(qalg.tensor(qalg.tensor(qalg.PAULI_X, qalg.PAULI_X), qalg.PAULI_X), xxx)
-
-
-def test_tensor_rejects_overflow():
-    with pytest.raises(ValueError):
-        qalg.tensor(np.eye(4), np.eye(4))
-
-
-def test_tensor_associativity(rng):
-    mats = [
-        (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) for _ in range(3)
-    ]
-    left = qalg.tensor(qalg.tensor(mats[0], mats[1]), mats[2])
-    right = qalg.tensor(mats[0], qalg.tensor(mats[1], mats[2]))
-    assert np.max(np.abs(left - right)) <= 1e-14
+    assert qalg.pauli_tensor(rho, 3)[0, 0, 0] == pytest.approx(expected, abs=1e-15)
 
 
 def test_partial_trace_ghz_single_qubit():
@@ -72,6 +48,15 @@ def test_partial_trace_invalid_subsets(keep):
         qalg.partial_trace(rho, keep=keep)
 
 
+def test_partial_trace_two_qubit_subsets_and_shapes():
+    rho = np.eye(4) / 4
+    for keep in ([], [1, 2], [3]):
+        with pytest.raises(ValueError, match="keep must be"):
+            qalg.partial_trace(rho, keep=keep)
+    with pytest.raises(ValueError, match="4x4 or 8x8"):
+        qalg.partial_trace(np.eye(2) / 2, keep=[1])
+
+
 def test_partial_trace_preserves_trace_and_psd(rng):
     for _ in range(20):
         rho = random_density_matrix(rng)
@@ -81,33 +66,25 @@ def test_partial_trace_preserves_trace_and_psd(rng):
             assert np.linalg.eigvalsh(red).min() >= -1e-10
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_partial_trace_matches_trace_loop_oracle(rng, n):
+    keeps = [[1], [2]] if n == 2 else [[1], [2], [3], [1, 2], [1, 3], [2, 3]]
+    for rank in (1, 2, 2**n) * 10:
+        rho = random_density_matrix(rng, dim=2**n, rank=rank)
+        for keep in keeps:
+            got = qalg.partial_trace(rho, keep)
+            ref = partial_trace_dims(rho, [2] * n, [q - 1 for q in keep])
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 2e-16
+            if len(keep) == 2:
+                assert np.array_equal(got, ref)
+
+
 def test_partial_trace_sequential_matches_direct(rng):
     rho = random_density_matrix(rng)
-    step = qalg.partial_trace_dims(qalg.partial_trace(rho, keep=[1, 2]), [2, 2], keep=[0])
+    step = qalg.partial_trace(qalg.partial_trace(rho, keep=[1, 2]), keep=[1])
     direct = qalg.partial_trace(rho, keep=[1])
     assert np.allclose(step, direct, atol=1e-13)
-
-
-def test_hermitian_eigenvalues_basics():
-    assert np.allclose(qalg.hermitian_eigenvalues(np.eye(2) / 2), [0.5, 0.5])
-    assert np.allclose(qalg.hermitian_eigenvalues(qalg.PAULI_Z), [1.0, -1.0])
-    eta = np.pi / 4
-    diag = np.diag([np.cos(eta) ** 2, 0, 0, np.sin(eta) ** 2]).astype(complex)
-    assert np.allclose(qalg.hermitian_eigenvalues(diag), [0.5, 0.5, 0.0, 0.0])
-
-
-def test_hermitian_eigenvalues_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        qalg.hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_eigenvalue_sum_matches_trace(rng):
-    for _ in range(10):
-        m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        m = m + m.conj().T
-        evals = qalg.hermitian_eigenvalues(m)
-        assert np.sum(evals) == pytest.approx(np.trace(m).real, abs=1e-10)
-        assert np.all(np.diff(evals) <= 1e-12)  # descending
 
 
 def test_entropy_edge_cases(rng):
@@ -122,7 +99,7 @@ def test_entropy_zero_iff_pure(rng):
         psi = random_pure_state(rng)
         rho = qalg.projector(psi)
         assert qalg.von_neumann_entropy(rho) <= 1e-10
-        assert qalg.hermitian_eigenvalues(rho)[0] == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.eigvalsh(rho)[-1] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_check_density_matrix_rejects_bad_inputs():

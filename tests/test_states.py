@@ -294,3 +294,11 @@ def test_state_file_rejects_entries_that_are_not_pairs(tmp_path, layout, entries
     path.write_text(json.dumps({layout: entries}))
     with pytest.raises(ValueError, match=r"\[re, im\] pairs"):
         states.load_state_file(path)
+
+
+@pytest.mark.parametrize("doc", [{"amplitudes": 5}, {"density": 5}, {"density": [5]}, 5])
+def test_state_file_rejects_containers_that_are_not_lists(tmp_path, doc):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="JSON"):
+        states.load_state_file(path)

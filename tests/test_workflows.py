@@ -138,12 +138,11 @@ def test_sweep_validation():
     with pytest.raises(ValueError, match="rho2 does not take k"):
         SweepSpec(family=Family.RHO2, param="p", start=0.1, stop=0.9, steps=2, columns=("ns_opt",),
                   k=3)
-    # delta_d unavailable for mixed families
-    spec = SweepSpec(
-        family=Family.RHO2, param="p", start=0.1, stop=0.9, steps=2, columns=("delta_d",)
-    )
-    with pytest.raises(ValueError):
-        workflows.run_sweep(spec)
+    # delta_d unavailable for mixed families, ns_bound for rho2/rho3: rejected before any point
+    for family, column in ((Family.RHO2, "delta_d"), (Family.RHO3, "ns_bound")):
+        with pytest.raises(ValueError, match=f"not available for family {family.value}"):
+            SweepSpec(family=family, param="p", start=0.1, stop=0.9, steps=2, columns=(column,),
+                      k=2 if family is Family.RHO3 else None)
 
 
 def test_sweep_csv_formatting():
