@@ -365,9 +365,12 @@ def load_state_file(path) -> np.ndarray:
         return qalg.projector(psi / norm)
     if "density" in doc:
         rows = [_json_list(row, "density rows") for row in _json_list(doc["density"], "density")]
+        lengths = [len(row) for row in rows]
+        if lengths != [8] * 8:
+            raise ValueError(
+                f"state file density must be 8 rows of 8 [re, im] pairs, got row lengths {lengths}"
+            )
         mat = np.array([[_complex_entry(e) for e in row] for row in rows])
-        if mat.shape != (8, 8):
-            raise ValueError(f"density must be 8x8, got {mat.shape}")
         mat = (mat + mat.conj().T) / 2.0
         return qalg.check_density_matrix(mat, name="state file density")
     raise ValueError("state file must contain 'amplitudes' or 'density'")

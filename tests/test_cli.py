@@ -412,6 +412,16 @@ def test_state_file_wrong_container_exits_2(capsys, tmp_path, doc):
     assert err.startswith("error: state file")
 
 
+@pytest.mark.parametrize("lengths", [[8] * 7 + [7], [8] * 7, [8] * 9])
+def test_state_file_density_of_wrong_shape_exits_2(capsys, tmp_path, lengths):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"density": [[[0.125, 0.0]] * n for n in lengths]}))
+    code, out, err = run_cli(capsys, "optimize", "--state", str(path), "--operator", "ns99")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: state file density must be 8 rows of 8")
+
+
 def test_sweep_rejects_unavailable_column_before_optimizing(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("optimize_operator called before the column check")

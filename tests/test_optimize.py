@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +13,19 @@ from tribell.bell import (
     operator_value,
     optimize_operator,
 )
-from tribell.bell.operators import VIOLATION_ATOL
-from tribell.bell.optimize import ViolationReport, _initial_points
+from tribell.bell.operators import (
+    VIOLATION_ATOL,
+    _fused_coefficient_tensor,
+    augmented_vectors,
+    make_batched_value,
+)
+from tribell.bell.optimize import (
+    ViolationReport,
+    _angles,
+    _initial_points,
+    _pair_matrices,
+    _tangent_system,
+)
 
 FAST = OptimizeOptions(restarts=16, seed=1)
 
@@ -59,13 +71,56 @@ def test_reported_scenario_reproduces_value():
     "dim, kind", [(8, BellKind.SVETLICHNY), (8, BellKind.NS99), (4, BellKind.CHSH)]
 )
 def test_maximally_mixed_state_has_zero_gradient(dim, kind):
-    # every partial contraction vanishes, so no Bloch vector has a best response
+    # every partial contraction vanishes, so no Bloch vector has a best response,
+    # and the Hessian vanishes too: no Newton step, no division by a zero pivot
     rho = np.eye(dim) / dim
-    rep = optimize_operator(rho, kind, FAST)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = optimize_operator(rho, kind, FAST)
     assert rep.value == 0.0
     assert np.all(np.isfinite(rep.scenario.angles))
     assert operator_value(rho, rep.scenario, kind) == pytest.approx(rep.value, abs=1e-9)
     assert rep.residual == 0.0
+    assert rep.hessian_max == 0.0
+
+
+@pytest.mark.parametrize("kind", [BellKind.NS99, BellKind.SVETLICHNY])
+def test_tangent_gradient_and_hessian_match_finite_differences(kind):
+    # the value at the normalized point v + sum_a x_a e_a, as a function of the
+    # 12 tangent coordinates x; normalization is a second-order retraction, so
+    # its derivatives at x = 0 are the Riemannian gradient and Hessian
+    rng = np.random.default_rng(20101)
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
+    aug = augmented_vectors(rng.uniform(0.0, 2.0 * np.pi, size=(1, 12))).reshape(1, 3, 2, 4)
+    bases, grad, hess = _tangent_system(_pair_matrices(_fused_coefficient_tensor(rho, kind)), aug)
+    value_fn = make_batched_value(rho, kind)
+
+    def value_at(x):
+        moved = np.repeat(aug, len(x), axis=0)
+        v = aug[..., :3] + np.einsum("rpsa,psac->rpsc", x.reshape(-1, 3, 2, 2), bases[0])
+        moved[..., :3] = v / np.linalg.norm(v, axis=-1, keepdims=True)
+        return value_fn(_angles(moved))
+
+    h = 1e-4
+    e = h * np.eye(12)
+    fd_grad = (value_at(e) - value_at(-e)) / (2 * h)
+    corners = [value_at((si * e[:, None] + sj * e[None]).reshape(-1, 12)).reshape(12, 12)
+               for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    fd_hess = (corners[0] - corners[1] - corners[2] + corners[3]) / (4 * h * h)
+    assert np.max(np.abs(grad[0] - fd_grad)) < 1e-8
+    assert np.max(np.abs(hess[0] - fd_hess)) < 1e-6
+    assert np.array_equal(hess[0], hess[0].T)
+
+
+def test_flat_maximum_is_polished_to_a_strict_local_maximum():
+    # below p = 5/8 the all-x setting gives exactly 4 and is a strict, nearly
+    # flat maximum; the linear see-saw alone stops about 1e-10 short of it
+    rho = states.mixed_builder(states.Family.RHO4)(0.6249)
+    rep = optimize_operator(rho, BellKind.SVETLICHNY, OptimizeOptions(restarts=128, seed=1))
+    assert rep.value == pytest.approx(4.0, abs=1e-12)
+    assert rep.hessian_max < 0.0
+    assert rep.capped == 0
 
 
 def test_slow_ridge_converges():

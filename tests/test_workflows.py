@@ -34,16 +34,43 @@ def test_threshold_no_crossing_raises():
         workflows.threshold_bisect(query)
 
 
+# Every cell of both tables at their settings (tol 2.5e-4, seed 1, 64 restarts).
+# Each root is a bisection midpoint, dyadic up to the rounding of its sum, so
+# the recomputed value must repeat exactly.
+TABLE_ROOTS = (
+    (Family.RHO2, None, BellKind.NS99, 0.8118041992187501),
+    (Family.RHO2, None, BellKind.SVETLICHNY, 0.70721435546875),
+    (Family.RHO3, 2, BellKind.NS99, 0.81971435546875),
+    (Family.RHO3, 2, BellKind.SVETLICHNY, 0.70721435546875),
+    (Family.RHO3, 3, BellKind.NS99, 0.8188354492187502),
+    (Family.RHO3, 3, BellKind.SVETLICHNY, 0.70721435546875),
+    (Family.RHO3, 10, BellKind.NS99, 0.81488037109375),
+    (Family.RHO3, 10, BellKind.SVETLICHNY, 0.70721435546875),
+    (Family.RHO4, None, BellKind.NS99, 0.72479248046875),
+    (Family.RHO4, None, BellKind.SVETLICHNY, 0.6250366210937501),
+    (Family.RHO5, None, BellKind.NS99, 0.7294067382812499),
+    (Family.RHO5, None, BellKind.SVETLICHNY, 0.71094970703125),
+    (Family.RHO6, None, BellKind.NS99, 0.7564331054687501),
+    (Family.RHO6, None, BellKind.SVETLICHNY, 0.7652221679687501),
+    (Family.RHO7, None, BellKind.NS99, 0.75841064453125),
+    (Family.RHO7, None, BellKind.SVETLICHNY, 0.76434326171875),
+    (Family.RHO8, None, BellKind.NS99, 0.76280517578125),
+    (Family.RHO8, None, BellKind.SVETLICHNY, 0.76368408203125),
+)
+
+
 @pytest.mark.parametrize(
-    "family, operator, p_star",
+    "family, k, operator, p_star",
     [
-        (Family.RHO4, BellKind.SVETLICHNY, 0.6250366210937501),
-        (Family.RHO8, BellKind.NS99, 0.76280517578125),
+        pytest.param(
+            family, k, operator, p_star,
+            id=f"{family.value}{'' if k is None else f'-k{k}'}-{operator.value}-{p_star}",
+        )
+        for family, k, operator, p_star in TABLE_ROOTS
     ],
 )
-def test_threshold_pinned_at_table_settings(family, operator, p_star):
-    # the tables' settings; both roots are dyadic, so they compare exactly
-    query = ThresholdQuery(family=family, operator=operator, tol=2.5e-4, seed=1, restarts=64)
+def test_threshold_pinned_at_table_settings(family, k, operator, p_star):
+    query = ThresholdQuery(family=family, operator=operator, k=k, tol=2.5e-4, seed=1, restarts=64)
     result = workflows.threshold_bisect(query)
     assert result.p_star == p_star
     # two bracket ends and eleven halvings of the width 0.45 down to 2.5e-4
