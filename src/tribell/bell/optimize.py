@@ -1,12 +1,15 @@
 """Multi-start see-saw maximization of Bell operators.
 
 Each operator is folded into one coefficient tensor that is multilinear in
-the per-party augmented 8-vectors (``_fused_coefficient_tensor``). With the
-other parties held fixed, the value is linear in one party's vector, so that
-party's best pair of Bloch vectors is ``g_s / |g_s|``, where ``g`` is the
-partial contraction and ``g_s`` its block for setting s (see-saw, e.g. Pál &
-Vértesi, PRA 82, 022116 (2010)). One sweep updates the parties in turn and
-never lowers the value.
+the per-party augmented 8-vectors (``_fused_coefficient_tensor``). Its one
+contraction here is a party pair's 8x8 block with the remaining party's
+vector (``_pair_block``), which gives both parties' partial contractions,
+the value and the pair's Hessian block. With the other parties held fixed,
+the value is linear in one party's vector, so that party's best pair of
+Bloch vectors is ``g_s / |g_s|``, where ``g`` is the partial contraction and
+``g_s`` its block for setting s (see-saw, e.g. Pál & Vértesi, PRA 82,
+022116 (2010)). One sweep updates the parties in turn and never lowers the
+value.
 
 All restarts start from seeded random angles and are swept in lockstep as
 one vectorized batch, which keeps the search deterministic for a fixed
@@ -18,20 +21,17 @@ plus one extrapolation trial each).
 
 Where the maximum is flat (rho4 Svetlichny near p = 5/8, where the all-x
 setting gives exactly 4) the see-saw still converges only linearly, at a
-rate near 1. For three-party operators, every ``CRAWL_WINDOW`` sweeps a
-restart whose rise shrank by less than ``SLOW_RATE**CRAWL_WINDOW`` over the
-window takes a Riemannian Newton step on the product of the six unit
-spheres (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix
-Manifolds (2008)), and keeps taking one each sweep while its steps are kept.
-The value is linear in each party's 8-vector, so the 12x12 tangent Hessian
-has only cross-party blocks (the fused tensor contracted with the third
-party's vector) plus ``-<g_s, v_s>`` on the diagonal of each party and
-setting. The step -H^-1 grad is retracted by normalization and kept only
-where H is negative definite, the step is bounded and the value strictly
-rises, so no value ever falls. Reading the rate over a window keeps the
-step off restarts that converge at an ordinary rate, where it would cost
-more than the sweeps it saves. Each report carries the largest eigenvalue
-of the best restart's tangent Hessian (``ViolationReport.hessian_max``).
+rate near 1. So every ``NEWTON_EVERY`` sweeps, for any operator, each
+restart still rising takes a Riemannian Newton step on the product of the
+unit Bloch spheres (Absil, Mahony & Sepulchre, Optimization Algorithms on
+Matrix Manifolds (2008)), and keeps taking one each sweep while its steps
+are kept. The value is linear in each party's 8-vector, so the tangent
+Hessian has only cross-party blocks (the pair blocks in tangent bases) plus
+``-<g_s, v_s>`` on the diagonal of each party and setting. The step
+-H^-1 grad is retracted by normalization and kept only where H is negative
+definite, the step is bounded and the value strictly rises, so no value
+ever falls. Each report carries the largest eigenvalue of the best
+restart's tangent Hessian (``ViolationReport.hessian_max``).
 
 With ``OptimizeOptions.stop_above`` set,
 the batch stops once one restart's value exceeds it by ``STOP_MARGIN``; no
@@ -71,11 +71,8 @@ RISE_TOL = 1e-13
 RESTART_SPREAD_TOL = 1e-6
 # Covers the rounding between a sweep value and its recomputed report value.
 STOP_MARGIN = 1e-12
-# Every CRAWL_WINDOW sweeps, a restart whose rise shrank by less than
-# SLOW_RATE**CRAWL_WINDOW over the window (a mean linear rate above SLOW_RATE
-# per sweep) takes a Newton step.
-SLOW_RATE = 0.8
-CRAWL_WINDOW = 16
+# Every NEWTON_EVERY sweeps, each restart still rising takes a Newton step.
+NEWTON_EVERY = 16
 # A Newton step is kept only if no tangent coordinate exceeds this (radians).
 NEWTON_STEP_MAX = 1.0
 # A Newton step needs the tangent Hessian's largest eigenvalue below -HESSIAN_MIN.
@@ -151,25 +148,6 @@ def _angles(aug: np.ndarray) -> np.ndarray:
     return points
 
 
-def _party_matrices(fused: np.ndarray) -> list[np.ndarray]:
-    """Per party, the fused tensor with that party's axis leading, laid out as
-    an (8, 8**(n-1)) matrix that the last other party's vector multiplies."""
-    return [
-        np.ascontiguousarray(np.moveaxis(fused, party, 0).reshape(-1, 8).T)
-        for party in range(fused.ndim)
-    ]
-
-
-def _contract(mats: list[np.ndarray], aug: np.ndarray, party: int) -> np.ndarray:
-    """Contract the fused tensor with every party's vector but one: (rows, 2, 4)."""
-    flat = aug.reshape(len(aug), -1, 8)
-    others = [q for q in range(flat.shape[1]) if q != party]
-    g = flat[:, others[-1]] @ mats[party]
-    if len(others) == 2:
-        g = np.matmul(g.reshape(-1, 8, 8), flat[:, others[0], :, None])[..., 0]
-    return g.reshape(-1, 2, 4)
-
-
 def _normalize_into(out: np.ndarray, v: np.ndarray) -> None:
     """Write the rows of ``v`` scaled to unit length into ``out``; a zero row
     leaves ``out`` unchanged."""
@@ -177,12 +155,37 @@ def _normalize_into(out: np.ndarray, v: np.ndarray) -> None:
     np.divide(v, norm, out=out, where=norm > 0.0)
 
 
-def _sweep(mats: list[np.ndarray], aug: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Update each party in turn; returns the new vectors and their values."""
+def _pair_matrices(fused: np.ndarray) -> np.ndarray:
+    """Per party pair p < q (in ``itertools.combinations`` order), the fused
+    tensor with p and q leading, laid out as an (8**(n-2), 64) matrix that the
+    remaining party's vector multiplies."""
+    pairs = itertools.combinations(range(fused.ndim), 2)
+    return np.stack([np.moveaxis(fused, pq, (0, 1)).reshape(64, -1).T for pq in pairs])
+
+
+def _pair_block(pair_mats: np.ndarray, aug: np.ndarray, pair: int) -> np.ndarray:
+    """The fused tensor contracted with the vector of the party outside pair
+    ``pair`` (p, q): (rows, 8, 8). Its block B gives p's partial contraction
+    B v_q, q's v_p B, the value v_p B v_q and the pair's Euclidean Hessian."""
+    rows, n = aug.shape[:2]
+    # of the pairs (0, 1), (0, 2), (1, 2), the party outside pair k is 2 - k
+    rest = aug[:, 2 - pair].reshape(rows, 8) if n == 3 else np.ones((rows, 1))
+    return (rest @ pair_mats[pair]).reshape(rows, 8, 8)
+
+
+def _sweep(pair_mats: np.ndarray, aug: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Update each party in turn; returns the new vectors and their values.
+    Parties 0 and 1 share the pair-(0, 1) block; a third reads pair (1, 2)."""
     aug = aug.copy()
-    for party in range(aug.shape[1]):
-        g = _contract(mats, aug, party)
-        _normalize_into(aug[:, party, :, :3], g[..., :3])
+    flat = aug.reshape(len(aug), -1, 8)
+    block = _pair_block(pair_mats, aug, 0)
+    g = (block @ flat[:, 1, :, None]).reshape(-1, 2, 4)
+    _normalize_into(aug[:, 0, :, :3], g[..., :3])
+    g = (flat[:, 0, None, :] @ block).reshape(-1, 2, 4)
+    if aug.shape[1] == 3:
+        _normalize_into(aug[:, 1, :, :3], g[..., :3])
+        g = (flat[:, 1, None, :] @ _pair_block(pair_mats, aug, 2)).reshape(-1, 2, 4)
+    _normalize_into(aug[:, -1, :, :3], g[..., :3])
     return aug, np.sum(g * aug[:, -1], axis=(1, 2))
 
 
@@ -201,14 +204,6 @@ def _tangent_bases(v: np.ndarray) -> np.ndarray:
     return bases
 
 
-def _pair_matrices(fused: np.ndarray) -> np.ndarray:
-    """Per party pair p < q (in ``itertools.combinations`` order), the fused
-    tensor with p and q leading, laid out as an (8**(n-2), 64) matrix that the
-    remaining party's vector turns into the pair's (8, 8) Euclidean Hessian block."""
-    pairs = itertools.combinations(range(fused.ndim), 2)
-    return np.stack([np.moveaxis(fused, pq, (0, 1)).reshape(64, -1).T for pq in pairs])
-
-
 def _tangent_system(pair_mats: np.ndarray, aug: np.ndarray):
     """Riemannian gradient and Hessian of the value on the product of unit spheres.
 
@@ -223,9 +218,7 @@ def _tangent_system(pair_mats: np.ndarray, aug: np.ndarray):
     rows, n = aug.shape[:2]
     p, q = np.array(list(itertools.combinations(range(n), 2))).T
     flat = aug.reshape(rows, n, 8)
-    # of three parties, 3 - p - q is the one outside the pair; two have none
-    rest = flat[:, 3 - p - q, None, :] if n == 3 else np.ones((rows, 1, 1, 1))
-    blocks = (rest @ pair_mats).reshape(rows, len(p), 8, 8)
+    blocks = np.stack([_pair_block(pair_mats, aug, k) for k in range(len(p))], axis=1)
     g = np.empty((rows, n, 8))
     g[:, p] = (blocks @ flat[:, q, :, None])[..., 0]
     g[:, q] = (flat[:, p, None, :] @ blocks)[..., 0, :]
@@ -247,7 +240,7 @@ def _tangent_system(pair_mats: np.ndarray, aug: np.ndarray):
 
 
 def _newton(
-    mats: list[np.ndarray], pair_mats: np.ndarray, aug: np.ndarray, values: np.ndarray
+    pair_mats: np.ndarray, aug: np.ndarray, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One Riemannian Newton step per row of ``aug``, retracted by normalization.
 
@@ -267,7 +260,9 @@ def _newton(
     step = np.where(ok[:, None], step, 0.0).reshape(rows, n, 2, 1, 2)
     trial = aug.copy()
     _normalize_into(trial[..., :3], aug[..., :3] + (step @ bases)[..., 0, :])
-    trial_values = np.sum(_contract(mats, trial, n - 1) * trial[:, -1], axis=(1, 2))
+    flat = trial.reshape(rows, n, 8)
+    block = _pair_block(pair_mats, trial, 0)
+    trial_values = np.einsum("ri,rij,rj->r", flat[:, 0], block, flat[:, 1])
     moved = ok & (trial_values > values)
     return (
         np.where(moved[:, None, None, None], trial, aug),
@@ -276,48 +271,37 @@ def _newton(
     )
 
 
-def _see_saw(
-    mats: list[np.ndarray], pair_mats: np.ndarray, aug: np.ndarray, max_iter: int, stop: float | None
-):
+def _see_saw(pair_mats: np.ndarray, aug: np.ndarray, max_iter: int, stop: float | None):
     """Ascend every row of ``aug``; returns (vectors, rows stopped by the cap,
     whether a value above ``stop`` ended the run; None never stops it)."""
     aug = aug.copy()
     values = np.full(len(aug), -np.inf)
     step = np.ones(len(aug))
-    anchor = np.full(len(aug), np.inf)  # each row's rise at the last window check
-    polishing = np.arange(0)  # the rows whose last Newton step was kept
-    three_party = aug.shape[1] == 3
+    polishing = np.zeros(len(aug), dtype=bool)  # rows whose last Newton step was kept
     live = np.arange(len(aug))
     for sweep in range(max_iter):
         start, before = aug[live], values[live]
-        swept, after = _sweep(mats, start)
+        swept, after = _sweep(pair_mats, start)
         # Extrapolate along the sweep's move and keep the trial where it wins;
         # the step doubles while trials win and falls back to 1 when one loses.
         move = swept[..., :3] - start[..., :3]
         ahead = swept.copy()
         _normalize_into(ahead[..., :3], swept[..., :3] + step[live, None, None, None] * move)
-        ahead, ahead_values = _sweep(mats, ahead)
+        ahead, ahead_values = _sweep(pair_mats, ahead)
         better = ahead_values > after
         aug[live] = np.where(better[:, None, None, None], ahead, swept)
         values[live] = np.where(better, ahead_values, after)
         step[live] = np.where(better, 2.0 * step[live], 1.0)
         rise = after - before
-        # The extrapolation makes one sweep's rise ratio jump above 1 and back,
-        # so the rate is read over windows of CRAWL_WINDOW sweeps; the first
-        # opens at sweep CRAWL_WINDOW, past the transient of the start.
-        window_end = sweep > 0 and sweep % CRAWL_WINDOW == 0
-        if three_party and (window_end or polishing.size):
-            due = np.zeros(len(aug), dtype=bool)
-            due[polishing] = True
-            due = due[live]
-            if window_end:
-                due |= rise > SLOW_RATE**CRAWL_WINDOW * anchor[live]
-                anchor[live] = rise
-            crawl = live[due & (rise > RISE_TOL)]
-            polishing = crawl[:0]
-            if crawl.size:
-                aug[crawl], values[crawl], moved = _newton(mats, pair_mats, aug[crawl], values[crawl])
-                polishing = crawl[moved]
+        # Every NEWTON_EVERY sweeps (the first past the start's transient) each
+        # row still rising takes a Newton step, and one per sweep while kept.
+        due = rise > RISE_TOL
+        if sweep == 0 or sweep % NEWTON_EVERY:
+            due &= polishing[live]
+        polishing[live] = False
+        crawl = live[due]
+        if crawl.size:
+            aug[crawl], values[crawl], polishing[crawl] = _newton(pair_mats, aug[crawl], values[crawl])
         live = live[rise > RISE_TOL]
         if stop is not None and values.max() > stop:
             return aug, 0, True
@@ -340,12 +324,11 @@ def optimize_operator(
     options = options or OptimizeOptions()
     n = N_PARTIES[kind]
     value_fn = make_batched_value(rho, kind)
-    fused = _fused_coefficient_tensor(rho, kind)
-    mats, pair_mats = _party_matrices(fused), _pair_matrices(fused)
+    pair_mats = _pair_matrices(_fused_coefficient_tensor(rho, kind))
 
     start = augmented_vectors(_initial_points(options.restarts, 4 * n, options.seed))
     stop = None if options.stop_above is None else options.stop_above + STOP_MARGIN
-    aug, capped, stopped = _see_saw(mats, pair_mats, start.reshape(-1, n, 2, 4), options.max_iter, stop)
+    aug, capped, stopped = _see_saw(pair_mats, start.reshape(-1, n, 2, 4), options.max_iter, stop)
     points = _angles(aug)
     restart_values = value_fn(points)
     best_index = int(np.argmax(restart_values))  # ties: lowest restart index

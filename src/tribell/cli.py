@@ -70,8 +70,20 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="emit one JSON document")
 
 
+# The options that name a family state; a state file replaces all of them.
+FAMILY_OPTIONS = ("--family", "--eta", "--lambdas", "--p", "--k", "--basis-index", "--sign")
+
+
+def _reject_given(args, options, other: str) -> None:
+    """Raise ValueError naming the first of ``options`` given on the command line."""
+    for option in options:
+        if getattr(args, option[2:].replace("-", "_")) is not None:
+            raise ValueError(f"{option} cannot be combined with {other}")
+
+
 def _state_from_args(args) -> np.ndarray:
     if args.state:
+        _reject_given(args, FAMILY_OPTIONS, "--state FILE")
         rho = states.load_state_file(args.state)
     elif args.family:
         rho = states.family_state(
@@ -242,10 +254,14 @@ def cmd_tables(args) -> int:
 
 def cmd_membership(args) -> int:
     if args.behavior:
+        ignored = ("--state", *FAMILY_OPTIONS, "--alpha", "--angles", "--optimize-scenario",
+                   "--behavior-out")
+        _reject_given(args, ignored, "--behavior FILE")
         behavior = polytope.load_behavior(args.behavior)
     else:
         rho = _state_from_args(args)
         if args.angles is not None:
+            _reject_given(args, ("--optimize-scenario",), "--angles")
             scenario = MeasurementScenario.from_flat(np.array(args.angles))
         elif args.optimize_scenario:
             op = BellKind(args.optimize_scenario)

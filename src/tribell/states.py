@@ -23,8 +23,9 @@ import numpy as np
 from . import qalg
 
 NORM_ATOL = 1e-10
-# State files carry rounded amplitudes; anything within this budget of unit
-# norm is renormalized on ingestion, anything worse is rejected.
+# State files carry rounded entries; amplitudes within this budget of unit
+# norm are renormalized on ingestion, and a density matrix with no entry of
+# rho - rho^dagger above it is Hermitized; anything worse is rejected.
 FILE_NORM_ATOL = 1e-3
 
 
@@ -348,7 +349,8 @@ def load_state_file(path) -> np.ndarray:
 
     Two layouts are accepted: ``{"amplitudes": [[re, im] x 8]}`` for a pure
     state (renormalized if the rounded norm is within 1e-3 of one) and
-    ``{"density": [[[re, im] x 8] x 8]}`` for a general density matrix.
+    ``{"density": [[[re, im] x 8] x 8]}`` for a general density matrix
+    (Hermitized if no entry of rho - rho^dagger exceeds 1e-3 in modulus).
     """
     text = Path(path).read_text(encoding="utf-8")
     doc = json.loads(text)
@@ -371,6 +373,9 @@ def load_state_file(path) -> np.ndarray:
                 f"state file density must be 8 rows of 8 [re, im] pairs, got row lengths {lengths}"
             )
         mat = np.array([[_complex_entry(e) for e in row] for row in rows])
+        skew = float(np.max(np.abs(mat - mat.conj().T)))
+        if skew > FILE_NORM_ATOL:
+            raise ValueError(f"state file density is not Hermitian: |rho - rho^dagger| reaches {skew}")
         mat = (mat + mat.conj().T) / 2.0
         return qalg.check_density_matrix(mat, name="state file density")
     raise ValueError("state file must contain 'amplitudes' or 'density'")

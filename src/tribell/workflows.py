@@ -370,8 +370,11 @@ def visibility_check(
 
     Optimizes the operator on the white-noise mixture at threshold -/+ delta
     and records whether the violation switches on across the threshold.
-    Raises NoViolationError when the pure state never violates.
+    Raises NoViolationError when the pure state never violates and
+    ValueError for a delta that is not positive.
     """
+    if not delta > 0.0:
+        raise ValueError(f"visibility delta must be positive, got {delta}")
     operator = BellKind(operator)
     threshold = visibility_threshold(operator, tau, c12sq)
     if threshold is None:

@@ -475,3 +475,86 @@ def test_optimize_rejects_chsh(capsys):
         cli.main(["optimize", "--family", "ghz", "--operator", "chsh"])
     assert exc.value.code == 2
     assert "invalid choice: 'chsh'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delta", ["-0.05", "0"])
+def test_visibility_rejects_delta_that_is_not_positive(capsys, delta):
+    # a negative delta puts the "below" probe above the threshold; zero probes it twice
+    code, out, err = run_cli(capsys, "visibility", "--operator", "ns99", "--tau", "1",
+                             "--delta", delta)
+    assert code == 2
+    assert out == ""
+    assert "delta must be positive" in err
+
+
+def _ghz_state_file(tmp_path):
+    path = tmp_path / "ghz.json"
+    amp = [math.sqrt(0.5), 0.0]
+    path.write_text(json.dumps({"amplitudes": [amp] + [[0.0, 0.0]] * 6 + [amp]}))
+    return str(path)
+
+
+MEMBERSHIP_ANGLES = ("--model", "ns2", "--angles", *["0"] * 12)
+CHANNEL = ("--kind", "depolarize", "--strengths", "0.1", "0.1", "0.1")
+
+
+@pytest.mark.parametrize("verb, rest, given, option", [
+    ("optimize", ("--operator", "ns99"), ("--family", "gghz", "--eta", "0.3"), "--family"),
+    ("optimize", ("--operator", "ns99"), ("--p", "0.3"), "--p"),
+    ("membership", MEMBERSHIP_ANGLES, ("--family", "ghz"), "--family"),
+    ("membership", MEMBERSHIP_ANGLES, ("--k", "3"), "--k"),
+    ("channel", CHANNEL, ("--family", "gghz", "--eta", "0.3", "--closed-form"), "--family"),
+    ("channel", CHANNEL, ("--sign", "-1"), "--sign"),
+])
+def test_state_file_rejects_family_options(capsys, monkeypatch, tmp_path, verb, rest, given,
+                                           option):
+    # the file wins, so a family or family parameter next to it would be dropped
+    monkeypatch.setattr(cli, "optimize_operator", None)
+    code, out, err = run_cli(capsys, verb, "--state", _ghz_state_file(tmp_path), *rest, *given)
+    assert code == 2
+    assert out == ""
+    assert f"{option} cannot be combined with --state FILE" in err
+
+
+@pytest.mark.parametrize("given, option", [
+    (("--family", "ghz"), "--family"),
+    (("--alpha", "0.5"), "--alpha"),
+    (("--angles", *["0"] * 12), "--angles"),
+    (("--optimize-scenario", "ns99"), "--optimize-scenario"),
+    (("--behavior-out", "copy.txt"), "--behavior-out"),
+])
+def test_membership_behavior_file_rejects_state_options(capsys, tmp_path, given, option):
+    path = tmp_path / "behavior.txt"
+    polytope.save_behavior(
+        polytope.quantum_behavior(np.eye(8, dtype=complex) / 8, MeasurementScenario.all_z()),
+        path,
+    )
+    given = tuple(str(tmp_path / g) if g == "copy.txt" else g for g in given)
+    code, out, err = run_cli(capsys, "membership", "--behavior", str(path), "--model", "ns2",
+                             *given)
+    assert code == 2
+    assert out == ""
+    assert f"{option} cannot be combined with --behavior FILE" in err
+    assert not (tmp_path / "copy.txt").exists()
+
+
+def test_membership_angles_reject_optimize_scenario(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "optimize_operator", None)
+    code, out, err = run_cli(capsys, "membership", "--family", "ghz", *MEMBERSHIP_ANGLES,
+                             "--optimize-scenario", "ns99")
+    assert code == 2
+    assert out == ""
+    assert "--optimize-scenario cannot be combined with --angles" in err
+
+
+def test_state_file_density_far_from_hermitian_exits_2(capsys, tmp_path):
+    # rho_07 = 0.5 against rho_70 = -0.3 would be read as 0.1 on both sides
+    rho = np.zeros((8, 8))
+    rho[0, 0] = rho[7, 7] = 0.5
+    rho[0, 7], rho[7, 0] = 0.5, -0.3
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"density": [[[v, 0.0] for v in row] for row in rho.tolist()]}))
+    code, out, err = run_cli(capsys, "optimize", "--state", str(path), "--operator", "ns99")
+    assert code == 2
+    assert out == ""
+    assert "not Hermitian" in err

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import warnings
 
 import numpy as np
@@ -23,7 +24,9 @@ from tribell.bell.optimize import (
     ViolationReport,
     _angles,
     _initial_points,
+    _pair_block,
     _pair_matrices,
+    _sweep,
     _tangent_system,
 )
 
@@ -111,6 +114,30 @@ def test_tangent_gradient_and_hessian_match_finite_differences(kind):
     assert np.max(np.abs(grad[0] - fd_grad)) < 1e-8
     assert np.max(np.abs(hess[0] - fd_hess)) < 1e-6
     assert np.array_equal(hess[0], hess[0].T)
+
+
+@pytest.mark.parametrize("kind", [BellKind.CHSH, BellKind.NS99, BellKind.SVETLICHNY])
+def test_pair_blocks_match_a_direct_contraction(kind):
+    # every party's partial contraction, read from each pair block that holds
+    # it, against an einsum of the fused tensor with the other parties' vectors
+    rng = np.random.default_rng(20131)
+    n = 2 if kind is BellKind.CHSH else 3
+    a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
+    fused = _fused_coefficient_tensor(rho, kind)
+    pair_mats = _pair_matrices(fused)
+    aug = augmented_vectors(rng.uniform(0.0, 2.0 * np.pi, size=(5, 4 * n))).reshape(5, n, 2, 4)
+    flat = aug.reshape(5, n, 8)
+    letters = "abc"[:n]
+    for k, (p, q) in enumerate(itertools.combinations(range(n), 2)):
+        block = _pair_block(pair_mats, aug, k)
+        for party, g in ((p, block @ flat[:, q, :, None]), (q, flat[:, p, None, :] @ block)):
+            others = [r for r in range(n) if r != party]
+            spec = f"{letters},{','.join('z' + letters[r] for r in others)}->z{letters[party]}"
+            direct = np.einsum(spec, fused, *(flat[:, r] for r in others))
+            assert np.max(np.abs(g.reshape(5, 8) - direct)) < 1e-12
+    swept, values = _sweep(pair_mats, aug)
+    assert np.max(np.abs(values - make_batched_value(rho, kind)(_angles(swept)))) < 1e-12
 
 
 def test_flat_maximum_is_polished_to_a_strict_local_maximum():

@@ -302,3 +302,20 @@ def test_state_file_rejects_containers_that_are_not_lists(tmp_path, doc):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="JSON"):
         states.load_state_file(path)
+
+
+@pytest.mark.parametrize("skew", [0.9e-3, 1.1e-3])
+def test_state_file_density_hermitized_only_within_budget(tmp_path, skew):
+    # rounding may leave rho_07 and rho_70* apart by up to FILE_NORM_ATOL
+    rho = states.white_noise_mix(qalg.projector(states.ghz_state()), 0.6)
+    off = rho.copy()
+    off[0, 7] += skew
+    path = tmp_path / "density.json"
+    path.write_text(json.dumps({"density": [[[v.real, v.imag] for v in row] for row in off.tolist()]}))
+    if skew > states.FILE_NORM_ATOL:
+        with pytest.raises(ValueError, match="not Hermitian"):
+            states.load_state_file(path)
+    else:
+        loaded = states.load_state_file(path)
+        assert np.array_equal(loaded, loaded.conj().T)
+        assert np.allclose(loaded, (off + off.conj().T) / 2, atol=1e-15)
