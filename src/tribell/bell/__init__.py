@@ -1,6 +1,7 @@
 """Bell-operator evaluation, optimization and closed-form bounds."""
 
 from .bounds import (
+    NS99_MIXED_FAMILIES,
     bound_b1_b3,
     bound_b2,
     bound_b4,
@@ -34,6 +35,7 @@ __all__ = [
     "BellKind",
     "CLASSICAL_BOUND",
     "MeasurementScenario",
+    "NS99_MIXED_FAMILIES",
     "N_PARTIES",
     "OptimizeOptions",
     "TERMS",

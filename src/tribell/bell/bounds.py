@@ -25,7 +25,8 @@ from ..states import Family
 from .operators import CLASSICAL_BOUND, BellKind
 
 NS99_LOCAL_BOUND = CLASSICAL_BOUND[BellKind.NS99]
-SVETLICHNY_LOCAL_BOUND = CLASSICAL_BOUND[BellKind.SVETLICHNY]
+# The mixed families whose 99th-facet maximum has a closed form in p.
+NS99_MIXED_FAMILIES = (Family.RHO4, Family.RHO5, Family.RHO6, Family.RHO7, Family.RHO8)
 
 
 def _check_unit(value: float, name: str) -> float:
@@ -121,8 +122,10 @@ def bound_table2(family: Family, p: float) -> float:
 
 
 def ns99_mixed_bound(family: Family, p: float) -> float:
-    """Dispatch to the closed-form 99th-facet bound of a rank-4..8 family."""
+    """Dispatch to the closed-form 99th-facet bound of a family in NS99_MIXED_FAMILIES."""
     family = Family(family)
+    if family not in NS99_MIXED_FAMILIES:
+        raise ValueError(f"no closed-form ns99 bound for family {family.value}")
     if family is Family.RHO4:
         return bound_rho4(p)
     if family is Family.RHO5:

@@ -6,7 +6,8 @@ with identical fields under --json. Exit codes: 0 success, 2 invalid input,
 3 numerical non-convergence / no crossing / no violation.
 
 The default RNG seed is 1; the NL_SEED environment variable overrides it
-and an explicit --seed wins over both. All angles are radians.
+and an explicit --seed wins over both. A --seed, --restarts or --delta that
+the chosen path never reads exits 2. All angles are radians.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 
 from . import channels, polytope, states, workflows
 from .bell import (
+    NS99_MIXED_FAMILIES,
     BellKind,
     MeasurementScenario,
     OptimizeOptions,
@@ -38,7 +40,10 @@ EXIT_NO_CONVERGENCE = 3
 THREE_PARTY = [BellKind.NS99.value, BellKind.SVETLICHNY.value]
 
 
-def _default_seed() -> int:
+def _seed(args) -> int:
+    """The --seed given, else NL_SEED, else 1; read only where a path draws restarts."""
+    if args.seed is not None:
+        return args.seed
     text = os.environ.get("NL_SEED", "1")
     try:
         return int(text)
@@ -66,8 +71,13 @@ def _emit(pairs: dict, as_json: bool) -> None:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed (default NL_SEED or 1)")
+    parser.add_argument("--seed", type=int, help="RNG seed (default NL_SEED or 1)")
     parser.add_argument("--json", action="store_true", help="emit one JSON document")
+
+
+def _given(**options) -> dict:
+    """The options given on the command line; the callee's defaults fill the rest."""
+    return {name: value for name, value in options.items() if value is not None}
 
 
 # The options that name a family state; a state file replaces all of them.
@@ -126,11 +136,11 @@ def cmd_bound(args) -> int:
         if args.c12sq is None or args.tau is not None or args.p is not None:
             raise ValueError("the chsh bound takes --c12sq and neither --tau nor --p")
         value = chsh_pure_max(args.c12sq)
-    elif family in (Family.GGHZ, Family.MS, Family.EXT_S):
+    elif family in states.SUBCLASS_S:
         states.reject_foreign(family, p=args.p)
         tau, c12sq = states.tau_c12sq(family, tau=args.tau, c12sq=args.c12sq)
         value = (bound_b5 if op is BellKind.NS99 else bound_b4)(tau, c12sq)
-    elif family in (Family.RHO4, Family.RHO5, Family.RHO6, Family.RHO7, Family.RHO8):
+    elif family in NS99_MIXED_FAMILIES:
         if op is not BellKind.NS99:
             raise ValueError(f"no closed-form {op.value} bound for {family.value}")
         states.reject_foreign(family, tau=args.tau, c12sq=args.c12sq)
@@ -146,7 +156,8 @@ def cmd_bound(args) -> int:
 def cmd_optimize(args) -> int:
     rho = _state_from_args(args)
     op = BellKind(args.operator)
-    report = optimize_operator(rho, op, OptimizeOptions(restarts=args.restarts, seed=args.seed))
+    seed = _seed(args)
+    report = optimize_operator(rho, op, OptimizeOptions(restarts=args.restarts, seed=seed))
     _emit(
         {
             "operator": op.value,
@@ -155,7 +166,7 @@ def cmd_optimize(args) -> int:
             "violated": report.violated,
             "converged": report.converged,
             "restarts": report.restarts_used,
-            "seed": args.seed,
+            "seed": seed,
             "angles_rad": [float(a) for a in report.scenario.flat()],
         },
         args.json,
@@ -170,7 +181,7 @@ def cmd_threshold(args) -> int:
         k=args.k,
         bracket=(args.bracket[0], args.bracket[1]),
         tol=args.tol,
-        seed=args.seed,
+        seed=_seed(args),
         restarts=args.restarts,
     )
     try:
@@ -186,7 +197,7 @@ def cmd_threshold(args) -> int:
             "bracket": list(query.bracket),
             "tol": query.tol,
             "evaluations": result.evaluations,
-            "seed": args.seed,
+            "seed": query.seed,
         },
         args.json,
     )
@@ -194,6 +205,8 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_visibility(args) -> int:
+    if not args.confirm:
+        _reject_given(args, ("--delta", "--restarts", "--seed"), "--no-confirm")
     if args.tau is not None and args.eta is None and args.family in (None, Family.EXT_S.value):
         # --tau without a family (or with ext_s) names a subclass-S point; C12^2 defaults to 0.
         family, c12sq = Family.EXT_S, args.c12sq or 0.0
@@ -207,9 +220,8 @@ def cmd_visibility(args) -> int:
         return EXIT_NO_CONVERGENCE
     pairs = {"operator": op.value, "tau": tau, "c12sq": c12sq, "threshold": threshold}
     if args.confirm:
-        check = workflows.visibility_check(
-            op, tau, c12sq, delta=args.delta, seed=args.seed, restarts=args.restarts
-        )
+        given = _given(delta=args.delta, restarts=args.restarts)
+        check = workflows.visibility_check(op, tau, c12sq, seed=_seed(args), **given)
         pairs.update(
             below_value=check.below_value,
             below_violates=check.below_violates,
@@ -222,17 +234,20 @@ def cmd_visibility(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    columns = tuple(args.columns.split(","))
+    if "ns_opt" not in columns and "svet_opt" not in columns:
+        _reject_given(args, ("--restarts", "--seed"), "columns without ns_opt or svet_opt")
     spec = workflows.SweepSpec(
         family=Family(args.family),
         param=args.param,
         start=getattr(args, "from"),
         stop=args.to,
         steps=args.steps,
-        columns=tuple(args.columns.split(",")),
+        columns=columns,
         c12sq=args.c12sq,
         k=args.k,
-        seed=args.seed,
-        restarts=args.restarts,
+        seed=_seed(args),
+        **_given(restarts=args.restarts),
     )
     header, rows = workflows.run_sweep(spec)
     text = workflows.sweep_csv(header, rows)
@@ -246,7 +261,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_tables(args) -> int:
     rows = workflows.compute_table(
-        args.which, tol=args.tol, seed=args.seed, restarts=args.restarts
+        args.which, tol=args.tol, seed=_seed(args), restarts=args.restarts
     )
     print(workflows.format_table(rows, fmt=args.format))
     return EXIT_OK
@@ -255,19 +270,18 @@ def cmd_tables(args) -> int:
 def cmd_membership(args) -> int:
     if args.behavior:
         ignored = ("--state", *FAMILY_OPTIONS, "--alpha", "--angles", "--optimize-scenario",
-                   "--behavior-out")
+                   "--behavior-out", "--restarts", "--seed")
         _reject_given(args, ignored, "--behavior FILE")
         behavior = polytope.load_behavior(args.behavior)
     else:
         rho = _state_from_args(args)
         if args.angles is not None:
-            _reject_given(args, ("--optimize-scenario",), "--angles")
+            _reject_given(args, ("--optimize-scenario", "--restarts", "--seed"), "--angles")
             scenario = MeasurementScenario.from_flat(np.array(args.angles))
         elif args.optimize_scenario:
             op = BellKind(args.optimize_scenario)
-            report = optimize_operator(
-                rho, op, OptimizeOptions(restarts=args.restarts, seed=args.seed)
-            )
+            opts = OptimizeOptions(seed=_seed(args), **_given(restarts=args.restarts))
+            report = optimize_operator(rho, op, opts)
             scenario = report.scenario
         else:
             raise ValueError("membership needs --angles (12 values) or --optimize-scenario OP")
@@ -301,7 +315,7 @@ def cmd_channel(args) -> int:
         dep = spec.kind is channels.ChannelKind.DEPOLARIZE
         build = channels.closed_form_depolarized_gghz if dep else channels.closed_form_damped_gghz
         noisy["closed_form"] = build(args.eta, *spec.strengths)
-    opts = OptimizeOptions(restarts=args.restarts, seed=args.seed)
+    opts = OptimizeOptions(restarts=args.restarts, seed=_seed(args))
     pairs = {"kind": spec.kind.value, "strengths": list(spec.strengths)}
     for model, state in noisy.items():
         for report in workflows.optimize_ns99_svetlichny(state, opts):
@@ -327,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float)
     p.add_argument("--c12sq", type=float)
     p.add_argument("--p", type=float)
-    _add_common(p)
+    p.add_argument("--json", action="store_true", help="emit one JSON document")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("optimize", help="maximize an operator over measurement angles")
@@ -350,15 +364,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("visibility", help="white-noise visibility threshold")
-    p.add_argument("--family", choices=[Family.GGHZ.value, Family.MS.value, Family.EXT_S.value])
+    p.add_argument("--family", choices=[f.value for f in states.SUBCLASS_S])
     p.add_argument("--operator", required=True, choices=THREE_PARTY)
     p.add_argument("--tau", type=float)
     p.add_argument("--c12sq", type=float)
     p.add_argument("--eta", type=float)
     p.add_argument("--no-confirm", dest="confirm", action="store_false",
                    help="skip the numeric confirmation at threshold -/+ delta")
-    p.add_argument("--delta", type=float, default=0.01)
-    p.add_argument("--restarts", type=int, default=64)
+    p.add_argument("--delta", type=float, help="default 0.01")
+    p.add_argument("--restarts", type=int, help="default 64")
     _add_common(p)
     p.set_defaults(func=cmd_visibility)
 
@@ -372,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated subset of " + ",".join(workflows.SWEEP_COLUMNS))
     p.add_argument("--c12sq", type=float)
     p.add_argument("--k", type=int)
-    p.add_argument("--restarts", type=int, default=64)
+    p.add_argument("--restarts", type=int, help="default 64")
     p.add_argument("--output", help="write CSV here instead of stdout")
     _add_common(p)
     p.set_defaults(func=cmd_sweep)
@@ -394,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the scenario found by maximizing this operator")
     p.add_argument("--model", required=True, choices=[k.value for k in polytope.HybridKind])
     p.add_argument("--behavior-out", help="also export the generated behavior table")
-    p.add_argument("--restarts", type=int, default=64)
+    p.add_argument("--restarts", type=int, help="default 64")
     _add_common(p)
     p.set_defaults(func=cmd_membership)
 
@@ -416,8 +430,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.seed is None:
-            args.seed = _default_seed()
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

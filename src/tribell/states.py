@@ -5,8 +5,10 @@ extended-GHZ subclass lam0|000> + lam3|110> + lam4|111>, its maximal-slice
 (MS) specialization, the named states GHZ / W / W-tilde and the eight
 GHZ-type basis states |L,i+-> supported on a bit string and its complement.
 
-Mixed families: the GHZ/W mixtures of rank 2 and 3, and the rank-4..8
-mixtures built from the |L,i+-> projectors.
+Mixed families rho2..rho8: one affine table. Each is p |top><top| + (1 - p)/n
+rest, with rest an integer-weighted sum of projectors of trace n: W and
+W-tilde for the rank-2 and rank-3 GHZ mixtures, the eight |L,i+-> for the
+rank-4..8 ones.
 """
 
 from __future__ import annotations
@@ -44,6 +46,10 @@ class Family(str, enum.Enum):
     RHO6 = "rho6"
     RHO7 = "rho7"
     RHO8 = "rho8"
+
+
+# The subclass-S families: pure states fixed by (tau, C12^2), with closed-form maxima.
+SUBCLASS_S = (Family.GGHZ, Family.MS, Family.EXT_S)
 
 
 def pure_state(amplitudes, normalize: bool = False) -> np.ndarray:
@@ -118,11 +124,11 @@ def tau_c12sq(
     tau and c12sq as given.
     """
     family = Family(family)
+    _require(family in SUBCLASS_S, f"{family.value} has no (tau, C12^2) form")
     if family is Family.EXT_S:
         _require(eta is None, "ext_s has no angle eta")
         _require(tau is not None and c12sq is not None, "ext_s needs tau and c12sq")
         return float(tau), float(c12sq)
-    _require(family in (Family.GGHZ, Family.MS), f"{family.value} has no (tau, C12^2) form")
     _require((eta is None) != (tau is None), f"{family.value} takes eta or tau, exactly one")
     if family is Family.GGHZ:
         tau, own = (math.sin(2.0 * eta) ** 2 if tau is None else tau), 0.0
@@ -188,101 +194,45 @@ def lambda_basis(index: int, sign: int) -> np.ndarray:
     return psi
 
 
-def omega_operator() -> np.ndarray:
-    """Omega = |L,1+><L,1+| + |L,1-><L,1-| (trace 2)."""
-    return qalg.projector(lambda_basis(1, 1)) + qalg.projector(lambda_basis(1, -1))
-
-
-def pi_operator() -> np.ndarray:
-    """Pi = sum over i=2,3,4 of |L,i+><L,i+| (trace 3)."""
-    return sum(qalg.projector(lambda_basis(i, 1)) for i in (2, 3, 4))
-
-
-def rho2(p: float) -> np.ndarray:
-    """Rank-2 mixture p |GHZ><GHZ| + (1-p) |W><W|."""
-    _check_weight(p)
-    return p * qalg.projector(ghz_state()) + (1.0 - p) * qalg.projector(w_state())
-
-
-def rho3(p: float, k: int) -> np.ndarray:
-    """Rank-3 mixture p GHZ + q W + (1-p-q) W-tilde with q = (1-p)/k."""
-    _check_weight(p)
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    q = (1.0 - p) / k
-    r = 1.0 - p - q
-    if r < -1e-12:
-        raise ValueError(f"weights (p={p}, q={q}) leave negative remainder {r}")
-    r = max(r, 0.0)
-    return (
-        p * qalg.projector(ghz_state())
-        + q * qalg.projector(w_state())
-        + r * qalg.projector(w_tilde_state())
-    )
-
-
-def rho4(p: float) -> np.ndarray:
-    """Rank-4 mixture p |L,1+><L,1+| + (1-p)/3 Pi."""
-    _check_weight(p)
-    return p * qalg.projector(lambda_basis(1, 1)) + (1.0 - p) / 3.0 * pi_operator()
-
-
-def rho5(p: float) -> np.ndarray:
-    """Rank-5 mixture p |L,1+><L,1+| + (1-p)/10 (|L,1-><L,1-| + 3 Pi)."""
-    _check_weight(p)
-    return p * qalg.projector(lambda_basis(1, 1)) + (1.0 - p) / 10.0 * (
-        qalg.projector(lambda_basis(1, -1)) + 3.0 * pi_operator()
-    )
-
-
-def rho6(p: float) -> np.ndarray:
-    """Rank-6 mixture p |L,2-><L,2-| + (1-p)/11 (Omega + 3 Pi)."""
-    _check_weight(p)
-    return p * qalg.projector(lambda_basis(2, -1)) + (1.0 - p) / 11.0 * (
-        omega_operator() + 3.0 * pi_operator()
-    )
-
-
-def rho7(p: float) -> np.ndarray:
-    """Rank-7 mixture p |L,3-><L,3-| + (1-p)/34 (|L,2-><L,2-| + 3 Omega + 9 Pi)."""
-    _check_weight(p)
-    return p * qalg.projector(lambda_basis(3, -1)) + (1.0 - p) / 34.0 * (
-        qalg.projector(lambda_basis(2, -1)) + 3.0 * omega_operator() + 9.0 * pi_operator()
-    )
-
-
-def rho8(p: float) -> np.ndarray:
-    """Rank-8 mixture built on |L,4-><L,4-|."""
-    _check_weight(p)
-    return p * qalg.projector(lambda_basis(4, -1)) + (1.0 - p) / 35.0 * (
-        qalg.projector(lambda_basis(2, -1))
-        + qalg.projector(lambda_basis(3, -1))
-        + 3.0 * omega_operator()
-        + 9.0 * pi_operator()
-    )
-
-
-# Mixed families: the keywords each takes, in call order, and its density matrix.
-_WEIGHT_BUILDERS = {
-    Family.RHO2: (("p",), rho2),
-    Family.RHO3: (("p", "k"), rho3),
-    Family.RHO4: (("p",), rho4),
-    Family.RHO5: (("p",), rho5),
-    Family.RHO6: (("p",), rho6),
-    Family.RHO7: (("p",), rho7),
-    Family.RHO8: (("p",), rho8),
+# Mixed families p |top><top| + (1 - p)/n rest: top, the states whose projectors
+# make up rest, and their integer weights, which sum to n = tr(rest). rho2 and rho3
+# mix GHZ with W and W-tilde (rho3 weights W-tilde by k - 1, so n = k). rho4..rho8
+# weight the |L,i+-> in the order 1+, 1-, 2+, ..., 4-; with the paper's
+# Omega = P(1+) + P(1-) and Pi = P(2+) + P(3+) + P(4+), rho4 rests on Pi and rho6
+# on Omega + 3 Pi.
+_W_PAIR = (w_state(), w_tilde_state())
+_LAMBDA_BASIS = tuple(lambda_basis(i, sign) for i in (1, 2, 3, 4) for sign in (1, -1))
+_MIXED = {
+    Family.RHO2: (ghz_state(), _W_PAIR, (1, 0)),
+    Family.RHO3: (ghz_state(), _W_PAIR, None),
+    Family.RHO4: (lambda_basis(1, 1), _LAMBDA_BASIS, (0, 0, 1, 0, 1, 0, 1, 0)),
+    Family.RHO5: (lambda_basis(1, 1), _LAMBDA_BASIS, (0, 1, 3, 0, 3, 0, 3, 0)),
+    Family.RHO6: (lambda_basis(2, -1), _LAMBDA_BASIS, (1, 1, 3, 0, 3, 0, 3, 0)),
+    Family.RHO7: (lambda_basis(3, -1), _LAMBDA_BASIS, (3, 3, 9, 1, 9, 0, 9, 0)),
+    Family.RHO8: (lambda_basis(4, -1), _LAMBDA_BASIS, (3, 3, 9, 1, 9, 1, 9, 0)),
 }
-MIXED_FAMILIES = tuple(_WEIGHT_BUILDERS)
+MIXED_FAMILIES = tuple(_MIXED)
 
 
 def mixed_builder(family: Family, k: int | None = None) -> Callable[[float], np.ndarray]:
-    """Map a mixing weight p to the density matrix of a mixed family."""
+    """Map a mixing weight p in [0, 1] to the density matrix of a mixed family."""
     family = Family(family)
-    _require(family in _WEIGHT_BUILDERS, f"{family.value} has no mixing-weight builder")
-    own, build = _WEIGHT_BUILDERS[family]
-    if "k" in own:
+    _require(family in _MIXED, f"{family.value} has no mixing-weight builder")
+    top, basis, weights = _MIXED[family]
+    if family is Family.RHO3:
         _require(k is not None, f"{family.value} requires the integer k")
-        return lambda p: build(p, k)
+        _require(
+            isinstance(k, (int, np.integer)) and k >= 1, f"k must be a positive integer, got {k!r}"
+        )
+        weights = (1, k - 1)
+    top = qalg.projector(top)
+    rest = sum(w * qalg.projector(psi) for w, psi in zip(weights, basis) if w)
+    n = sum(weights)
+
+    def build(p: float) -> np.ndarray:
+        _require(0.0 <= p <= 1.0, f"mixing weight must lie in [0,1], got {p}")
+        return p * top + (1.0 - p) / n * rest
+
     return build
 
 
@@ -301,7 +251,10 @@ _PURE_BUILDERS = {
 def reject_foreign(family: Family, **given) -> None:
     """Raise ValueError if a keyword that is not None is not one the family takes."""
     family = Family(family)
-    own = (_WEIGHT_BUILDERS if family in MIXED_FAMILIES else _PURE_BUILDERS)[family][0]
+    if family in _MIXED:
+        own = ("p", "k") if family is Family.RHO3 else ("p",)
+    else:
+        own = _PURE_BUILDERS[family][0]
     foreign = [name for name, value in given.items() if value is not None and name not in own]
     _require(not foreign, f"{family.value} does not take {', '.join(foreign)}")
 
@@ -325,10 +278,9 @@ def family_state(
     family = Family(family)
     given = dict(eta=eta, lambdas=lambdas, p=p, k=k, basis_index=basis_index, sign=sign)
     reject_foreign(family, **given)
-    mixed = family in MIXED_FAMILIES
-    own, build = (_WEIGHT_BUILDERS if mixed else _PURE_BUILDERS)[family]
-    if mixed:
-        own, build = ("p",), mixed_builder(family, k)  # a missing k raises here
+    mixed = family in _MIXED
+    # a missing or invalid k raises in mixed_builder
+    own, build = (("p",), mixed_builder(family, k)) if mixed else _PURE_BUILDERS[family]
     missing = [name for name in own if given[name] is None]
     _require(not missing, f"{family.value} requires {', '.join(missing)}")
     state = build(*(given[name] for name in own))
@@ -394,11 +346,6 @@ def _complex_entry(entry) -> complex:
         return complex(float(re), float(im))
     except (TypeError, ValueError):
         raise ValueError(f"state file entries must be [re, im] pairs, got {entry!r}") from None
-
-
-def _check_weight(p: float) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"mixing weight must lie in [0,1], got {p}")
 
 
 def _require(cond: bool, message: str) -> None:

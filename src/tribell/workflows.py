@@ -19,6 +19,7 @@ from . import channels, entangle, qalg, states
 from .bell import (
     BellKind,
     CLASSICAL_BOUND,
+    NS99_MIXED_FAMILIES,
     OptimizeOptions,
     ViolationReport,
     bound_b4,
@@ -230,7 +231,7 @@ SWEEP_COLUMNS = (
 
 # Families swept over a pure-state parameter carry closed forms; every other
 # family sweeps the mixing weight 'p' and only carries the optimizer columns
-# (plus the tabulated ns bound for rank >= 4).
+# (plus the closed-form ns bound for NS99_MIXED_FAMILIES).
 _PURE_SWEEP_PARAM = {Family.GGHZ: "eta", Family.MS: "eta", Family.EXT_S: "tau"}
 
 
@@ -270,10 +271,10 @@ class SweepSpec:
             raise ValueError(f"{self.family.value} does not take c12sq; only ext_s sweeps do")
         if self.family in _PURE_SWEEP_PARAM:
             available = SWEEP_COLUMNS
-        elif self.family in (Family.RHO2, Family.RHO3):
-            available = ("ns_opt", "svet_opt")
-        else:
+        elif self.family in NS99_MIXED_FAMILIES:
             available = ("ns_bound", "ns_opt", "svet_opt")
+        else:
+            available = ("ns_opt", "svet_opt")
         missing = [c for c in self.columns if c not in available]
         if missing:
             raise ValueError(f"columns {missing} are not available for family {self.family.value}")

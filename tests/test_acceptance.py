@@ -250,17 +250,19 @@ def test_criterion_05_table2_thresholds_and_bounds():
     # all-x setting upward just above 5/8, and the optimizer's settings at the
     # low edge of the published window violate by direct trace.
     svet = BellKind.SVETLICHNY
-    saddle_gain = operator_value(states.rho4(0.63), _in_plane(0.01 * SIX_CYCLE_LEAST), svet) - 4.0
-    rho4_edge = states.rho4(published_of["rho4", svet] - 0.002)
+    saddle_gain = operator_value(
+        states.mixed_builder("rho4")(0.63), _in_plane(0.01 * SIX_CYCLE_LEAST), svet
+    ) - 4.0
+    rho4_edge = states.mixed_builder("rho4")(published_of["rho4", svet] - 0.002)
     rho4_edge_value = operator_value(rho4_edge, _opt(rho4_edge, svet).scenario, svet)
     # rho8 ns99: certified below 3 at the high edge of the published window;
     # the exact maximum crosses 3 within 2.5e-4 of the reference.
     rho8_ref = TABLE2_REFERENCES["rho8", BellKind.NS99]
     _, rho8_edge_upper = _ns99_ghz_diagonal_range(
-        states.rho8(published_of["rho8", BellKind.NS99] + 0.002)
+        states.mixed_builder("rho8")(published_of["rho8", BellKind.NS99] + 0.002)
     )
-    _, below_upper = _ns99_ghz_diagonal_range(states.rho8(rho8_ref - 2.5e-4))
-    above_attained, _ = _ns99_ghz_diagonal_range(states.rho8(rho8_ref + 2.5e-4))
+    _, below_upper = _ns99_ghz_diagonal_range(states.mixed_builder("rho8")(rho8_ref - 2.5e-4))
+    above_attained, _ = _ns99_ghz_diagonal_range(states.mixed_builder("rho8")(rho8_ref + 2.5e-4))
     print(
         f"       refutations: rho4(0.63) svetlichny gain off the all-x saddle {saddle_gain:.2e}; "
         f"rho4(0.718) svetlichny by direct trace {rho4_edge_value:.6f}; "

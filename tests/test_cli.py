@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from tribell import cli, polytope, workflows
-from tribell.bell import MeasurementScenario
+from tribell import cli, polytope, states, workflows
+from tribell.bell import NS99_MIXED_FAMILIES, MeasurementScenario
+from tribell.states import Family
 
 
 def run_cli(capsys, *argv):
@@ -305,6 +306,15 @@ def test_sweep_csv_output(capsys, tmp_path):
     assert xs == sorted(xs)
 
 
+@pytest.mark.parametrize("given", [("--restarts", "3"), ("--seed", "9")], ids=lambda given: given[0])
+def test_sweep_without_optimizer_columns_rejects_options_it_never_reads(capsys, given):
+    code, out, err = run_cli(capsys, "sweep", "--family", "gghz", "--param", "eta", "--from", "0.1",
+                             "--to", "0.7", "--steps", "2", "--columns", "tau", *given)
+    assert code == 2
+    assert out == ""
+    assert f"{given[0]} cannot be combined with columns without ns_opt or svet_opt" in err
+
+
 def test_sweep_rejects_single_step(capsys):
     code, _, err = run_cli(
         capsys, "sweep", "--family", "gghz", "--param", "eta",
@@ -438,15 +448,63 @@ def test_sweep_rejects_unavailable_column_before_optimizing(capsys, monkeypatch)
 
 def test_nl_seed_must_be_an_integer(capsys, monkeypatch):
     monkeypatch.setenv("NL_SEED", "abc")
-    code, out, err = run_cli(capsys, "bound", "--family", "gghz", "--operator", "ns99",
-                             "--tau", "1")
+    optimize = ("optimize", "--family", "ghz", "--operator", "ns99", "--restarts", "2")
+    code, out, err = run_cli(capsys, *optimize)
     assert code == 2
     assert out == ""
     assert "NL_SEED must be an integer" in err
     # an explicit --seed does not read the environment
-    code, _, _ = run_cli(capsys, "bound", "--family", "gghz", "--operator", "ns99",
-                         "--tau", "1", "--seed", "3")
+    code, _, _ = run_cli(capsys, *optimize, "--seed", "3")
     assert code == 0
+
+
+def test_bound_has_no_seed(capsys):
+    # a closed form draws no restarts, so bound offers no --seed to ignore
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bound", "--family", "gghz", "--operator", "ns99", "--tau", "1", "--seed", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("given", [("--delta", "-0.05"), ("--restarts", "3"), ("--seed", "9")],
+                         ids=lambda given: given[0])
+def test_visibility_no_confirm_rejects_options_it_never_reads(capsys, given):
+    code, out, err = run_cli(capsys, "visibility", "--operator", "ns99", "--tau", "1",
+                             "--no-confirm", *given)
+    assert code == 2
+    assert out == ""
+    assert f"{given[0]} cannot be combined with --no-confirm" in err
+
+
+@pytest.mark.parametrize("given", [("--restarts", "3"), ("--seed", "9")], ids=lambda given: given[0])
+def test_membership_angles_reject_options_they_never_read(capsys, given):
+    code, out, err = run_cli(capsys, "membership", "--family", "ghz", *MEMBERSHIP_ANGLES, *given)
+    assert code == 2
+    assert out == ""
+    assert f"{given[0]} cannot be combined with --angles" in err
+
+
+def test_closed_form_family_sets_agree(capsys):
+    assert set(states.SUBCLASS_S) == {Family.GGHZ, Family.MS, Family.EXT_S}
+    assert set(NS99_MIXED_FAMILIES) == {Family.RHO4, Family.RHO5, Family.RHO6, Family.RHO7,
+                                        Family.RHO8}
+    # bound prints a ns99 value for exactly the families with a closed form ...
+    options = (("--tau", "0.5"), ("--tau", "0.5", "--c12sq", "0.5"), ("--p", "0.9"))
+    for family in Family:
+        codes = [run_cli(capsys, "bound", "--family", family.value, "--operator", "ns99", *given)[0]
+                 for given in options]
+        closed = family in states.SUBCLASS_S or family in NS99_MIXED_FAMILIES
+        assert (0 in codes) == closed, (family, codes)
+    # ... and a sweep offers that bound as a column for exactly the same mixed families
+    for family in states.MIXED_FAMILIES:
+        k = 3 if family is Family.RHO3 else None
+        try:
+            workflows.SweepSpec(family, "p", 0.6, 0.9, 2, ("ns_bound",), k=k)
+            offered = True
+        except ValueError as exc:
+            assert "not available" in str(exc)
+            offered = False
+        assert offered == (family in NS99_MIXED_FAMILIES), family
 
 
 def test_channel_rejects_alpha_with_closed_form(capsys):
@@ -522,6 +580,8 @@ def test_state_file_rejects_family_options(capsys, monkeypatch, tmp_path, verb, 
     (("--angles", *["0"] * 12), "--angles"),
     (("--optimize-scenario", "ns99"), "--optimize-scenario"),
     (("--behavior-out", "copy.txt"), "--behavior-out"),
+    (("--restarts", "3"), "--restarts"),
+    (("--seed", "9"), "--seed"),
 ])
 def test_membership_behavior_file_rejects_state_options(capsys, tmp_path, given, option):
     path = tmp_path / "behavior.txt"

@@ -87,32 +87,83 @@ def test_named_pure_states():
     assert lam[0b100] == pytest.approx(-1 / np.sqrt(2))
 
 
+# The hand-expanded builders the affine table replaced, kept as its reference.
+def _omega():
+    return qalg.projector(states.lambda_basis(1, 1)) + qalg.projector(states.lambda_basis(1, -1))
+
+
+def _pi():
+    return sum(qalg.projector(states.lambda_basis(i, 1)) for i in (2, 3, 4))
+
+
+def _lam(index, sign):
+    return qalg.projector(states.lambda_basis(index, sign))
+
+
+REFERENCE_BUILDERS = {
+    Family.RHO2: lambda p: p * qalg.projector(states.ghz_state())
+    + (1.0 - p) * qalg.projector(states.w_state()),
+    Family.RHO4: lambda p: p * _lam(1, 1) + (1.0 - p) / 3.0 * _pi(),
+    Family.RHO5: lambda p: p * _lam(1, 1) + (1.0 - p) / 10.0 * (_lam(1, -1) + 3.0 * _pi()),
+    Family.RHO6: lambda p: p * _lam(2, -1) + (1.0 - p) / 11.0 * (_omega() + 3.0 * _pi()),
+    Family.RHO7: lambda p: p * _lam(3, -1)
+    + (1.0 - p) / 34.0 * (_lam(2, -1) + 3.0 * _omega() + 9.0 * _pi()),
+    Family.RHO8: lambda p: p * _lam(4, -1)
+    + (1.0 - p) / 35.0 * (_lam(2, -1) + _lam(3, -1) + 3.0 * _omega() + 9.0 * _pi()),
+}
+
+
+def _reference_rho3(p, k):
+    q = (1.0 - p) / k
+    r = max(1.0 - p - q, 0.0)
+    return (
+        p * qalg.projector(states.ghz_state())
+        + q * qalg.projector(states.w_state())
+        + r * qalg.projector(states.w_tilde_state())
+    )
+
+
+P_GRID = np.linspace(0.0, 1.0, 101)
+
+
+@pytest.mark.parametrize("family", list(REFERENCE_BUILDERS), ids=lambda f: f.value)
+def test_mixed_builder_matches_reference_bit_for_bit(family):
+    build, reference = states.mixed_builder(family), REFERENCE_BUILDERS[family]
+    for p in P_GRID:
+        assert np.array_equal(build(float(p)), reference(float(p))), (family, p)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 10])
+def test_mixed_builder_rho3_matches_reference(k):
+    # the table weights W-tilde by (1 - p)/k * (k - 1) where the reference takes 1 - p - q
+    build = states.mixed_builder(Family.RHO3, k)
+    for p in P_GRID:
+        assert np.max(np.abs(build(float(p)) - _reference_rho3(float(p), k))) <= 1e-16
+
+
 def test_rho3_k1_equals_rho2():
+    rho2, rho3 = states.mixed_builder(Family.RHO2), states.mixed_builder(Family.RHO3, 1)
     for p in (0.0, 0.3, 0.8, 1.0):
-        assert np.allclose(states.rho3(p, 1), states.rho2(p), atol=1e-15)
+        assert np.allclose(rho3(p), rho2(p), atol=1e-15)
 
 
 def test_rho4_collapses_at_p1():
-    assert np.allclose(states.rho4(1.0), qalg.projector(states.ghz_state()))
+    assert np.allclose(states.mixed_builder(Family.RHO4)(1.0), qalg.projector(states.ghz_state()))
 
 
 def test_rho6_at_p0_matches_direct_construction():
     # direct construction oracle: (Omega + 3 Pi)/11 from explicit projectors
-    omega = qalg.projector(states.lambda_basis(1, 1)) + qalg.projector(
-        states.lambda_basis(1, -1)
-    )
-    pi = sum(qalg.projector(states.lambda_basis(i, 1)) for i in (2, 3, 4))
-    expected = (omega + 3 * pi) / 11.0
-    got = states.rho6(0.0)
+    expected = (_omega() + 3 * _pi()) / 11.0
+    got = states.mixed_builder(Family.RHO6)(0.0)
     assert np.allclose(got, expected, atol=1e-15)
     assert np.trace(got).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mixed_family_weight_guards():
-    with pytest.raises(ValueError):
-        states.rho2(1.2)
-    with pytest.raises(ValueError):
-        states.rho3(0.5, 0)
+    with pytest.raises(ValueError, match="mixing weight must lie in"):
+        states.mixed_builder(Family.RHO2)(1.2)
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        states.mixed_builder(Family.RHO3, 0)(0.5)
 
 
 def test_mixed_families_are_valid_states(rng):
