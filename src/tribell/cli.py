@@ -5,9 +5,9 @@ channel. Output is line-oriented key=value text, or a single JSON document
 with identical fields under --json. Exit codes: 0 success, 2 invalid input,
 3 numerical non-convergence / no crossing / no violation.
 
-The default RNG seed is 1; the NL_SEED environment variable overrides it
-and an explicit --seed wins over both. A --seed, --restarts or --delta that
-the chosen path never reads exits 2. All angles are radians.
+Options left out take the library's defaults; NL_SEED overrides the default
+seed and an explicit --seed wins over both. A --seed, --restarts or --delta
+that the chosen path never reads exits 2. All angles are radians.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .bell import (
     optimize_operator,
     visibility_threshold,
 )
+from .bell.optimize import DEFAULT_RESTARTS, DEFAULT_SEED
 from .states import Family
 
 EXIT_OK = 0
@@ -41,10 +42,10 @@ THREE_PARTY = [BellKind.NS99.value, BellKind.SVETLICHNY.value]
 
 
 def _seed(args) -> int:
-    """The --seed given, else NL_SEED, else 1; read only where a path draws restarts."""
+    """The --seed given, else NL_SEED, else DEFAULT_SEED; read only where a path draws restarts."""
     if args.seed is not None:
         return args.seed
-    text = os.environ.get("NL_SEED", "1")
+    text = os.environ.get("NL_SEED", str(DEFAULT_SEED))
     try:
         return int(text)
     except ValueError:
@@ -71,7 +72,8 @@ def _emit(pairs: dict, as_json: bool) -> None:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, help="RNG seed (default NL_SEED or 1)")
+    parser.add_argument("--restarts", type=int, help=f"default {DEFAULT_RESTARTS}")
+    parser.add_argument("--seed", type=int, help=f"RNG seed (default NL_SEED or {DEFAULT_SEED})")
     parser.add_argument("--json", action="store_true", help="emit one JSON document")
 
 
@@ -157,7 +159,8 @@ def cmd_optimize(args) -> int:
     rho = _state_from_args(args)
     op = BellKind(args.operator)
     seed = _seed(args)
-    report = optimize_operator(rho, op, OptimizeOptions(restarts=args.restarts, seed=seed))
+    opts = OptimizeOptions(seed=seed, **_given(restarts=args.restarts))
+    report = optimize_operator(rho, op, opts)
     _emit(
         {
             "operator": op.value,
@@ -179,10 +182,9 @@ def cmd_threshold(args) -> int:
         family=Family(args.family),
         operator=BellKind(args.operator),
         k=args.k,
-        bracket=(args.bracket[0], args.bracket[1]),
-        tol=args.tol,
         seed=_seed(args),
-        restarts=args.restarts,
+        **_given(bracket=args.bracket and tuple(args.bracket), tol=args.tol,
+                 restarts=args.restarts),
     )
     try:
         result = workflows.threshold_bisect(query)
@@ -260,9 +262,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    rows = workflows.compute_table(
-        args.which, tol=args.tol, seed=_seed(args), restarts=args.restarts
-    )
+    given = _given(tol=args.tol, restarts=args.restarts)
+    rows = workflows.compute_table(args.which, seed=_seed(args), **given)
     print(workflows.format_table(rows, fmt=args.format))
     return EXIT_OK
 
@@ -315,7 +316,7 @@ def cmd_channel(args) -> int:
         dep = spec.kind is channels.ChannelKind.DEPOLARIZE
         build = channels.closed_form_depolarized_gghz if dep else channels.closed_form_damped_gghz
         noisy["closed_form"] = build(args.eta, *spec.strengths)
-    opts = OptimizeOptions(restarts=args.restarts, seed=_seed(args))
+    opts = OptimizeOptions(seed=_seed(args), **_given(restarts=args.restarts))
     pairs = {"kind": spec.kind.value, "strengths": list(spec.strengths)}
     for model, state in noisy.items():
         for report in workflows.optimize_ns99_svetlichny(state, opts):
@@ -347,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="maximize an operator over measurement angles")
     _add_state_options(p)
     p.add_argument("--operator", required=True, choices=THREE_PARTY)
-    p.add_argument("--restarts", type=int, default=64)
     _add_common(p)
     p.set_defaults(func=cmd_optimize)
 
@@ -356,10 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=[f.value for f in states.MIXED_FAMILIES])
     p.add_argument("--operator", required=True, choices=THREE_PARTY)
     p.add_argument("--k", type=int)
-    p.add_argument("--bracket", type=float, nargs=2, default=(0.55, 1.0),
-                   metavar=("LO", "HI"))
-    p.add_argument("--tol", type=float, default=workflows.DEFAULT_BISECT_TOL)
-    p.add_argument("--restarts", type=int, default=64)
+    p.add_argument("--bracket", type=float, nargs=2, metavar=("LO", "HI"))
+    p.add_argument("--tol", type=float)
     _add_common(p)
     p.set_defaults(func=cmd_threshold)
 
@@ -371,8 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float)
     p.add_argument("--no-confirm", dest="confirm", action="store_false",
                    help="skip the numeric confirmation at threshold -/+ delta")
-    p.add_argument("--delta", type=float, help="default 0.01")
-    p.add_argument("--restarts", type=int, help="default 64")
+    p.add_argument("--delta", type=float, help="distance of the checks from the threshold")
     _add_common(p)
     p.set_defaults(func=cmd_visibility)
 
@@ -386,15 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated subset of " + ",".join(workflows.SWEEP_COLUMNS))
     p.add_argument("--c12sq", type=float)
     p.add_argument("--k", type=int)
-    p.add_argument("--restarts", type=int, help="default 64")
     p.add_argument("--output", help="write CSV here instead of stdout")
     _add_common(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("tables", help="recompute a published threshold table")
     p.add_argument("--which", type=int, required=True, choices=[1, 2])
-    p.add_argument("--tol", type=float, default=2.5e-4)
-    p.add_argument("--restarts", type=int, default=64)
+    p.add_argument("--tol", type=float)
     p.add_argument("--format", choices=["md", "csv"], default="md")
     _add_common(p)
     p.set_defaults(func=cmd_tables)
@@ -408,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the scenario found by maximizing this operator")
     p.add_argument("--model", required=True, choices=[k.value for k in polytope.HybridKind])
     p.add_argument("--behavior-out", help="also export the generated behavior table")
-    p.add_argument("--restarts", type=int, help="default 64")
     _add_common(p)
     p.set_defaults(func=cmd_membership)
 
@@ -419,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_options(p)
     p.add_argument("--closed-form", action="store_true",
                    help="also evaluate the published closed-form matrix (gghz only)")
-    p.add_argument("--restarts", type=int, default=64)
     _add_common(p)
     p.set_defaults(func=cmd_channel)
 

@@ -29,13 +29,14 @@ from .bell import (
     visibility_threshold,
 )
 from .bell.operators import VIOLATION_ATOL
+from .bell.optimize import DEFAULT_RESTARTS, DEFAULT_SEED
 from .states import Family, mixed_builder
 
 DEFAULT_BISECT_TOL = 1e-5
 MIN_BISECT_TOL = 1e-7
-# Restarts are raised near the root, where the crossing is resolved.
+TABLE_TOL = 2.5e-4  # bisection tolerance of the recomputed tables
+# Unread in src/: perfbench's Threshold re-check and tests/test_optimize.py use it.
 ROOT_RESTARTS = 128
-NEAR_ROOT_WIDTH = 0.02
 
 
 class NoCrossingError(RuntimeError):
@@ -55,8 +56,8 @@ class ThresholdQuery:
     k: int | None = None
     bracket: tuple[float, float] = (0.55, 1.0)
     tol: float = DEFAULT_BISECT_TOL
-    seed: int = 1
-    restarts: int = 64
+    seed: int = DEFAULT_SEED
+    restarts: int = DEFAULT_RESTARTS
 
     def __post_init__(self):
         self.family = Family(self.family)
@@ -86,21 +87,21 @@ def threshold_bisect(query: ThresholdQuery) -> ThresholdResult:
 
     The family is affine in p, so the optimized value v(p) is a maximum of
     affine functions and convex: if v(lo) <= bound < v(hi), the crossing in
-    [lo, hi] is unique. A probe stops at its first certified violation, which
-    gives a full maximization's verdict. Ends that do not straddle the bound
-    (the W component can add a low-weight violation window) raise
-    NoCrossingError.
+    [lo, hi] is unique. Every probe runs query.restarts starts from query.seed
+    and stops at its first certified violation, which gives a full
+    maximization's verdict. Ends that do not straddle the bound (the W
+    component can add a low-weight violation window) raise NoCrossingError.
     """
     build = mixed_builder(query.family, query.k)
     target = CLASSICAL_BOUND[query.operator]
     cut = target + VIOLATION_ATOL  # some families sit exactly on the bound below threshold
+    opts = OptimizeOptions(restarts=query.restarts, seed=query.seed, stop_above=cut)
 
-    def value_at(p: float, restarts: int) -> float:
-        opts = OptimizeOptions(restarts=restarts, seed=query.seed, stop_above=cut)
+    def value_at(p: float) -> float:
         return optimize_operator(build(p), query.operator, opts).value
 
     lo, hi = query.bracket
-    value_lo, value_hi = value_at(lo, query.restarts), value_at(hi, query.restarts)
+    value_lo, value_hi = value_at(lo), value_at(hi)
     evaluations = 2
     if value_lo > cut or value_hi <= cut:
         raise NoCrossingError(
@@ -110,9 +111,8 @@ def threshold_bisect(query: ThresholdQuery) -> ThresholdResult:
 
     while hi - lo > query.tol:
         mid = 0.5 * (lo + hi)
-        restarts = ROOT_RESTARTS if hi - lo < NEAR_ROOT_WIDTH else query.restarts
         evaluations += 1
-        if value_at(mid, restarts) > cut:
+        if value_at(mid) > cut:
             hi = mid
         else:
             lo = mid
@@ -166,9 +166,9 @@ class TableRow:
 
 def compute_table(
     which: int,
-    tol: float = 2.5e-4,
-    seed: int = 1,
-    restarts: int = 64,
+    tol: float = TABLE_TOL,
+    seed: int = DEFAULT_SEED,
+    restarts: int = DEFAULT_RESTARTS,
 ) -> list[TableRow]:
     """Recompute one published threshold table by bisection.
 
@@ -245,8 +245,8 @@ class SweepSpec:
     columns: tuple[str, ...]
     c12sq: float | None = None  # fixed bipartite entanglement for ext_s
     k: int | None = None
-    seed: int = 1
-    restarts: int = 64
+    seed: int = DEFAULT_SEED
+    restarts: int = DEFAULT_RESTARTS
 
     def __post_init__(self):
         self.family = Family(self.family)
@@ -364,8 +364,8 @@ def visibility_check(
     tau: float,
     c12sq: float = 0.0,
     delta: float = 0.01,
-    seed: int = 1,
-    restarts: int = 64,
+    seed: int = DEFAULT_SEED,
+    restarts: int = DEFAULT_RESTARTS,
 ) -> VisibilityCheck:
     """Closed-form visibility threshold plus numeric confirmation.
 
@@ -474,7 +474,9 @@ def _example_states() -> list[tuple[str, np.ndarray, np.ndarray | None]]:
     ]
 
 
-def channel_example_report(seed: int = 1, restarts: int = 64) -> list[ChannelExampleVerdict]:
+def channel_example_report(
+    seed: int = DEFAULT_SEED, restarts: int = DEFAULT_RESTARTS
+) -> list[ChannelExampleVerdict]:
     """Evaluate the four published noisy-state examples under each model."""
     opts = OptimizeOptions(restarts=restarts, seed=seed)
     verdicts = []

@@ -157,6 +157,54 @@ def test_threshold_exit_3_when_no_crossing(capsys):
     assert "error" in err
 
 
+def test_threshold_prints_its_keys(capsys, monkeypatch):
+    monkeypatch.delenv("NL_SEED", raising=False)
+    code, out, _ = run_cli(
+        capsys, "threshold", "--family", "rho2", "--operator", "ns99", "--tol", "1e-3",
+    )
+    assert code == 0
+    pairs = parse_kv(out)
+    assert list(pairs) == ["family", "operator", "p_star", "bracket", "tol", "evaluations", "seed"]
+    assert pairs["family"] == "rho2" and pairs["operator"] == "ns99"
+    assert pairs["bracket"] == "0.55,1" and pairs["tol"] == "0.001" and pairs["seed"] == "1"
+    # two bracket ends and nine halvings of the width 0.45 down to 1e-3
+    assert pairs["evaluations"] == "11"
+    assert float(pairs["p_star"]) == pytest.approx(0.811876, abs=1e-3)
+
+
+def test_tables_prints_the_published_rows_and_the_library_cells(capsys, monkeypatch):
+    monkeypatch.delenv("NL_SEED", raising=False)
+    code, out, _ = run_cli(capsys, "tables", "--which", "1")
+    assert code == 0
+    assert out == workflows.format_table(workflows.compute_table(1)) + "\n"
+    lines = out.splitlines()[2:]
+    assert len(lines) == len(workflows.TABLE1_ROWS) == 4
+    for line, spec in zip(lines, workflows.TABLE1_ROWS):
+        assert line.startswith(f"| {spec.label} ")
+        assert f"{spec.ns99_threshold:.6f}" in line and f"{spec.svetlichny_threshold:.6f}" in line
+
+
+def test_bound_chsh_is_the_pure_state_maximum(capsys):
+    code, out, _ = run_cli(
+        capsys, "bound", "--family", "gghz", "--operator", "chsh", "--c12sq", "0.5",
+    )
+    assert code == 0
+    assert parse_kv(out)["bound"] == f"{2 * math.sqrt(1.5):.9g}"
+
+
+def test_lp_numerical_error_exits_3(capsys, monkeypatch):
+    def failing(behavior, kind):
+        raise polytope.LPNumericalError("simplex lost feasibility")
+
+    monkeypatch.setattr(polytope, "membership", failing)
+    code, out, err = run_cli(
+        capsys, "membership", "--family", "ghz", "--model", "ns2", "--angles", *["0"] * 12,
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "error: simplex lost feasibility\n"
+
+
 def test_visibility_closed_form(capsys):
     code, out, _ = run_cli(
         capsys, "visibility", "--operator", "svetlichny", "--tau", "1",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tribell import workflows
-from tribell.bell import CLASSICAL_BOUND, BellKind, optimize_operator
+from tribell.bell import CLASSICAL_BOUND, BellKind, bound_b4, optimize_operator
 from tribell.states import Family
 from tribell.workflows import SweepSpec, ThresholdQuery
 
@@ -79,6 +79,22 @@ def test_threshold_pinned_at_table_settings(family, k, operator, p_star):
     assert result.value_lo <= bound + 1e-9 < result.value_hi
 
 
+def test_every_threshold_probe_runs_the_query_restarts_and_seed(monkeypatch):
+    seen = []
+
+    def recording(rho, operator, opts):
+        seen.append(opts)
+        return optimize_operator(rho, operator, opts)
+
+    monkeypatch.setattr(workflows, "optimize_operator", recording)
+    query = ThresholdQuery(
+        family=Family.RHO4, operator=BellKind.SVETLICHNY, tol=workflows.TABLE_TOL, seed=3
+    )
+    result = workflows.threshold_bisect(query)
+    assert result.evaluations == len(seen) == 13
+    assert [(o.restarts, o.seed) for o in seen] == [(query.restarts, query.seed)] * 13
+
+
 @pytest.mark.parametrize("operator", [BellKind.NS99, BellKind.SVETLICHNY])
 @pytest.mark.parametrize("family", [Family.RHO2, Family.RHO4, Family.RHO8])
 def test_optimized_value_is_convex_in_the_weight(family, operator):
@@ -150,6 +166,20 @@ def test_sweep_optimizer_columns():
         assert row[1] == pytest.approx(row[2], abs=2e-3)
 
 
+def test_sweep_ext_s_optimizer_columns_meet_the_closed_forms():
+    # B5 and B4 are the subclass-S maxima; 2e-3 is the tolerance of A03
+    columns = ("ns_bound", "ns_opt", "svet_bound", "svet_opt")
+    spec = SweepSpec(
+        family=Family.EXT_S, param="tau", start=0.3, stop=0.7, steps=3, columns=columns,
+        c12sq=0.3,
+    )
+    header, rows = workflows.run_sweep(spec)
+    assert header == ["tau", *columns]
+    for _, ns_bound, ns_opt, svet_bound, svet_opt in rows:
+        assert ns_opt == pytest.approx(ns_bound, abs=2e-3)
+        assert svet_opt == pytest.approx(svet_bound, abs=2e-3)
+
+
 def test_sweep_validation():
     with pytest.raises(ValueError):
         SweepSpec(family=Family.GGHZ, param="eta", start=0.0, stop=0.5, steps=1, columns=("tau",))
@@ -184,6 +214,13 @@ def test_visibility_check_confirms_ns99_at_tau_one():
     assert check.threshold == pytest.approx(0.78361, abs=1e-5)
     assert check.confirmed
     assert not check.below_violates and check.above_violates
+
+
+def test_visibility_check_confirms_an_extended_ghz_state():
+    check = workflows.visibility_check(BellKind.SVETLICHNY, 0.5, c12sq=0.3)
+    assert check.c12sq == 0.3
+    assert check.threshold == pytest.approx(4 / bound_b4(0.5, 0.3), abs=1e-12)
+    assert check.confirmed
 
 
 def test_visibility_no_violation_raises():
