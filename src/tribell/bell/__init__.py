@@ -6,10 +6,8 @@ from .bounds import (
     bound_b2,
     bound_b4,
     bound_b5,
-    bound_rho4,
-    bound_rho5,
-    bound_table2,
     chsh_pure_max,
+    ns99_ghz_diagonal_max,
     ns99_mixed_bound,
     visibility_threshold,
 )
@@ -45,13 +43,11 @@ __all__ = [
     "bound_b2",
     "bound_b4",
     "bound_b5",
-    "bound_rho4",
-    "bound_rho5",
-    "bound_table2",
     "chsh_pure_max",
     "correlation_tensors",
     "correlator",
     "make_batched_value",
+    "ns99_ghz_diagonal_max",
     "ns99_mixed_bound",
     "operator_value",
     "optimize_operator",

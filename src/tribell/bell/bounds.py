@@ -5,28 +5,29 @@ maxima of both operators are known in closed form as functions of the
 three-tangle tau and the squared concurrence C12^2: B5 for the 99th facet
 and B4 for Svetlichny's operator. The GGHZ forms B1/B3 and B2 are their
 C12^2 = 0 cases, and each white-noise visibility threshold is the local
-bound divided by one of them. For the rank-4..8 mixed families the
-99th-facet maxima are known as functions of the mixing weight p. The
-numerical optimizer is the independent cross-check for all of them.
-
-The rank-6 expression is reproduced here with the leading factor 2 on its
-radical, matching the rank-4/5 pattern; without that factor the expression
-never reaches the local bound 3 and contradicts both its own published
-violation threshold (the expression equals 3 at p = 0.756458 only with the
-factor) and the p = 1 limit, where the state is locally equivalent to GHZ
-and must reach 1 + 2 sqrt(2).
+bound divided by one of them. The rank-4..8 mixed families are diagonal in
+the GHZ basis with real coherences, and for every such state the 99th-facet
+maximum has one exact form, ``ns99_ghz_diagonal_max``. The numerical
+optimizer is the independent cross-check for all of them.
 """
 
 from __future__ import annotations
 
 import math
 
-from ..states import Family
+import numpy as np
+
+from .. import qalg
+from ..states import Family, mixed_builder
 from .operators import CLASSICAL_BOUND, BellKind
 
 NS99_LOCAL_BOUND = CLASSICAL_BOUND[BellKind.NS99]
-# The mixed families whose 99th-facet maximum has a closed form in p.
+# The mixed families whose 99th-facet maximum has a closed form in p: the GHZ-diagonal ones.
 NS99_MIXED_FAMILIES = (Family.RHO4, Family.RHO5, Family.RHO6, Family.RHO7, Family.RHO8)
+# Pauli-tensor entries (X, Y, Z, I order) a GHZ-diagonal state with real coherences
+# can carry: the trace, the three zz pairs and the in-plane xxx, xyy, yxy, yyx.
+_GHZ_DIAGONAL_ENTRIES = tuple(zip((3, 3, 3), (2, 2, 3), (2, 3, 2), (3, 2, 2),
+                                  (0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)))
 
 
 def _check_unit(value: float, name: str) -> float:
@@ -83,54 +84,49 @@ def bound_b2(tau: float) -> float:
     return bound_b4(tau, 0.0)
 
 
-def bound_rho4(p: float) -> float:
-    """99th-facet maximum of the rank-4 family: (2 sqrt(16p^2-8p+10) + |1-4p|)/3."""
-    p = _check_unit(p, "p")
-    return (2.0 * math.sqrt(16.0 * p * p - 8.0 * p + 10.0) + abs(1.0 - 4.0 * p)) / 3.0
+def ns99_ghz_diagonal_max(rho: np.ndarray) -> float:
+    """Exact 99th-facet maximum of a GHZ-diagonal state with real coherences.
 
-
-def bound_rho5(p: float) -> float:
-    """99th-facet maximum of the rank-5 family: (2 sqrt(37p^2-4p+17) + |1-6p|)/5."""
-    p = _check_unit(p, "p")
-    return (2.0 * math.sqrt(37.0 * p * p - 4.0 * p + 17.0) + abs(1.0 - 6.0 * p)) / 5.0
-
-
-def bound_table2(family: Family, p: float) -> float:
-    """99th-facet maxima of the rank-6/7/8 families (published coefficients)."""
-    family = Family(family)
-    p = _check_unit(p, "p")
-    if family is Family.RHO6:
-        radicand = (1.0 + 10.0 * p) ** 2 + (6.0 * (1.0 - p) + abs(3.0 - 14.0 * p)) ** 2
-        return (2.0 * math.sqrt(radicand) + abs(12.0 * p - 1.0)) / 11.0
-    if family is Family.RHO7:
-        b = (1.0 - p) / 2.0 + abs(0.26470 - 1.26470 * p)
-        return (
-            math.sqrt((-0.11765 + 1.11765 * p) ** 2 + b * b)
-            + math.sqrt((0.11765 + 0.8824 * p) ** 2 + b * b)
-            + 0.0588
-            + 0.9412 * p
-        )
-    if family is Family.RHO8:
-        c = 0.4572 * (1.0 - p) + abs(0.2571 - 1.2571 * p)
-        return (
-            math.sqrt((0.0857 + 0.9143 * p) ** 2 + c * c)
-            + math.sqrt((-0.1428 + 1.1429 * p) ** 2 + c * c)
-            + 0.0857
-            + 0.9142 * p
-        )
-    raise ValueError(f"no tabulated bound for family {family}")
+    Such a state shows the facet only its zz pair correlators t and the
+    in-plane three-body entries a = T_xxx, d = T_xyy, b = T_yxy, g = T_yyx;
+    any other Pauli coefficient above 1e-12 raises ValueError. The maximum is
+    |t_AB| + hypot(t_BC, M) + hypot(t_AC, M), with M the largest singular
+    value of A(phi) = T(cos phi x + sin phi y, ., .) = [[a cos, b sin], [g sin, d cos]]
+    over phi. Its singular value
+    sigma_1 = (|((a + d) cos, (g - b) sin)| + |((a - d) cos, (b + g) sin)|) / 2
+    is, in c = cos^2 phi, a sum of square roots of affine functions, so it is
+    concave on [0, 1] and peaks at c = 0, c = 1 or where its derivative
+    vanishes; squared, that condition is linear in c.
+    """
+    r = qalg.pauli_tensor(rho, 3)
+    outside = r.copy()
+    outside[_GHZ_DIAGONAL_ENTRIES] = 0.0
+    leak = float(np.abs(outside).max())
+    if leak > 1e-12:
+        raise ValueError(f"state is not GHZ-diagonal with real coherences: off entry {leak:.3g}")
+    t_ab, t_ac, t_bc = r[2, 2, 3], r[2, 3, 2], r[3, 2, 2]
+    a, d, b, g = r[0, 0, 0], r[0, 1, 1], r[1, 0, 1], r[1, 1, 0]
+    # the two squared norms are p0 + dp c and q0 + dq c
+    p0, q0 = (g - b) ** 2, (b + g) ** 2
+    dp, dq = (a + d) ** 2 - p0, (a - d) ** 2 - q0
+    ends = [0.0, 1.0]
+    if dp * dq * (dp - dq):
+        # dp^2 (q0 + dq c) = dq^2 (p0 + dp c); a spurious root of it only adds a lower candidate
+        root = (dq * dq * p0 - dp * dp * q0) / (dp * dq * (dp - dq))
+        ends.append(min(max(root, 0.0), 1.0))
+    m = max(
+        0.5 * (math.sqrt(max(p0 + dp * c, 0.0)) + math.sqrt(max(q0 + dq * c, 0.0)))
+        for c in ends
+    )
+    return float(abs(t_ab) + math.hypot(t_bc, m) + math.hypot(t_ac, m))
 
 
 def ns99_mixed_bound(family: Family, p: float) -> float:
-    """Dispatch to the closed-form 99th-facet bound of a family in NS99_MIXED_FAMILIES."""
+    """99th-facet maximum of a family in NS99_MIXED_FAMILIES at mixing weight p."""
     family = Family(family)
     if family not in NS99_MIXED_FAMILIES:
         raise ValueError(f"no closed-form ns99 bound for family {family.value}")
-    if family is Family.RHO4:
-        return bound_rho4(p)
-    if family is Family.RHO5:
-        return bound_rho5(p)
-    return bound_table2(family, p)
+    return ns99_ghz_diagonal_max(mixed_builder(family)(_check_unit(p, "p")))
 
 
 def chsh_pure_max(c12sq: float) -> float:

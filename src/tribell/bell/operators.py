@@ -90,6 +90,8 @@ class MeasurementScenario:
         self.angles = np.asarray(self.angles, dtype=float)
         if self.angles.ndim != 2 or self.angles.shape[1] != 2 or self.angles.shape[0] % 2:
             raise ValueError(f"angles must have shape (2n, 2), got {self.angles.shape}")
+        if not np.all(np.isfinite(self.angles)):
+            raise ValueError("measurement angles must be finite")
 
     @property
     def n_parties(self) -> int:

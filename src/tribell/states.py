@@ -313,6 +313,8 @@ def load_state_file(path) -> np.ndarray:
         if len(pairs) != 8:
             raise ValueError(f"state file must list 8 amplitudes, got {len(pairs)}")
         psi = np.array([_complex_entry(e) for e in pairs])
+        if not np.all(np.isfinite(psi)):
+            raise ValueError("state file amplitudes contain non-finite entries")
         norm = float(np.linalg.norm(psi))
         if abs(norm - 1.0) > FILE_NORM_ATOL:
             raise ValueError(f"state vector norm {norm} too far from 1")

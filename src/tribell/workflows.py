@@ -24,7 +24,7 @@ from .bell import (
     ViolationReport,
     bound_b4,
     bound_b5,
-    ns99_mixed_bound,
+    ns99_ghz_diagonal_max,
     optimize_operator,
     visibility_threshold,
 )
@@ -66,7 +66,7 @@ class ThresholdQuery:
         lo, hi = self.bracket
         if not (0.0 <= lo < hi <= 1.0):
             raise ValueError(f"bracket must satisfy 0 <= lo < hi <= 1, got {self.bracket}")
-        if self.tol < MIN_BISECT_TOL:
+        if not (math.isfinite(self.tol) and self.tol >= MIN_BISECT_TOL):
             raise ValueError(f"tolerance must be >= {MIN_BISECT_TOL}, got {self.tol}")
 
 
@@ -309,7 +309,7 @@ def _sweep_point(spec: SweepSpec, x: float) -> dict[str, float]:
         build = mixed_builder(fam, spec.k)
         rho = build(x)
         if "ns_bound" in spec.columns:
-            out["ns_bound"] = ns99_mixed_bound(fam, x)
+            out["ns_bound"] = ns99_ghz_diagonal_max(rho)
     if need_opt:
         opts = OptimizeOptions(restarts=spec.restarts, seed=spec.seed)
         if "ns_opt" in spec.columns:

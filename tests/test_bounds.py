@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -9,15 +10,17 @@ from tribell.bell import (
     bound_b2,
     bound_b4,
     bound_b5,
-    bound_rho4,
-    bound_rho5,
-    bound_table2,
+    OptimizeOptions,
     chsh_pure_max,
+    ns99_ghz_diagonal_max,
     ns99_mixed_bound,
+    optimize_operator,
     visibility_threshold,
 )
-from tribell.bell.bounds import NS99_LOCAL_BOUND, _check_tau_c12, _check_unit
+from tribell import qalg, states
+from tribell.bell.bounds import NS99_LOCAL_BOUND, NS99_MIXED_FAMILIES, _check_tau_c12, _check_unit
 from tribell.states import Family
+from test_acceptance import _ns99_ghz_diagonal_range
 
 
 # The separate GGHZ and visibility formulas that bound_b2 and
@@ -122,36 +125,121 @@ def test_bound_b5_cases():
         assert bound_b5(tau, c12) == pytest.approx(1 + 2 * np.sqrt(1 + tau), abs=1e-12)
 
 
-def test_bound_rho4_values():
-    assert bound_rho4(1.0) == pytest.approx(2 * np.sqrt(2) + 1)
-    assert bound_rho4(0.726) == pytest.approx(3.0035, abs=5e-4)
-    # analytic crossing of the local bound: 4p^2 + 4p - 5 = 0
-    p_star = (-1 + np.sqrt(6)) / 2
-    assert bound_rho4(p_star) == pytest.approx(3.0, abs=1e-12)
+# The paper's published 99th-facet forms of the rank-4..8 families, kept verbatim
+# as references for ns99_mixed_bound, which computes the exact GHZ-diagonal maximum.
 
 
-def test_bound_rho5_values():
-    assert bound_rho5(0.729157) == pytest.approx(3.0, abs=2e-3)
-    assert bound_rho5(1.0) == pytest.approx((2 * np.sqrt(50) + 5) / 5)
+def _published_rho4(p: float) -> float:
+    """(2 sqrt(16p^2-8p+10) + |1-4p|)/3."""
+    return (2.0 * math.sqrt(16.0 * p * p - 8.0 * p + 10.0) + abs(1.0 - 4.0 * p)) / 3.0
 
 
-def _formula_crossing(fam, lo=0.6, hi=0.9):
+def _published_rho5(p: float) -> float:
+    """(2 sqrt(37p^2-4p+17) + |1-6p|)/5."""
+    return (2.0 * math.sqrt(37.0 * p * p - 4.0 * p + 17.0) + abs(1.0 - 6.0 * p)) / 5.0
+
+
+def _published_table2(family: Family, p: float) -> float:
+    """The rank-6/7/8 forms with their published coefficients.
+
+    The rank-6 expression carries the leading factor 2 on its radical, as the
+    rank-4/5 ones do. Without it the expression never reaches the local bound
+    3, contradicting its own published threshold 0.756458 and the p = 1 limit,
+    where the state is locally equivalent to GHZ and reaches 1 + 2 sqrt(2).
+    With it the expression is the exact maximum
+    (``test_published_forms_track_the_exact_maximum``).
+    """
+    if family is Family.RHO6:
+        radicand = (1.0 + 10.0 * p) ** 2 + (6.0 * (1.0 - p) + abs(3.0 - 14.0 * p)) ** 2
+        return (2.0 * math.sqrt(radicand) + abs(12.0 * p - 1.0)) / 11.0
+    if family is Family.RHO7:
+        b = (1.0 - p) / 2.0 + abs(0.26470 - 1.26470 * p)
+        return (
+            math.sqrt((-0.11765 + 1.11765 * p) ** 2 + b * b)
+            + math.sqrt((0.11765 + 0.8824 * p) ** 2 + b * b)
+            + 0.0588
+            + 0.9412 * p
+        )
+    c = 0.4572 * (1.0 - p) + abs(0.2571 - 1.2571 * p)
+    return (
+        math.sqrt((0.0857 + 0.9143 * p) ** 2 + c * c)
+        + math.sqrt((-0.1428 + 1.1429 * p) ** 2 + c * c)
+        + 0.0857
+        + 0.9142 * p
+    )
+
+
+PUBLISHED_FORMS = {
+    Family.RHO4: _published_rho4,
+    Family.RHO5: _published_rho5,
+    **{fam: functools.partial(_published_table2, fam)
+       for fam in (Family.RHO6, Family.RHO7, Family.RHO8)},
+}
+# Largest |published - exact| over 1001 p in [0, 1]: rho4..rho6 are exact,
+# rho7 and rho8 carry 4-5-digit coefficients.
+PUBLISHED_DEVIATION = {
+    Family.RHO4: 1e-14,
+    Family.RHO5: 1e-14,
+    Family.RHO6: 1e-14,
+    Family.RHO7: 3.6e-5,
+    Family.RHO8: 1.2e-4,
+}
+
+
+def _crossing(f, lo=0.6, hi=0.9):
+    """Where an increasing-at-the-root f(p) crosses the local bound 3, by bisection."""
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
-        if bound_table2(fam, mid) > 3.0:
+        if f(mid) > 3.0:
             hi = mid
         else:
             lo = mid
     return 0.5 * (lo + hi)
 
 
+def _random_ghz_diagonal(rng):
+    """Random weights over the eight |L,i+-> projectors, often led by one of them."""
+    weights = rng.dirichlet(np.full(8, 0.3))
+    return sum(w * qalg.projector(states.lambda_basis(i, sign))
+               for w, (i, sign) in zip(weights, [(i, s) for i in (1, 2, 3, 4) for s in (1, -1)]))
+
+
+def test_published_forms_track_the_exact_maximum():
+    for family, published in PUBLISHED_FORMS.items():
+        worst = max(abs(published(float(p)) - ns99_mixed_bound(family, float(p)))
+                    for p in np.linspace(0.0, 1.0, 1001))
+        assert worst <= PUBLISHED_DEVIATION[family], (family, worst)
+
+
+def test_exact_roots():
+    # where the exact maxima cross the local bound 3
+    roots = {Family.RHO4: 0.724745, Family.RHO5: 0.729515, Family.RHO6: 0.756454,
+             Family.RHO7: 0.758422, Family.RHO8: 0.762845}
+    for family, root in roots.items():
+        crossing = _crossing(functools.partial(ns99_mixed_bound, family))
+        assert crossing == pytest.approx(root, abs=1e-6), family
+
+
+def test_bound_rho4_values():
+    assert _published_rho4(1.0) == pytest.approx(2 * np.sqrt(2) + 1)
+    assert _published_rho4(0.726) == pytest.approx(3.0035, abs=5e-4)
+    # analytic crossing of the local bound: 4p^2 + 4p - 5 = 0
+    p_star = (-1 + np.sqrt(6)) / 2
+    assert _published_rho4(p_star) == pytest.approx(3.0, abs=1e-12)
+    assert ns99_mixed_bound(Family.RHO4, p_star) == pytest.approx(3.0, abs=1e-12)
+
+
+def test_bound_rho5_values():
+    assert _published_rho5(0.729157) == pytest.approx(3.0, abs=2e-3)
+    assert _published_rho5(1.0) == pytest.approx((2 * np.sqrt(50) + 5) / 5)
+
+
 def test_bound_table2_values():
-    assert bound_table2(Family.RHO6, 0.756458) == pytest.approx(3.0, abs=1e-3)
+    assert _published_table2(Family.RHO6, 0.756458) == pytest.approx(3.0, abs=1e-3)
     # at p=1 each family is locally equivalent to GHZ
-    for fam in (Family.RHO6, Family.RHO7, Family.RHO8):
-        assert bound_table2(fam, 1.0) == pytest.approx(1 + 2 * np.sqrt(2), abs=1e-4)
-    with pytest.raises(ValueError):
-        bound_table2(Family.RHO2, 0.5)
+    for fam in NS99_MIXED_FAMILIES:
+        assert PUBLISHED_FORMS[fam](1.0) == pytest.approx(1 + 2 * np.sqrt(2), abs=1e-4)
+        assert ns99_mixed_bound(fam, 1.0) == pytest.approx(1 + 2 * np.sqrt(2), abs=1e-14)
 
 
 def test_bound_table2_local_bound_crossings():
@@ -159,16 +247,42 @@ def test_bound_table2_local_bound_crossings():
     # frozen from a bisection of the expressions (the rho8 published
     # threshold 0.75843 does not satisfy its own expression, which equals
     # 2.9846 there; the optimizer confirms the expression, not the number)
-    assert _formula_crossing(Family.RHO6) == pytest.approx(0.756454, abs=1e-5)
-    assert _formula_crossing(Family.RHO7) == pytest.approx(0.758415, abs=1e-5)
-    assert _formula_crossing(Family.RHO8) == pytest.approx(0.762841, abs=1e-5)
-    assert bound_table2(Family.RHO8, 0.75843) == pytest.approx(2.98463, abs=1e-4)
+    assert _crossing(PUBLISHED_FORMS[Family.RHO6]) == pytest.approx(0.756454, abs=1e-5)
+    assert _crossing(PUBLISHED_FORMS[Family.RHO7]) == pytest.approx(0.758415, abs=1e-5)
+    assert _crossing(PUBLISHED_FORMS[Family.RHO8]) == pytest.approx(0.762841, abs=1e-5)
+    assert _published_table2(Family.RHO8, 0.75843) == pytest.approx(2.98463, abs=1e-4)
 
 
 def test_ns99_mixed_bound_dispatch():
-    assert ns99_mixed_bound(Family.RHO4, 0.5) == bound_rho4(0.5)
-    assert ns99_mixed_bound(Family.RHO5, 0.5) == bound_rho5(0.5)
-    assert ns99_mixed_bound(Family.RHO7, 0.5) == bound_table2(Family.RHO7, 0.5)
+    for family in NS99_MIXED_FAMILIES:
+        rho = states.mixed_builder(family)(0.5)
+        assert ns99_mixed_bound(family, 0.5) == ns99_ghz_diagonal_max(rho)
+    with pytest.raises(ValueError, match="no closed-form ns99 bound"):
+        ns99_mixed_bound(Family.RHO2, 0.5)
+
+
+def test_ghz_diagonal_max_meets_the_see_saw():
+    rng = np.random.default_rng(16)
+    opts = OptimizeOptions(restarts=64, seed=1)
+    for _ in range(24):
+        rho = _random_ghz_diagonal(rng)
+        exact = ns99_ghz_diagonal_max(rho)
+        found = optimize_operator(rho, BellKind.NS99, opts).value
+        assert abs(found - exact) <= 1e-9, (found, exact)
+        assert found <= exact + 1e-12, (found, exact)
+
+
+def test_ghz_diagonal_max_inside_the_grid_bracket():
+    for p in (0.6, 0.76043, 0.762845, 0.9):
+        rho = states.mixed_builder(Family.RHO8)(p)
+        attained, upper = _ns99_ghz_diagonal_range(rho)
+        assert attained <= ns99_ghz_diagonal_max(rho) <= upper, p
+
+
+def test_ghz_diagonal_max_rejects_other_states():
+    for rho in (states.mixed_builder(Family.RHO2)(0.5), qalg.projector(states.gghz(0.3))):
+        with pytest.raises(ValueError, match="not GHZ-diagonal"):
+            ns99_ghz_diagonal_max(rho)
 
 
 def test_chsh_pure_max():
@@ -192,7 +306,7 @@ def test_bound_domain_guards():
     for fn in (bound_b1_b3, bound_b2):
         with pytest.raises(ValueError):
             fn(1.5)
-    with pytest.raises(ValueError):
-        bound_rho4(-0.1)
+    with pytest.raises(ValueError, match="p must lie in"):
+        ns99_mixed_bound(Family.RHO4, -0.1)
     with pytest.raises(ValueError):
         chsh_pure_max(2.0)

@@ -37,13 +37,12 @@ def test_bound_trivial_tau_zero(capsys):
 
 
 def test_bound_rho6_cross_checked_against_formula(capsys):
-    from tribell.bell import bound_table2
-    from tribell.states import Family
+    from test_bounds import _published_table2
 
     code, out, _ = run_cli(capsys, "bound", "--family", "rho6", "--operator", "ns99", "--p", "0.9")
     assert code == 0
     assert float(parse_kv(out)["bound"]) == pytest.approx(
-        bound_table2(Family.RHO6, 0.9), abs=1e-7
+        _published_table2(Family.RHO6, 0.9), abs=1e-7
     )
 
 
@@ -666,3 +665,37 @@ def test_state_file_density_far_from_hermitian_exits_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "not Hermitian" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+@pytest.mark.parametrize("verb", [
+    ("threshold", "--family", "rho4", "--operator", "ns99"),
+    ("tables", "--which", "1"),
+])
+def test_non_finite_tolerance_exits_2(capsys, monkeypatch, verb, tol):
+    # nan compared False against the minimum and inf skipped every halving,
+    # so both printed the bracket midpoint 0.775 after two probes
+    monkeypatch.setattr(workflows, "optimize_operator", None)
+    code, out, err = run_cli(capsys, *verb, "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert f"tolerance must be >= {workflows.MIN_BISECT_TOL}, got {tol}" in err
+
+
+def test_state_file_non_finite_amplitude_exits_2(capsys, tmp_path):
+    # a NaN amplitude passed the norm check and reached the eigensolver
+    path = tmp_path / "state.json"
+    path.write_text('{"amplitudes": [[NaN, 0.0]' + ', [0.0, 0.0]' * 6 + ', [0.7, 0.0]]}')
+    code, out, err = run_cli(capsys, "optimize", "--state", str(path), "--operator", "ns99")
+    assert code == 2
+    assert out == ""
+    assert "state file amplitudes contain non-finite entries" in err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_membership_non_finite_angle_exits_2(capsys, bad):
+    code, out, err = run_cli(capsys, "membership", "--family", "ghz", "--model", "ns2",
+                             "--angles", *["0"] * 11, bad)
+    assert code == 2
+    assert out == ""
+    assert "measurement angles must be finite" in err
