@@ -44,7 +44,6 @@ so the direct-trace ``operator_value`` reproduces them.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -124,18 +123,12 @@ class ViolationReport:
     hessian_max: float = 0.0
 
 
-@functools.lru_cache(maxsize=8)
 def _initial_points(restarts: int, dim: int, seed: int) -> np.ndarray:
-    """Seeded uniform starts, one substream per restart; cached, so shared and read-only."""
-    children = np.random.SeedSequence(seed).spawn(restarts)
-    points = np.empty((restarts, dim))
-    for i, child in enumerate(children):
-        rng = np.random.Generator(np.random.PCG64(child))
-        theta = rng.uniform(0.0, np.pi, size=dim // 2)
-        phi = rng.uniform(0.0, 2.0 * np.pi, size=dim // 2)
-        points[i, 0::2] = theta
-        points[i, 1::2] = phi
-    points.flags.writeable = False
+    """Seeded uniform (polar, azimuth) starts from one stream, drawn row by row,
+    so the first k rows do not depend on ``restarts``."""
+    points = np.random.default_rng(seed).random((restarts, dim))
+    points[:, 0::2] *= np.pi
+    points[:, 1::2] *= 2.0 * np.pi
     return points
 
 

@@ -186,6 +186,9 @@ def cmd_threshold(args) -> int:
         **_given(bracket=args.bracket and tuple(args.bracket), tol=args.tol,
                  restarts=args.restarts),
     )
+    if query.exact:
+        _reject_given(args, ("--restarts", "--seed"),
+                      f"ns99 on {query.family.value}, whose probes take the exact maximum")
     try:
         result = workflows.threshold_bisect(query)
     except workflows.NoCrossingError as exc:

@@ -69,11 +69,17 @@ class ThresholdQuery:
         if not (math.isfinite(self.tol) and self.tol >= MIN_BISECT_TOL):
             raise ValueError(f"tolerance must be >= {MIN_BISECT_TOL}, got {self.tol}")
 
+    @property
+    def exact(self) -> bool:
+        """Probes take the exact maximum, so ``seed`` and ``restarts`` go unread."""
+        return self.operator is BellKind.NS99 and self.family in NS99_MIXED_FAMILIES
+
 
 @dataclass
 class ThresholdResult:
-    """The bracket ends' probe values; a probe stops at its first certified violation,
-    so a value above the bound (always ``value_hi``) is a lower bound, not the maximum."""
+    """The bracket ends' probe values. An optimizer probe stops at its first
+    certified violation, so a value above the bound (always ``value_hi``) is a
+    lower bound, not the maximum; on an exact query both values are maxima."""
 
     p_star: float
     query: ThresholdQuery
@@ -85,12 +91,14 @@ class ThresholdResult:
 def threshold_bisect(query: ThresholdQuery) -> ThresholdResult:
     """Bisection on the mixing weight; each probe only decides a violation.
 
-    The family is affine in p, so the optimized value v(p) is a maximum of
+    The family is affine in p, so the maximal value v(p) is a maximum of
     affine functions and convex: if v(lo) <= bound < v(hi), the crossing in
-    [lo, hi] is unique. Every probe runs query.restarts starts from query.seed
-    and stops at its first certified violation, which gives a full
-    maximization's verdict. Ends that do not straddle the bound (the W
-    component can add a low-weight violation window) raise NoCrossingError.
+    [lo, hi] is unique. On an exact query (ns99 on the GHZ-diagonal families)
+    every probe is ``ns99_ghz_diagonal_max``. Otherwise every probe runs
+    query.restarts starts from query.seed and stops at its first certified
+    violation, which gives a full maximization's verdict. Ends that do not
+    straddle the bound (the W component can add a low-weight violation
+    window) raise NoCrossingError.
     """
     build = mixed_builder(query.family, query.k)
     target = CLASSICAL_BOUND[query.operator]
@@ -98,6 +106,8 @@ def threshold_bisect(query: ThresholdQuery) -> ThresholdResult:
     opts = OptimizeOptions(restarts=query.restarts, seed=query.seed, stop_above=cut)
 
     def value_at(p: float) -> float:
+        if query.exact:
+            return ns99_ghz_diagonal_max(build(p))
         return optimize_operator(build(p), query.operator, opts).value
 
     lo, hi = query.bracket
@@ -252,6 +262,8 @@ class SweepSpec:
         self.family = Family(self.family)
         if self.steps < 2:
             raise ValueError(f"sweep needs at least 2 steps, got {self.steps}")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError(f"sweep bounds must be finite, got [{self.start}, {self.stop}]")
         if not self.start < self.stop:
             raise ValueError(f"sweep requires start < stop, got [{self.start}, {self.stop}]")
         if not self.columns:

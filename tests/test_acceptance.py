@@ -243,8 +243,8 @@ def test_criterion_05_table2_thresholds_and_bounds():
         for p in np.linspace(0.0, 1.0, 10):
             opt_val = _opt(build(float(p)), BellKind.NS99).value
             worst_grid = max(worst_grid, abs(opt_val - ns99_mixed_bound(spec.family, float(p))))
-    grid_ok = worst_grid <= 2e-3
-    print(f"       closed-form vs optimizer on 10-point grids: worst diff {worst_grid:.2e} (tol 2e-3)")
+    grid_ok = worst_grid <= 1e-9
+    print(f"       closed-form vs optimizer on 10-point grids: worst diff {worst_grid:.2e} (tol 1e-9)")
 
     # rho4 Svetlichny: a step along the 6-cycle's least eigenvector leaves the
     # all-x setting upward just above 5/8, and the optimizer's settings at the

@@ -150,10 +150,19 @@ def test_nl_seed_environment_default(capsys, monkeypatch):
 def test_threshold_exit_3_when_no_crossing(capsys):
     code, _, err = run_cli(
         capsys, "threshold", "--family", "rho4", "--operator", "ns99",
-        "--bracket", "0.9", "0.99", "--tol", "1e-3", "--restarts", "8",
+        "--bracket", "0.9", "0.99", "--tol", "1e-3",
     )
     assert code == 3
     assert "error" in err
+
+
+@pytest.mark.parametrize("given", [("--restarts", "8"), ("--seed", "9")], ids=lambda given: given[0])
+def test_exact_threshold_rejects_options_it_never_reads(capsys, given):
+    code, out, err = run_cli(capsys, "threshold", "--family", "rho8", "--operator", "ns99",
+                             "--tol", "1e-3", *given)
+    assert code == 2
+    assert out == ""
+    assert f"{given[0]} cannot be combined with ns99 on rho8, whose probes take the exact maximum" in err
 
 
 def test_threshold_prints_its_keys(capsys, monkeypatch):
@@ -360,6 +369,15 @@ def test_sweep_without_optimizer_columns_rejects_options_it_never_reads(capsys, 
     assert code == 2
     assert out == ""
     assert f"{given[0]} cannot be combined with columns without ns_opt or svet_opt" in err
+
+
+@pytest.mark.parametrize("bounds", [("0.7", "inf"), ("nan", "0.8"), ("0.7", "nan")])
+def test_sweep_rejects_non_finite_bounds(capsys, bounds):
+    code, out, err = run_cli(capsys, "sweep", "--family", "rho6", "--param", "p", "--from", bounds[0],
+                             "--to", bounds[1], "--steps", "3", "--columns", "ns_bound")
+    assert code == 2
+    assert out == ""
+    assert "sweep bounds must be finite" in err
 
 
 def test_sweep_rejects_single_step(capsys):

@@ -174,14 +174,16 @@ def test_determinism_bit_identical():
     assert (r1.violated, r1.converged) == (r2.violated, r2.converged)
 
 
-def test_initial_points_cache_is_bit_identical_and_read_only():
-    for key in ((64, 12, 1), (12, 12, 99), (16, 8, 7)):
-        cached = _initial_points(*key)
-        assert _initial_points(*key) is cached
-        assert np.array_equal(cached, _initial_points.__wrapped__(*key))
-        assert not cached.flags.writeable
-        with pytest.raises(ValueError):
-            cached[0, 0] = 0.0
+def test_initial_points_are_seeded_and_prefix_stable():
+    for restarts, dim, seed in ((64, 12, 1), (12, 12, 99), (16, 8, 7)):
+        points = _initial_points(restarts, dim, seed)
+        assert np.array_equal(points, _initial_points(restarts, dim, seed))
+        assert not np.array_equal(points, _initial_points(restarts, dim, seed + 1))
+        # the first k starts do not depend on the restart count
+        assert np.array_equal(points[:5], _initial_points(5, dim, seed))
+        assert np.array_equal(_initial_points(2 * restarts, dim, seed)[:restarts], points)
+        assert np.all((points[:, 0::2] >= 0.0) & (points[:, 0::2] < np.pi))
+        assert np.all((points[:, 1::2] >= 0.0) & (points[:, 1::2] < 2.0 * np.pi))
 
 
 def test_seed_changes_restart_values():

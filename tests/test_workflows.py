@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from tribell import workflows
-from tribell.bell import CLASSICAL_BOUND, BellKind, bound_b4, optimize_operator
+from tribell.bell import (
+    CLASSICAL_BOUND,
+    NS99_MIXED_FAMILIES,
+    BellKind,
+    bound_b4,
+    optimize_operator,
+)
 from tribell.states import Family
 from tribell.workflows import SweepSpec, ThresholdQuery
 
@@ -16,7 +22,6 @@ def test_threshold_rho4_matches_analytic_crossing():
         operator=BellKind.NS99,
         bracket=(0.6, 0.9),
         tol=5e-4,
-        restarts=24,
     )
     result = workflows.threshold_bisect(query)
     assert result.p_star == pytest.approx((math.sqrt(6) - 1) / 2, abs=1e-3)
@@ -28,7 +33,6 @@ def test_threshold_no_crossing_raises():
         operator=BellKind.NS99,
         bracket=(0.9, 0.99),
         tol=1e-3,
-        restarts=8,
     )
     with pytest.raises(workflows.NoCrossingError):
         workflows.threshold_bisect(query)
@@ -93,6 +97,33 @@ def test_every_threshold_probe_runs_the_query_restarts_and_seed(monkeypatch):
     result = workflows.threshold_bisect(query)
     assert result.evaluations == len(seen) == 13
     assert [(o.restarts, o.seed) for o in seen] == [(query.restarts, query.seed)] * 13
+
+
+EXACT_ROOTS = [
+    (family, p_star) for family, _, operator, p_star in TABLE_ROOTS
+    if operator is BellKind.NS99 and family in NS99_MIXED_FAMILIES
+]
+
+
+@pytest.mark.parametrize("family, p_star", EXACT_ROOTS, ids=[f.value for f, _ in EXACT_ROOTS])
+def test_exact_threshold_is_confirmed_by_the_optimizer(family, p_star):
+    # an independent check of the exact probes: the see-saw verdict flips across p*
+    build = workflows.mixed_builder(family)
+    half = 0.5 * workflows.TABLE_TOL
+    below = optimize_operator(build(p_star - half), BellKind.NS99)
+    above = optimize_operator(build(p_star + half), BellKind.NS99)
+    assert (below.violated, above.violated) == (False, True)
+
+
+@pytest.mark.parametrize("family", NS99_MIXED_FAMILIES)
+def test_exact_threshold_runs_no_optimizer(monkeypatch, family):
+    def refuse(*args):
+        raise AssertionError("an exact query ran the optimizer")
+
+    monkeypatch.setattr(workflows, "optimize_operator", refuse)
+    query = ThresholdQuery(family=family, operator=BellKind.NS99, tol=workflows.TABLE_TOL)
+    assert query.exact
+    assert workflows.threshold_bisect(query).evaluations == 13
 
 
 @pytest.mark.parametrize("operator", [BellKind.NS99, BellKind.SVETLICHNY])
