@@ -1,16 +1,21 @@
 """Entanglement and quantum-correlation measures.
 
 Wootters concurrence for two-qubit states, the three-tangle for pure
-three-qubit states, two-qubit quantum discord by explicit minimization over
-rank-1 projective measurements, and the discord monogamy score
+three-qubit states, two-qubit quantum discord over rank-1 projective
+measurements, and the discord monogamy score
 delta_D = D(A:BC) - D(AB) - D(AC) with qubit A as the nodal observer.
 
-The discord works on the state's Pauli expansion (``qalg.pauli_tensor``),
-where the states left by a measurement along n have closed-form spectra: a
-grid, then a zoom refinement, each level one batched real-arithmetic call
-over many axes. The closed-form monogamy scores and X-state discord are
-differences of binary entropies and are evaluated through
-``binary_entropy``.
+The discord of a state of rank at most 2 is exact: purified by one qubit C,
+the best measurement on the measured qubit leaves the unmeasured qubit U
+with average entropy E_F(rho_UC) (Koashi & Winter, PRA 69, 022309 (2004)),
+which Wootters' concurrence gives in closed form (PRL 80, 2245 (1998)).
+Every two-qubit marginal of a pure three-qubit state has rank at most 2,
+so the monogamy score runs no minimization. States of rank 3 and 4 are
+minimized on their Pauli expansion (``qalg.pauli_tensor``), where the states
+left by a measurement along n have closed-form spectra: a grid, then a zoom
+refinement, each level one batched real-arithmetic call over many axes.
+The closed-form monogamy scores and X-state discord are differences of
+binary entropies and are evaluated through ``binary_entropy``.
 
 All entropies and discords are in bits.
 """
@@ -127,12 +132,30 @@ def _conditional_entropy_batch(
         return np.sum(np.where(p > 1e-14, ent + p * np.log2(p), 0.0), axis=0)
 
 
+def _weight_entropy(x: float) -> float:
+    """h(x) of the smaller weight x of a qubit spectrum; x <= EIG_CLAMP counts as 0.
+
+    The conditional-entropy kernel drops eigenvalues at or below
+    ``qalg.EIG_CLAMP`` the same way; with it a pure product state has a
+    discord of exactly 0, not a rounding residue.
+    """
+    return binary_entropy(x) if x > qalg.EIG_CLAMP else 0.0
+
+
 def discord_numeric(rho: np.ndarray, measured: int = 1) -> float:
     """Quantum discord D(A|B) of a two-qubit state, rank-1 projective measurements.
 
-    ``rho`` must be 4x4. ``measured`` selects the measured qubit (0 or 1).
-    D = I - J = S(B) - S(AB) + min over axes of sum_i p_i S(rho_{A|i}),
-    minimized on a theta x phi grid followed by a batched zoom refinement.
+    ``rho`` must be 4x4. ``measured`` selects the measured qubit B (0 or 1).
+    D = I - J = S(B) - S(AB) + min over axes of sum_i p_i S(rho_{A|i}).
+
+    Rank at most 2 (the two smallest eigenvalues sum to at most
+    ``qalg.EIG_CLAMP``) is exact: purified by a qubit C from its top two
+    eigenpairs, rho has min sum_i p_i S(rho_{A|i}) = E_F(rho_AC) (Koashi &
+    Winter), and E_F follows from Wootters' concurrence. That minimum is over
+    all POVMs, so it bounds the projective one from below; on every rank-2
+    input tested the two agree to the minimization's precision. Rank 3 and 4
+    are minimized on a theta x phi grid followed by a batched zoom
+    refinement, which is why the function keeps its name.
     """
     rho = qalg.check_density_matrix(rho)
     if rho.shape != (4, 4):
@@ -145,11 +168,27 @@ def discord_numeric(rho: np.ndarray, measured: int = 1) -> float:
     if measured == 0:
         r = r.T
     a, b, t = r[1:, 0], r[0, 1:], r[1:, 1:]
+    # The measured qubit's spectrum is (1 +- |b|)/2.
+    s_b = _weight_entropy((1.0 - min(float(np.linalg.norm(b)), 1.0)) / 2.0)
+
+    evals, vecs = np.linalg.eigh(rho)
+    if evals[0] + evals[1] <= qalg.EIG_CLAMP:
+        kept = np.maximum(evals[2:], 0.0)
+        kept /= np.sum(kept)
+        s_ab = _weight_entropy(kept[0])
+        # psi[u, m, c] with u the unmeasured qubit, m the measured one and c
+        # the purifying qubit; measuring m leaves an ensemble of rho_uc.
+        psi = (vecs[:, 2:] * np.sqrt(kept)).reshape(2, 2, 2)
+        if measured == 0:
+            psi = psi.transpose(1, 0, 2)
+        rho_uc = np.einsum("umc,vmd->ucvd", psi, psi.conj()).reshape(4, 4)
+        # E_F = h((1 + sqrt(1 - C^2))/2), through the small weight
+        # C^2 / (2 (1 + sqrt(1 - C^2))), which keeps its precision.
+        c = concurrence(rho_uc)
+        e_f = _weight_entropy(c * c / (2.0 * (1.0 + math.sqrt(max(1.0 - c * c, 0.0)))))
+        return s_b - s_ab + e_f
 
     s_ab = qalg.von_neumann_entropy(rho)
-    # The measured qubit's spectrum is (1 +- |b|)/2.
-    s_b = binary_entropy((1.0 + min(float(np.linalg.norm(b)), 1.0)) / 2.0)
-
     thetas = np.linspace(0.0, math.pi, THETA_GRID)
     phis = np.linspace(0.0, 2.0 * math.pi, PHI_GRID, endpoint=False)
     tg, pg = (g.ravel() for g in np.meshgrid(thetas, phis, indexing="ij"))
@@ -192,7 +231,9 @@ def discord_monogamy_score(psi: np.ndarray) -> MonogamyScore:
 
     Qubit A (qubit 1) is the nodal observer: D(A:BC) is the discord of the
     pure A:BC split, which equals S(rho_A), and the pairwise discords are
-    computed with the rank-1 measurement on the shared qubit A.
+    computed with the rank-1 measurement on the shared qubit A. Both pair
+    marginals of a pure state have rank at most 2, so both ``discord_numeric``
+    calls take its exact route and no minimization runs.
     """
     psi = qalg.check_state_vector(psi)
     if psi.shape[0] != 8:

@@ -291,7 +291,7 @@ def test_criterion_05_table2_thresholds_and_bounds():
 
 
 def test_criterion_06_discord_pipeline():
-    """Numeric monogamy score vs closed forms to 1e-5; classical marginals."""
+    """Monogamy score vs closed forms to 1e-12; classical marginals."""
     worst_gghz = 0.0
     for eta in np.linspace(0.0, math.pi / 4, 20):
         eta = float(eta)
@@ -312,16 +312,16 @@ def test_criterion_06_discord_pipeline():
         for keep in ([1, 2], [1, 3]):
             marg = qalg.partial_trace(rho, keep=keep)
             worst_marginal = max(worst_marginal, abs(entangle.discord_numeric(marg)))
-    ok = worst_gghz <= 1e-5 and worst_s <= 1e-5 and worst_marginal <= 1e-8
+    ok = worst_gghz <= 1e-12 and worst_s <= 1e-12 and worst_marginal <= 1e-12
     _report(
         "A06",
         ok,
-        f"delta_D vs closed forms: gghz {worst_gghz:.2e}, subclass S {worst_s:.2e} (tol 1e-5); "
-        f"gghz marginal discord {worst_marginal:.2e} (tol 1e-8)",
+        f"delta_D vs closed forms: gghz {worst_gghz:.2e}, subclass S {worst_s:.2e} (tol 1e-12); "
+        f"gghz marginal discord {worst_marginal:.2e} (tol 1e-12)",
     )
-    assert worst_gghz <= 1e-5
-    assert worst_s <= 1e-5
-    assert worst_marginal <= 1e-8
+    assert worst_gghz <= 1e-12
+    assert worst_s <= 1e-12
+    assert worst_marginal <= 1e-12
 
 
 def test_criterion_07_visibility_thresholds():

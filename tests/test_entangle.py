@@ -89,7 +89,7 @@ def test_three_tangle_symmetric_matches_state_tangle():
 def test_discord_gghz_marginals_vanish():
     for eta in (0.2, 0.6, np.pi / 4):
         rho_ab = qalg.partial_trace(qalg.projector(states.gghz(eta)), keep=[1, 2])
-        assert abs(entangle.discord_numeric(rho_ab)) <= 1e-8
+        assert abs(entangle.discord_numeric(rho_ab)) <= 1e-12
 
 
 def test_discord_pure_state_equals_marginal_entropy(rng):
@@ -98,7 +98,7 @@ def test_discord_pure_state_equals_marginal_entropy(rng):
         rho = qalg.projector(psi)
         d = entangle.discord_numeric(rho, measured=1)
         s_a = qalg.von_neumann_entropy(qalg.partial_trace(rho, keep=[1]))
-        assert d == pytest.approx(s_a, abs=1e-7)
+        assert d == pytest.approx(s_a, abs=1e-12)
 
 
 def test_discord_xstate_closed_form(rng):
@@ -111,7 +111,7 @@ def test_discord_xstate_closed_form(rng):
         )
         numeric = entangle.discord_numeric(rho_ab, measured=1)
         closed = entangle.xstate_discord_subclass_s(l0, l3)
-        assert numeric == pytest.approx(closed, abs=1e-6)
+        assert numeric == pytest.approx(closed, abs=1e-12)
 
 
 def test_discord_nonnegative_random(rng):
@@ -214,19 +214,94 @@ def _former_discord_numeric(rho, measured):
 
 
 def test_discord_matches_former_partial_trace_path(rng):
-    product = np.zeros((4, 4), dtype=complex)
-    product[0, 0] = 1.0
-    rhos = [product, np.eye(4, dtype=complex) / 4]
-    rhos += [random_density_matrix(rng, dim=4, rank=r) for r in (1, 2, 3, 4) for _ in range(3)]
-    rhos += [
-        qalg.partial_trace(qalg.projector(random_pure_state(rng)), keep=keep)
-        for keep in ([1, 2], [1, 3], [2, 3])
-    ]
+    # Inputs of rank 3 and 4 still run the minimization.
+    rhos = [np.eye(4, dtype=complex) / 4]
+    rhos += [random_density_matrix(rng, dim=4, rank=r) for r in (3, 4) for _ in range(3)]
     for rho in rhos:
         for measured in (0, 1):
             assert entangle.discord_numeric(rho, measured) == pytest.approx(
                 _former_discord_numeric(rho, measured), abs=1e-12
             )
+
+
+def test_rank_two_discord_meets_the_former_minimization(rng):
+    # Koashi & Winter minimize over every POVM, so the exact value is a lower
+    # bound of the projective minimum; the minimization meets it to within
+    # its step and the kernel's EIG_CLAMP cut (|00><00| read -3.3e-9).
+    product = np.zeros((4, 4), dtype=complex)
+    product[0, 0] = 1.0
+    rhos = [product]
+    rhos += [random_density_matrix(rng, dim=4, rank=r) for r in (1, 2) for _ in range(4)]
+    rhos += [
+        qalg.partial_trace(qalg.projector(random_pure_state(rng)), keep=keep)
+        for _ in range(3)
+        for keep in ([1, 2], [1, 3], [2, 3])
+    ]
+    for rho in rhos:
+        for measured in (0, 1):
+            exact = entangle.discord_numeric(rho, measured)
+            assert abs(exact - _former_discord_numeric(rho, measured)) <= 1e-8
+
+
+def test_rank_two_product_and_classical_discord_is_exact(rng):
+    ket = {"0": np.array([1, 0]), "1": np.array([0, 1])}
+    ket["+"] = np.array([1, 1]) / np.sqrt(2)
+    ket["i"] = np.array([1, 1j]) / np.sqrt(2)
+    ket["-i"] = np.array([1, -1j]) / np.sqrt(2)
+
+    def pair(u, m):
+        return qalg.projector(np.kron(ket[u], ket[m]))
+
+    zero = [pair("0", "0"), pair("+", "i"), pair("-i", "1")]
+    zero += [0.3 * pair("0", "1") + 0.7 * pair("1", "0"), (pair("0", "0") + pair("1", "1")) / 2]
+    for rho in zero:
+        for measured in (0, 1):
+            assert entangle.discord_numeric(rho, measured) == 0.0
+    bell = qalg.projector(np.array([1, 0, 0, 1]) / np.sqrt(2))
+    assert entangle.discord_numeric(bell, 0) == 1.0
+    assert entangle.discord_numeric(bell, 1) == 1.0
+
+    # In random bases a pure product stays exactly 0. A mixed one is 0 to
+    # rounding: S(B) and S(AB) are then equal weights reached by different
+    # roundings.
+    for _ in range(20):
+        u, m = (random_pure_state(rng, dim=2) for _ in range(2))
+        u_perp, m_perp = (np.array([-v[1].conj(), v[0].conj()]) for v in (u, m))
+        p = rng.uniform()
+        mixed_m = p * qalg.projector(m) + (1 - p) * qalg.projector(m_perp)
+        rhos = [
+            qalg.projector(np.kron(u, m)),
+            np.kron(qalg.projector(u), mixed_m),
+            p * qalg.projector(np.kron(u, m)) + (1 - p) * qalg.projector(np.kron(u_perp, m_perp)),
+        ]
+        for measured in (0, 1):
+            assert entangle.discord_numeric(rhos[0], measured) == 0.0
+            for rho in rhos[1:]:
+                assert abs(entangle.discord_numeric(rho, measured)) <= 1e-14
+
+
+def test_rank_three_discord_just_above_the_cut_is_minimized(rng, monkeypatch):
+    calls = []
+    kernel = entangle._conditional_entropy_batch
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(entangle, "_conditional_entropy_batch", counted)
+    for _ in range(3):
+        evals, vecs = np.linalg.eigh(random_density_matrix(rng, dim=4))
+        rank2 = (vecs[:, 2:] * (evals[2:] / evals[2:].sum())) @ vecs[:, 2:].conj().T
+        for eps, numeric in ((0.5 * qalg.EIG_CLAMP, False), (2.0 * qalg.EIG_CLAMP, True)):
+            rho = (1.0 - eps) * rank2 + eps * qalg.projector(vecs[:, 1])
+            for measured in (0, 1):
+                calls.clear()
+                exact = entangle.discord_numeric(rank2, measured)
+                assert not calls
+                got = entangle.discord_numeric(rho, measured)
+                assert bool(calls) is numeric
+                # Moving weight eps moves each entropy by O(eps log 1/eps).
+                assert abs(got - exact) <= 10.0 * eps * np.log2(1.0 / eps)
 
 
 def test_discord_pure_marginals_match_koashi_winter(rng):
@@ -243,27 +318,43 @@ def test_discord_pure_marginals_match_koashi_winter(rng):
         e_f = entangle.binary_entropy((1.0 + np.sqrt(max(1.0 - c * c, 0.0))) / 2.0)
         d_ab = entangle.discord_numeric(qalg.partial_trace(rho, keep=[1, 2]), measured=0)
         d_ac = entangle.discord_numeric(qalg.partial_trace(rho, keep=[1, 3]), measured=0)
-        assert d_ab == pytest.approx(s_a - s_c + e_f, abs=1e-8)
-        assert d_ac == pytest.approx(s_a - s_b + e_f, abs=1e-8)
+        assert d_ab == pytest.approx(s_a - s_c + e_f, abs=1e-12)
+        assert d_ac == pytest.approx(s_a - s_b + e_f, abs=1e-12)
 
 
 def test_monogamy_score_known_points():
     assert entangle.discord_monogamy_score(states.gghz(np.pi / 4)).delta_d == pytest.approx(
-        1.0, abs=1e-8
+        1.0, abs=1e-12
     )
     assert entangle.discord_monogamy_score(states.gghz(0.0)).delta_d == pytest.approx(
-        0.0, abs=1e-8
+        0.0, abs=1e-12
     )
     r = 1 / np.sqrt(2)
     psi = states.extended_ghz(r, 0.0, r)
-    assert entangle.discord_monogamy_score(psi).delta_d == pytest.approx(1.0, abs=1e-8)
+    assert entangle.discord_monogamy_score(psi).delta_d == pytest.approx(1.0, abs=1e-12)
+
+
+def test_monogamy_score_of_pure_states_runs_no_minimization(rng, monkeypatch):
+    def no_minimization(*args):
+        raise AssertionError("a rank-2 marginal ran the minimization")
+
+    monkeypatch.setattr(entangle, "_conditional_entropy_batch", no_minimization)
+    for eta in (0.0, 0.3, np.pi / 4):
+        score = entangle.discord_monogamy_score(states.gghz(eta))
+        assert abs(score.delta_d - entangle.delta_d_gghz(eta)) <= 1e-12
+    for l0, l3, l4 in ((0.6, 0.5, np.sqrt(0.39)), (0.8, 0.0, 0.6), (1.0, 0.0, 0.0)):
+        score = entangle.discord_monogamy_score(states.extended_ghz(l0, l3, l4))
+        tau = 4 * l0 * l0 * l4 * l4
+        assert abs(score.delta_d - entangle.delta_d_subclass_s(tau)) <= 1e-12
+    for _ in range(10):
+        entangle.discord_monogamy_score(random_pure_state(rng))
 
 
 def test_monogamy_score_matches_gghz_closed_form(rng):
     for eta in rng.uniform(0.05, np.pi / 4, size=5):
         eta = float(eta)
         score = entangle.discord_monogamy_score(states.gghz(eta))
-        assert score.delta_d == pytest.approx(entangle.delta_d_gghz(eta), abs=1e-6)
+        assert score.delta_d == pytest.approx(entangle.delta_d_gghz(eta), abs=1e-12)
 
 
 def test_delta_d_gghz_values():
@@ -288,7 +379,7 @@ def test_monogamy_components_structure():
     assert score.delta_d == pytest.approx(
         score.d_a_bc - score.d_ab - score.d_ac, abs=1e-15
     )
-    assert score.d_ac == pytest.approx(0.0, abs=1e-8)
+    assert score.d_ac == pytest.approx(0.0, abs=1e-12)
 
 
 # The closed forms written out term by term, as they were before the module
