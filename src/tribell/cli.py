@@ -314,17 +314,16 @@ def cmd_channel(args) -> int:
             raise ValueError("--alpha would mix only the Kraus input; drop it or --closed-form")
     rho = _state_from_args(args)
     spec = channels.ChannelSpec(channels.ChannelKind(args.kind), tuple(args.strengths))
-    noisy = {"kraus": channels.apply_channel_spec(rho, spec)}
-    if args.closed_form:
-        dep = spec.kind is channels.ChannelKind.DEPOLARIZE
-        build = channels.closed_form_depolarized_gghz if dep else channels.closed_form_damped_gghz
-        noisy["closed_form"] = build(args.eta, *spec.strengths)
     opts = OptimizeOptions(seed=_seed(args), **_given(restarts=args.restarts))
+    eta = args.eta if args.closed_form else None
     pairs = {"kind": spec.kind.value, "strengths": list(spec.strengths)}
-    for model, state in noisy.items():
-        for report in workflows.optimize_ns99_svetlichny(state, opts):
-            pairs[f"{model}_{report.operator.value}"] = report.value
-            pairs[f"{model}_{report.operator.value}_violated"] = report.violated
+    for v in workflows.channel_verdicts(rho, spec, opts, closed_form_eta=eta):
+        pairs.update({
+            f"{v.model}_ns99": v.ns99_value,
+            f"{v.model}_ns99_violated": v.ns99_violated,
+            f"{v.model}_svetlichny": v.svetlichny_value,
+            f"{v.model}_svetlichny_violated": v.svetlichny_violated,
+        })
     _emit(pairs, args.json)
     return EXIT_OK
 

@@ -9,11 +9,14 @@ The discord of a state of rank at most 2 is exact: purified by one qubit C,
 the best measurement on the measured qubit leaves the unmeasured qubit U
 with average entropy E_F(rho_UC) (Koashi & Winter, PRA 69, 022309 (2004)),
 which Wootters' concurrence gives in closed form (PRL 80, 2245 (1998)).
-Every two-qubit marginal of a pure three-qubit state has rank at most 2,
-so the monogamy score runs no minimization. States of rank 3 and 4 are
-minimized on their Pauli expansion (``qalg.pauli_tensor``), where the states
-left by a measurement along n have closed-form spectra: a grid, then a zoom
-refinement, each level one batched real-arithmetic call over many axes.
+The concurrence kernel takes the purification's two vectors as they are,
+without forming rho_UC. Every two-qubit marginal of a pure three-qubit
+state has rank at most 2, so the monogamy score runs no minimization.
+States of rank 3 and 4 are minimized on their Pauli expansion
+(``qalg.pauli_tensor``), where the states left by a measurement along n
+have closed-form spectra: a grid, then a zoom refinement, each level one
+batched real-arithmetic call over many axes. Those calls keep every
+positive eigenvalue, so rounding leaves no negative bias in the minimum.
 The closed-form monogamy scores and X-state discord are differences of
 binary entropies and are evaluated through ``binary_entropy``.
 
@@ -53,23 +56,26 @@ def binary_entropy(x: float) -> float:
     return out
 
 
-def concurrence(rho: np.ndarray) -> float:
-    """Wootters concurrence of a two-qubit density matrix.
+def _wootters(phi: np.ndarray) -> float:
+    """Wootters concurrence of rho = phi phi^dagger, phi of shape (4, r).
 
-    C = max(0, sqrt(m1) - sqrt(m2) - sqrt(m3) - sqrt(m4)) with m_i the
-    descending eigenvalues of rho (Y x Y) rho* (Y x Y). The square roots
-    are evaluated as the singular values of sqrt(rho) (Y x Y) sqrt(rho)*,
-    which is numerically stable.
+    C = max(0, s1 - s2 - s3 - s4) with s_i the descending square roots of
+    the eigenvalues of rho (Y x Y) rho* (Y x Y), taken as the singular values
+    of the r x r matrix phi^T (Y x Y) phi (zero past r), which is
+    numerically stable.
     """
+    s = np.linalg.svd(phi.T @ _SIGMA_YY @ phi, compute_uv=False)
+    return float(max(0.0, s[0] - np.sum(s[1:])))
+
+
+def concurrence(rho: np.ndarray) -> float:
+    """Wootters concurrence of a two-qubit density matrix, through ``_wootters``
+    on its eigenvectors scaled by the square roots of their eigenvalues."""
     rho = qalg.check_density_matrix(rho, name="rho")
     if rho.shape[0] != 4:
         raise ValueError(f"concurrence expects a 4x4 matrix, got {rho.shape}")
     evals, vecs = np.linalg.eigh(rho)
-    root = np.sqrt(np.maximum(evals, 0.0))
-    sqrt_rho = (vecs * root) @ vecs.conj().T
-    m = sqrt_rho @ _SIGMA_YY @ sqrt_rho.conj()
-    roots = np.sort(np.linalg.svd(m, compute_uv=False))[::-1]
-    return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
+    return _wootters(vecs * np.sqrt(np.maximum(evals, 0.0)))
 
 
 def three_tangle_pure(psi: np.ndarray) -> float:
@@ -126,7 +132,7 @@ def _conditional_entropy_batch(
     radius = np.linalg.norm(a + sign[..., None] * (n @ t.T), axis=-1)
     evals = np.stack([0.5 * p + 0.25 * radius, 0.5 * p - 0.25 * radius])
     with np.errstate(divide="ignore", invalid="ignore"):
-        ent = -np.sum(np.where(evals > qalg.EIG_CLAMP, evals * np.log2(evals), 0.0), axis=0)
+        ent = -np.sum(np.where(evals > 0.0, evals * np.log2(evals), 0.0), axis=0)
         # S(rho_{A|i}) needs the normalized block; entropy of block/p is
         # ent/p + log2(p), and it enters weighted by p.
         return np.sum(np.where(p > 1e-14, ent + p * np.log2(p), 0.0), axis=0)
@@ -135,9 +141,8 @@ def _conditional_entropy_batch(
 def _weight_entropy(x: float) -> float:
     """h(x) of the smaller weight x of a qubit spectrum; x <= EIG_CLAMP counts as 0.
 
-    The conditional-entropy kernel drops eigenvalues at or below
-    ``qalg.EIG_CLAMP`` the same way; with it a pure product state has a
-    discord of exactly 0, not a rounding residue.
+    With the cut a pure product state has a discord of exactly 0, not a
+    rounding residue.
     """
     return binary_entropy(x) if x > qalg.EIG_CLAMP else 0.0
 
@@ -181,10 +186,10 @@ def discord_numeric(rho: np.ndarray, measured: int = 1) -> float:
         psi = (vecs[:, 2:] * np.sqrt(kept)).reshape(2, 2, 2)
         if measured == 0:
             psi = psi.transpose(1, 0, 2)
-        rho_uc = np.einsum("umc,vmd->ucvd", psi, psi.conj()).reshape(4, 4)
+        # rho_uc = phi phi^dagger with phi[(u, c), m] = psi[u, m, c].
         # E_F = h((1 + sqrt(1 - C^2))/2), through the small weight
         # C^2 / (2 (1 + sqrt(1 - C^2))), which keeps its precision.
-        c = concurrence(rho_uc)
+        c = _wootters(psi.transpose(0, 2, 1).reshape(4, 2))
         e_f = _weight_entropy(c * c / (2.0 * (1.0 + math.sqrt(max(1.0 - c * c, 0.0)))))
         return s_b - s_ab + e_f
 

@@ -25,11 +25,11 @@ has 192 columns and 64 + 36 rows. Its solution is split back into weights
 on the S2 vertices, so every witness is a vertex decomposition.
 
 Each LP is decided by a self-contained phase-1 revised simplex with Bland's
-rule. Only the basis inverse is updated per pivot; columns are priced in
-chunks of the cached constraint matrix, stopping at the first chunk that
-holds an improving column, which is the one Bland's rule picks. At an
-"outside" verdict the final duals form a Farkas certificate: a linear
-inequality that every vertex satisfies and the behavior violates.
+rule. Only the basis inverse is updated per pivot. Every column of the
+cached constraint matrix (at most 288, for NS2) is priced in one product,
+and the first improving one enters. At an "outside" verdict the final
+duals form a Farkas certificate: a linear inequality that every vertex
+satisfies and the behavior violates.
 """
 
 from __future__ import annotations
@@ -50,9 +50,6 @@ BEHAVIOR_SHAPE = (2, 2, 2, 2, 2, 2)  # indices (a, b, c, x, y, z)
 NORMALIZATION_ATOL = 1e-10
 POSITIVITY_ATOL = 1e-12
 MEMBERSHIP_ATOL = 1e-8
-# Columns priced per block: small enough that an early improving column is
-# found after reading little of the matrix, large enough to amortize a call.
-PRICING_CHUNK = 128
 
 
 class HybridKind(str, enum.Enum):
@@ -268,16 +265,6 @@ def enumerate_vertices(kind: HybridKind) -> np.ndarray:
 # Phase-1 revised simplex feasibility
 
 
-def _entering_column(at: np.ndarray, y: np.ndarray, eps: float) -> int | None:
-    """Smallest index j with reduced cost -y.A_j < -eps, pricing chunk by chunk."""
-    for lo in range(0, at.shape[0], PRICING_CHUNK):
-        improving = at[lo : lo + PRICING_CHUNK] @ y > eps
-        first = int(improving.argmax())
-        if improving[first]:
-            return lo + first
-    return None
-
-
 def _phase1_simplex(at: np.ndarray, b: np.ndarray, max_iter: int = 50000):
     """Minimize the sum of artificials for A w = b, w >= 0 (Bland's rule).
 
@@ -302,8 +289,8 @@ def _phase1_simplex(at: np.ndarray, b: np.ndarray, max_iter: int = 50000):
 
     for iteration in range(max_iter):
         y = cost @ binv
-        j = _entering_column(at, y, eps)
-        if j is None:
+        improving = at @ y > eps
+        if not improving.any():
             entering_artificials = np.flatnonzero(1.0 - sign * y < -eps)
             if entering_artificials.size == 0:
                 structural = basis < n
@@ -314,6 +301,7 @@ def _phase1_simplex(at: np.ndarray, b: np.ndarray, max_iter: int = 50000):
             j = n + k
             col = sign[k] * binv[:, k]
         else:
+            j = int(improving.argmax())  # Bland: the first improving column
             col = binv @ at[j]
         positive = col > eps
         if not positive.any():

@@ -2,8 +2,9 @@
 
 Threshold bisection over mixing weights, parameter sweeps emitting figure
 data, side-by-side reproduction of the published threshold tables, white
-noise visibility confirmation, and the per-model evaluation of the four
-published noisy-state detection examples.
+noise visibility confirmation, and the noisy-state verdicts (Kraus model
+and published closed form) shared by ``tribell channel`` and the four
+published detection examples.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .bell import (
     CLASSICAL_BOUND,
     NS99_MIXED_FAMILIES,
     OptimizeOptions,
-    ViolationReport,
     bound_b4,
     bound_b5,
     ns99_ghz_diagonal_max,
@@ -436,75 +436,64 @@ class ChannelExampleVerdict:
         return self.ns99_violated and not self.svetlichny_violated
 
 
-def optimize_ns99_svetlichny(
-    rho: np.ndarray, opts: OptimizeOptions
-) -> tuple[ViolationReport, ViolationReport]:
-    """The per-model step of the channel examples: NS99, then Svetlichny, on one state."""
-    return tuple(optimize_operator(rho, op, opts) for op in (BellKind.NS99, BellKind.SVETLICHNY))
+# The published closed form of each channel, a function of (eta, s1, s2, s3).
+_CLOSED_FORMS = {
+    channels.ChannelKind.DEPOLARIZE: channels.closed_form_depolarized_gghz,
+    channels.ChannelKind.AMPLITUDE_DAMP: channels.closed_form_damped_gghz,
+}
 
 
-def _example_states() -> list[tuple[str, np.ndarray, np.ndarray | None]]:
-    """(label, kraus-model state, closed-form-model state or None) per example."""
-    eta1 = 0.69
-    spec_dep = channels.ChannelSpec(channels.ChannelKind.DEPOLARIZE, (0.8, 0.7, 0.6))
-    gghz_pure = qalg.projector(states.gghz(eta1))
-    ms_pure = qalg.projector(states.ms(eta1))
-
-    psi3 = states.pure_state([0.995, 0, 0, 0, 0, 0, 0, 0.099], normalize=True)
-    eta3 = math.atan2(0.099, 0.995)
-    spec_damp3 = channels.ChannelSpec(channels.ChannelKind.AMPLITUDE_DAMP, (0.1, 0.08, 0.09))
-
-    amps4 = np.zeros(8)
-    amps4[0], amps4[6], amps4[7] = 1.0, 0.955, 0.296
-    psi4 = states.pure_state(amps4, normalize=True)
-    spec_damp4 = channels.ChannelSpec(channels.ChannelKind.AMPLITUDE_DAMP, (0.33, 0.15, 0.09))
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", channels.HermitizedClosedFormWarning)
-        damped_closed = channels.closed_form_damped_gghz(eta3, 0.1, 0.08, 0.09)
-    return [
-        (
-            "depolarized gghz(0.69), p=(0.8,0.7,0.6)",
-            channels.apply_channel_spec(gghz_pure, spec_dep),
-            channels.closed_form_depolarized_gghz(eta1, 0.8, 0.7, 0.6),
-        ),
-        (
-            "depolarized ms(0.69), p=(0.8,0.7,0.6)",
-            channels.apply_channel_spec(ms_pure, spec_dep),
-            None,
-        ),
-        (
-            "damped 0.995|000>+0.099|111>, g=(0.1,0.08,0.09)",
-            channels.apply_channel_spec(qalg.projector(psi3), spec_damp3),
-            damped_closed,
-        ),
-        (
-            "damped ms-type (1,0.955,0.296)/sqrt2, g=(0.33,0.15,0.09)",
-            channels.apply_channel_spec(qalg.projector(psi4), spec_damp4),
-            None,
-        ),
-    ]
+def channel_verdicts(
+    rho: np.ndarray,
+    spec: channels.ChannelSpec,
+    opts: OptimizeOptions,
+    closed_form_eta: float | None = None,
+    example: str = "",
+) -> list[ChannelExampleVerdict]:
+    """NS99 and Svetlichny on ``rho`` under ``spec``'s Kraus map, then on the
+    published closed form of GGHZ(closed_form_eta) under ``spec`` if an angle
+    is given. Verdicts come in that model order; the damped closed form warns
+    ``HermitizedClosedFormWarning``."""
+    noisy = {"kraus": channels.apply_channel_spec(rho, spec)}
+    if closed_form_eta is not None:
+        noisy["closed_form"] = _CLOSED_FORMS[spec.kind](closed_form_eta, *spec.strengths)
+    verdicts = []
+    for model, state in noisy.items():
+        ns = optimize_operator(state, BellKind.NS99, opts)
+        sv = optimize_operator(state, BellKind.SVETLICHNY, opts)
+        verdicts.append(
+            ChannelExampleVerdict(example, model, ns.value, ns.violated, sv.value, sv.violated)
+        )
+    return verdicts
 
 
 def channel_example_report(
     seed: int = DEFAULT_SEED, restarts: int = DEFAULT_RESTARTS
 ) -> list[ChannelExampleVerdict]:
     """Evaluate the four published noisy-state examples under each model."""
+    dep = channels.ChannelSpec(channels.ChannelKind.DEPOLARIZE, (0.8, 0.7, 0.6))
+    damp = channels.ChannelKind.AMPLITUDE_DAMP
+    # (label, pure state, channel, closed-form eta or None)
+    examples = (
+        ("depolarized gghz(0.69), p=(0.8,0.7,0.6)", states.gghz(0.69), dep, 0.69),
+        ("depolarized ms(0.69), p=(0.8,0.7,0.6)", states.ms(0.69), dep, None),
+        (
+            "damped 0.995|000>+0.099|111>, g=(0.1,0.08,0.09)",
+            states.pure_state([0.995, 0, 0, 0, 0, 0, 0, 0.099], normalize=True),
+            channels.ChannelSpec(damp, (0.1, 0.08, 0.09)),
+            math.atan2(0.099, 0.995),
+        ),
+        (
+            "damped ms-type (1,0.955,0.296)/sqrt2, g=(0.33,0.15,0.09)",
+            states.pure_state([1.0, 0, 0, 0, 0, 0, 0.955, 0.296], normalize=True),
+            channels.ChannelSpec(damp, (0.33, 0.15, 0.09)),
+            None,
+        ),
+    )
     opts = OptimizeOptions(restarts=restarts, seed=seed)
     verdicts = []
-    for label, kraus_state, closed_state in _example_states():
-        for model, rho in (("kraus", kraus_state), ("closed_form", closed_state)):
-            if rho is None:
-                continue
-            ns, sv = optimize_ns99_svetlichny(rho, opts)
-            verdicts.append(
-                ChannelExampleVerdict(
-                    example=label,
-                    model=model,
-                    ns99_value=ns.value,
-                    ns99_violated=ns.violated,
-                    svetlichny_value=sv.value,
-                    svetlichny_violated=sv.violated,
-                )
-            )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", channels.HermitizedClosedFormWarning)
+        for label, psi, spec, eta in examples:
+            verdicts += channel_verdicts(qalg.projector(psi), spec, opts, eta, example=label)
     return verdicts

@@ -420,6 +420,14 @@ def test_membership_requires_scenario(capsys):
     assert code == 2
 
 
+CHANNEL_BOTH_MODEL_KEYS = ["kind", "strengths"] + [
+    f"{model}_{op}{suffix}"
+    for model in ("kraus", "closed_form")
+    for op in ("ns99", "svetlichny")
+    for suffix in ("", "_violated")
+]
+
+
 def test_channel_command_both_models(capsys):
     from tribell.channels import HermitizedClosedFormWarning
 
@@ -430,16 +438,27 @@ def test_channel_command_both_models(capsys):
         )
     assert code == 0
     pairs = parse_kv(out)
-    assert list(pairs) == ["kind", "strengths"] + [
-        f"{model}_{op}{suffix}"
-        for model in ("kraus", "closed_form")
-        for op in ("ns99", "svetlichny")
-        for suffix in ("", "_violated")
-    ]
+    assert list(pairs) == CHANNEL_BOTH_MODEL_KEYS
     assert pairs["kraus_ns99_violated"] == "true"
     assert pairs["kraus_svetlichny_violated"] == "false"
     assert pairs["closed_form_ns99_violated"] == "true"
     assert pairs["closed_form_svetlichny_violated"] == "false"
+
+
+def test_channel_command_depolarized_closed_form(capsys):
+    # The published depolarized GGHZ example: its closed form violates both
+    # operators, while the Kraus model it claims to describe violates neither.
+    code, out, _ = run_cli(
+        capsys, "channel", "--kind", "depolarize", "--strengths", "0.8", "0.7", "0.6",
+        "--family", "gghz", "--eta", "0.69", "--closed-form",
+    )
+    assert code == 0
+    pairs = parse_kv(out)
+    assert list(pairs) == CHANNEL_BOTH_MODEL_KEYS
+    assert pairs["closed_form_ns99_violated"] == "true"
+    assert pairs["closed_form_svetlichny_violated"] == "true"
+    assert pairs["kraus_ns99_violated"] == "false"
+    assert pairs["kraus_svetlichny_violated"] == "false"
 
 
 def test_bad_state_file_exits_2(capsys, tmp_path):

@@ -41,6 +41,29 @@ def test_concurrence_pure_marginal_formula(rng):
         assert c == pytest.approx(expected, abs=1e-9)
 
 
+def _concurrence_oracle(rho):
+    """Wootters' concurrence from the singular values of sqrt(rho) (Y x Y) sqrt(rho)*."""
+    evals, vecs = np.linalg.eigh(rho)
+    sqrt_rho = (vecs * np.sqrt(np.maximum(evals, 0.0))) @ vecs.conj().T
+    m = sqrt_rho @ np.kron(qalg.PAULI_Y, qalg.PAULI_Y) @ sqrt_rho.conj()
+    roots = np.sort(np.linalg.svd(m, compute_uv=False))[::-1]
+    return max(0.0, roots[0] - roots[1] - roots[2] - roots[3])
+
+
+def test_wootters_kernel_matches_the_square_root_form(rng):
+    # phi phi^dagger of rank 1 to 4; a Bell-state bias keeps some mixed ones entangled.
+    bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
+    for rank in (1, 2, 3, 4):
+        for bias in (0.0, 1.0, 3.0):
+            phi = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+            phi[:, 0] += bias * bell
+            phi /= np.linalg.norm(phi)
+            rho = phi @ phi.conj().T
+            oracle = _concurrence_oracle(rho)
+            assert abs(entangle._wootters(phi) - oracle) <= 1e-12
+            assert abs(entangle.concurrence(rho) - oracle) <= 1e-12
+
+
 def test_three_tangle_known_values():
     assert entangle.three_tangle_pure(states.ghz_state()) == pytest.approx(1.0, abs=1e-10)
     assert entangle.three_tangle_pure(states.gghz(0.0)) == pytest.approx(0.0, abs=1e-12)
@@ -143,8 +166,8 @@ def _reference_conditional_entropy(rho, theta, phi):
         p = np.einsum("gaa->g", block).real
         evals = np.linalg.eigvalsh(block)
         with np.errstate(divide="ignore", invalid="ignore"):
-            lam = np.where(evals > qalg.EIG_CLAMP, evals, 1.0)
-            ent = -np.sum(np.where(evals > qalg.EIG_CLAMP, evals * np.log2(lam), 0.0), axis=-1)
+            lam = np.where(evals > 0.0, evals, 1.0)
+            ent = -np.sum(np.where(evals > 0.0, evals * np.log2(lam), 0.0), axis=-1)
         safe = p > 1e-14
         total += np.where(safe, ent + p * np.log2(np.where(safe, p, 1.0)), 0.0)
     return total
@@ -226,8 +249,7 @@ def test_discord_matches_former_partial_trace_path(rng):
 
 def test_rank_two_discord_meets_the_former_minimization(rng):
     # Koashi & Winter minimize over every POVM, so the exact value is a lower
-    # bound of the projective minimum; the minimization meets it to within
-    # its step and the kernel's EIG_CLAMP cut (|00><00| read -3.3e-9).
+    # bound of the projective minimum; the minimization meets it to rounding.
     product = np.zeros((4, 4), dtype=complex)
     product[0, 0] = 1.0
     rhos = [product]
@@ -240,7 +262,7 @@ def test_rank_two_discord_meets_the_former_minimization(rng):
     for rho in rhos:
         for measured in (0, 1):
             exact = entangle.discord_numeric(rho, measured)
-            assert abs(exact - _former_discord_numeric(rho, measured)) <= 1e-8
+            assert abs(exact - _former_discord_numeric(rho, measured)) <= 1e-12
 
 
 def test_rank_two_product_and_classical_discord_is_exact(rng):
@@ -278,6 +300,25 @@ def test_rank_two_product_and_classical_discord_is_exact(rng):
             assert entangle.discord_numeric(rhos[0], measured) == 0.0
             for rho in rhos[1:]:
                 assert abs(entangle.discord_numeric(rho, measured)) <= 1e-14
+
+
+def _random_unitary(rng):
+    u = random_pure_state(rng, dim=2)
+    return np.stack([u, [-u[1].conj(), u[0].conj()]], axis=1)
+
+
+def test_rank_three_classical_discord_has_no_negative_bias(rng):
+    # A state diagonal in a product basis has zero discord. Near the optimal
+    # axis the post-measurement blocks have eigenvalues of order theta^2;
+    # the minimization must keep them, or the minimum is biased low.
+    rhos = [np.diag([0.2, 0.3, 0.5, 0.0]).astype(complex)]
+    for _ in range(20):
+        basis = np.kron(_random_unitary(rng), _random_unitary(rng))
+        weights = np.append(rng.dirichlet(np.ones(3)), 0.0)
+        rhos.append((basis * weights) @ basis.conj().T)
+    for rho in rhos:
+        for measured in (0, 1):
+            assert entangle.discord_numeric(rho, measured) >= -1e-13
 
 
 def test_rank_three_discord_just_above_the_cut_is_minimized(rng, monkeypatch):
