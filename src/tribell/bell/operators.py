@@ -18,8 +18,10 @@ against, and no production path calls it. Everywhere else ``TERMS`` is read
 once per operator, into the cached +-1 mask ``_term_mask`` over the fused
 per-party index ``4*s + component`` (components x, y, z, 1). A state's
 correlations are its full Pauli tensor R = ``qalg.pauli_tensor`` over
-(X, Y, Z, I): the fold is ``mask * tile(R)``, which ``make_batched_value``
-contracts with batches of measurement angles for the optimizer;
+(X, Y, Z, I): the fold is ``mask * tile(R)``. Its one contraction is a pair
+block B (``_pair_block``: the fold with the third party's vector), which the
+see-saw reads partial contractions from; every value, from
+``make_batched_value`` or a Newton trial, is v_0 B v_1 (``_pair_value``).
 ``correlation_tensors`` are slices of R; ``behavior_operator_value``
 contracts a behavior table with the mask's z and constant components. The
 paths agree to machine precision.
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -210,30 +213,40 @@ def augmented_vectors(angles: np.ndarray) -> np.ndarray:
     return aug
 
 
-def make_batched_value(rho: np.ndarray, kind: BellKind):
-    """Closure evaluating the operator for batches of flat angle vectors.
+def _pair_matrices(fused: np.ndarray) -> np.ndarray:
+    """Per party pair p < q (in ``itertools.combinations`` order), the fused
+    tensor with p and q leading, laid out as an (8**(n-2), 64) matrix that the
+    remaining party's vector multiplies."""
+    pairs = itertools.combinations(range(fused.ndim), 2)
+    return np.stack([np.moveaxis(fused, pq, (0, 1)).reshape(64, -1).T for pq in pairs])
 
-    The returned function maps an array of shape (..., 4 * n_parties)
-    holding [theta, phi] pairs in scenario order to operator values of
-    shape (...). The state's correlation tensors are folded into a single
-    coefficient tensor up front, so each call is one contraction.
-    """
-    kind = BellKind(kind)
-    n = N_PARTIES[kind]
-    fused = _fused_coefficient_tensor(rho, kind)
-    fused_flat = fused.reshape(8, -1)  # (8, 64) or (8, 8)
+
+def _pair_block(pair_mats: np.ndarray, aug: np.ndarray, pair: int) -> np.ndarray:
+    """The fused tensor contracted with the vector of the party outside pair
+    ``pair`` (p, q): (rows, 8, 8). Its block B gives p's partial contraction
+    B v_q, q's v_p B, the value v_p B v_q and the pair's Euclidean Hessian."""
+    rows, n = aug.shape[:2]
+    # of the pairs (0, 1), (0, 2), (1, 2), the party outside pair k is 2 - k
+    rest = aug[:, 2 - pair].reshape(rows, 8) if n == 3 else np.ones((rows, 1))
+    return (rest @ pair_mats[pair]).reshape(rows, 8, 8)
+
+
+def _pair_value(pair_mats: np.ndarray, aug: np.ndarray) -> np.ndarray:
+    """Values v_0 B v_1 of the rows of ``aug`` (rows, n, 2, 4), with B the pair-(0, 1) block."""
+    flat = aug.reshape(len(aug), -1, 8)
+    return np.einsum("ri,rij,rj->r", flat[:, 0], _pair_block(pair_mats, aug, 0), flat[:, 1])
+
+
+def make_batched_value(rho: np.ndarray, kind: BellKind):
+    """Closure mapping flat [theta, phi] pairs in scenario order, shape
+    (..., 4 * n_parties), to operator values (...) by one ``_pair_value``."""
+    n = N_PARTIES[BellKind(kind)]
+    pair_mats = _pair_matrices(_fused_coefficient_tensor(rho, kind))
 
     def value(angles: np.ndarray) -> np.ndarray:
         angles = np.asarray(angles, dtype=float)
-        batch = angles.shape[:-1]
-        party = augmented_vectors(angles).reshape(batch + (n, 8))
-        # Contract one party at a time with plain matmuls.
-        out = party[..., 0, :] @ fused_flat  # (..., 64) or (..., 8)
-        if n == 3:
-            out = out.reshape(batch + (8, 8))
-            out = np.matmul(party[..., 1, None, :], out)[..., 0, :]
-            return np.sum(out * party[..., 2, :], axis=-1)
-        return np.sum(out * party[..., 1, :], axis=-1)
+        aug = augmented_vectors(angles).reshape(-1, n, 2, 4)
+        return _pair_value(pair_mats, aug).reshape(angles.shape[:-1])
 
     return value
 

@@ -2,8 +2,8 @@
 
 Each operator is folded into one coefficient tensor that is multilinear in
 the per-party augmented 8-vectors (``_fused_coefficient_tensor``). Its one
-contraction here is a party pair's 8x8 block with the remaining party's
-vector (``_pair_block``), which gives both parties' partial contractions,
+contraction is a party pair's 8x8 block with the remaining party's vector
+(``operators._pair_block``), which gives both parties' partial contractions,
 the value and the pair's Hessian block. With the other parties held fixed,
 the value is linear in one party's vector, so that party's best pair of
 Bloch vectors is ``g_s / |g_s|``, where ``g`` is the partial contraction and
@@ -37,9 +37,9 @@ With ``OptimizeOptions.stop_above`` set,
 the batch stops once one restart's value exceeds it by ``STOP_MARGIN``; no
 value ever falls, so a full run would give the same verdict on the stop value.
 
-The reported values are recomputed by ``make_batched_value`` at the final
-settings, expressed as canonical angles ([0, pi] polar, [0, 2 pi) azimuth),
-so the direct-trace ``operator_value`` reproduces them.
+The reported values are recomputed through the same pair block by
+``make_batched_value``, at the final settings as canonical angles ([0, pi]
+polar, [0, 2 pi) azimuth), so the direct-trace ``operator_value`` reproduces them.
 """
 
 from __future__ import annotations
@@ -56,6 +56,9 @@ from .operators import (
     BellKind,
     MeasurementScenario,
     _fused_coefficient_tensor,
+    _pair_block,
+    _pair_matrices,
+    _pair_value,
     augmented_vectors,
     make_batched_value,
 )
@@ -148,24 +151,6 @@ def _normalize_into(out: np.ndarray, v: np.ndarray) -> None:
     np.divide(v, norm, out=out, where=norm > 0.0)
 
 
-def _pair_matrices(fused: np.ndarray) -> np.ndarray:
-    """Per party pair p < q (in ``itertools.combinations`` order), the fused
-    tensor with p and q leading, laid out as an (8**(n-2), 64) matrix that the
-    remaining party's vector multiplies."""
-    pairs = itertools.combinations(range(fused.ndim), 2)
-    return np.stack([np.moveaxis(fused, pq, (0, 1)).reshape(64, -1).T for pq in pairs])
-
-
-def _pair_block(pair_mats: np.ndarray, aug: np.ndarray, pair: int) -> np.ndarray:
-    """The fused tensor contracted with the vector of the party outside pair
-    ``pair`` (p, q): (rows, 8, 8). Its block B gives p's partial contraction
-    B v_q, q's v_p B, the value v_p B v_q and the pair's Euclidean Hessian."""
-    rows, n = aug.shape[:2]
-    # of the pairs (0, 1), (0, 2), (1, 2), the party outside pair k is 2 - k
-    rest = aug[:, 2 - pair].reshape(rows, 8) if n == 3 else np.ones((rows, 1))
-    return (rest @ pair_mats[pair]).reshape(rows, 8, 8)
-
-
 def _sweep(pair_mats: np.ndarray, aug: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Update each party in turn; returns the new vectors and their values.
     Parties 0 and 1 share the pair-(0, 1) block; a third reads pair (1, 2)."""
@@ -253,9 +238,7 @@ def _newton(
     step = np.where(ok[:, None], step, 0.0).reshape(rows, n, 2, 1, 2)
     trial = aug.copy()
     _normalize_into(trial[..., :3], aug[..., :3] + (step @ bases)[..., 0, :])
-    flat = trial.reshape(rows, n, 8)
-    block = _pair_block(pair_mats, trial, 0)
-    trial_values = np.einsum("ri,rij,rj->r", flat[:, 0], block, flat[:, 1])
+    trial_values = _pair_value(pair_mats, trial)
     moved = ok & (trial_values > values)
     return (
         np.where(moved[:, None, None, None], trial, aug),

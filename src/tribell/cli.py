@@ -133,11 +133,15 @@ def _add_state_options(parser: argparse.ArgumentParser) -> None:
 
 def cmd_bound(args) -> int:
     op = BellKind(args.operator)
-    family = Family(args.family)
+    family = Family(args.family) if args.family else None
     if op is BellKind.CHSH:
+        # the pure-state CHSH maximum depends on C12^2 alone, so no family applies
+        _reject_given(args, ("--family",), "--operator chsh")
         if args.c12sq is None or args.tau is not None or args.p is not None:
             raise ValueError("the chsh bound takes --c12sq and neither --tau nor --p")
         value = chsh_pure_max(args.c12sq)
+    elif family is None:
+        raise ValueError(f"the {op.value} bound needs --family")
     elif family in states.SUBCLASS_S:
         states.reject_foreign(family, p=args.p)
         tau, c12sq = states.tau_c12sq(family, tau=args.tau, c12sq=args.c12sq)
@@ -339,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bound", help="closed-form operator bound")
-    p.add_argument("--family", required=True, choices=[f.value for f in Family])
+    p.add_argument("--family", choices=[f.value for f in Family],
+                   help="required for ns99 and svetlichny; chsh takes only --c12sq")
     p.add_argument("--operator", required=True, choices=[k.value for k in BellKind])
     p.add_argument("--tau", type=float)
     p.add_argument("--c12sq", type=float)

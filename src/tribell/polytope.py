@@ -7,7 +7,8 @@ supported, each as the convex hull of an explicit vertex set:
 * FULLY_LOCAL: products of deterministic single-party strategies (64).
 * S2: for each bipartition, deterministic bipartite boxes with no
   constraint linking the pair's outputs to its inputs (a = f(x,y),
-  b = g(x,y); 256 per pair) times deterministic third-party points.
+  b = g(x,y); 256 per pair) times deterministic third-party points, each a
+  sum of four columns of the compact pair-table LP below.
 * NS2: for each bipartition, the extremal no-signaling bipartite boxes
   (16 deterministic + 8 PR-type, in closed form) times deterministic
   third-party points.
@@ -44,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from . import qalg
-from .bell.operators import MeasurementScenario
+from .bell.operators import MeasurementScenario, augmented_vectors
 
 BEHAVIOR_SHAPE = (2, 2, 2, 2, 2, 2)  # indices (a, b, c, x, y, z)
 NORMALIZATION_ATOL = 1e-10
@@ -89,18 +90,15 @@ class Behavior:
 def quantum_behavior(rho: np.ndarray, scenario: MeasurementScenario) -> Behavior:
     """Born-rule behavior p(abc|xyz) = Tr[rho P_a^x x P_b^y x P_c^z].
 
-    Outcome 0 corresponds to the +1 eigenvalue of each Bloch observable.
+    Outcome 0 is the +1 eigenvalue: P_a^x = (I + (-1)^a v_x . sigma) / 2, so
+    the table contracts the Pauli tensor of rho with each party's ((-1)^a v_x, 1) / 2.
     """
     rho = qalg.check_density_matrix(rho)
     if rho.shape[0] != 8 or scenario.n_parties != 3:
         raise ValueError("quantum_behavior expects a three-qubit state and scenario")
-    # projs[party][setting, outcome] is a 2x2 projector
-    projs = [
-        np.array([qalg.bloch_projectors(scenario.vector(party, setting)) for setting in (0, 1)])
-        for party in range(3)
-    ]
-    table = np.einsum("ijkIJK,xaIi,ybJj,zcKk->abcxyz", rho.reshape((2,) * 6), *projs)
-    return Behavior(table.real)
+    aug = augmented_vectors(scenario.flat()).reshape(3, 2, 4) / 2.0
+    signed = np.stack([aug, aug * [-1.0, -1.0, -1.0, 1.0]], axis=1)  # [party, a, x, component]
+    return Behavior(np.einsum("ijk,axi,byj,czk->abcxyz", qalg.pauli_tensor(rho, 3), *signed))
 
 
 def save_behavior(behavior: Behavior, path) -> None:
@@ -114,8 +112,9 @@ def save_behavior(behavior: Behavior, path) -> None:
 
 
 def load_behavior(path) -> Behavior:
-    """Read the row-per-entry text format produced by ``save_behavior``."""
+    """Read the row-per-entry text format of ``save_behavior``: each entry once."""
     table = np.full(BEHAVIOR_SHAPE, np.nan)
+    seen = set()
     for raw in Path(path).read_text(encoding="utf-8").splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -126,6 +125,9 @@ def load_behavior(path) -> Behavior:
         fields = [int(t) for t in parts[:6]]
         if not set(fields) <= {0, 1}:
             raise ValueError(f"settings and outcomes must be 0 or 1, got {raw!r}")
+        if tuple(fields) in seen:
+            raise ValueError(f"behavior row {raw!r} repeats an earlier x y z a b c")
+        seen.add(tuple(fields))
         x, y, z, a, b, c = fields
         table[a, b, c, x, y, z] = float(parts[6])
     if np.isnan(table).any():
@@ -145,16 +147,6 @@ def deterministic_local_vertices() -> np.ndarray:
     """All 64 products of deterministic single-party strategies, (64, 64)."""
     d = _STRATEGIES
     return np.einsum("iax,jby,kcz->ijkabcxyz", d, d, d).reshape(64, 64)
-
-
-def _signaling_boxes() -> np.ndarray:
-    """Deterministic bipartite boxes a = f(x,y), b = g(x,y), (256, 16).
-
-    Box tables are indexed [a, b, x, y]; box k lists the outputs 2a+b for
-    inputs (0,0), (0,1), (1,0), (1,1) as the base-4 digits of k.
-    """
-    outputs = np.array(list(itertools.product(range(4), repeat=4)))  # [k, 2x+y] -> 2a+b
-    return np.eye(4)[outputs].transpose(0, 2, 1).reshape(256, 16)
 
 
 def ns_bipartite_boxes() -> np.ndarray:
@@ -191,6 +183,8 @@ def _pair_product_vertices(boxes: np.ndarray, bipartition: tuple[int, int]) -> n
 
 
 _BIPARTITIONS = ((0, 1), (0, 2), (1, 2))
+# Place values of the input pairs 2x+y = 0..3 in a box index: box o outputs 2a+b = o // d % 4.
+_BOX_DIGITS = 4 ** np.arange(3, -1, -1)
 
 
 @functools.cache
@@ -198,13 +192,19 @@ def _lp_columns(kind: HybridKind) -> np.ndarray:
     """Columns [v; 1] of the vertex LP, one row per vertex v; read-only.
 
     The row order is the column order Bland's rule sees in the fully-local
-    and NS2 membership LPs; S2 membership solves ``_s2_pair_columns``.
+    and NS2 membership LPs; S2 membership solves ``_s2_pair_columns``, and S2
+    vertex k*1024 + o*4 + s sums the four of its columns that lift box o in block (k, s).
     """
     if kind is HybridKind.FULLY_LOCAL:
         vertices = deterministic_local_vertices()
-    else:
-        boxes = ns_bipartite_boxes() if kind is HybridKind.NS2 else _signaling_boxes()
+    elif kind is HybridKind.NS2:
+        boxes = ns_bipartite_boxes()
         vertices = np.vstack([_pair_product_vertices(boxes, pair) for pair in _BIPARTITIONS])
+    else:
+        outputs = np.arange(256)[:, None] // _BOX_DIGITS % 4  # [o, 2x+y] -> 2a+b
+        # [k, o, s, 2x+y] -> compact column (k*4 + s)*16 + (2x+y)*4 + 2a+b
+        rows = np.arange(12).reshape(3, 1, 4, 1) * 16 + np.arange(4) * 4 + outputs[:, None, :]
+        vertices = _s2_pair_columns()[rows.reshape(3072, 4), :64].sum(axis=1)
     columns = np.hstack([vertices, np.ones((vertices.shape[0], 1))])
     columns.setflags(write=False)
     return columns
@@ -247,7 +247,7 @@ def _s2_vertex_weights(tables: np.ndarray) -> np.ndarray:
     lengths = np.diff(edges, axis=1)
     mids = edges[:, :-1] + 0.5 * lengths
     outputs = (cum[:, :, :3, None] < mids[:, None, None, :]).sum(axis=2)  # [block, 2x+y, interval]
-    boxes = np.einsum("bij,i->bj", outputs, 4 ** np.arange(3, -1, -1))
+    boxes = np.einsum("bij,i->bj", outputs, _BOX_DIGITS)
     block = np.arange(12)[:, None]
     rows = (block // 4) * 1024 + boxes * 4 + block % 4
     return np.bincount(rows.ravel(), weights=lengths.ravel(), minlength=3072)

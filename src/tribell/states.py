@@ -65,10 +65,16 @@ def pure_state(amplitudes, normalize: bool = False) -> np.ndarray:
     return qalg.check_state_vector(psi)
 
 
+def _check_eta(family: Family, eta: float) -> None:
+    """Raise unless eta lies in [0, pi/4] for gghz or in [0, pi/2] for ms (see ``ms``)."""
+    top, label = (math.pi / 4, "pi/4") if family is Family.GGHZ else (math.pi / 2, "pi/2")
+    if not 0.0 <= eta <= top + 1e-12:
+        raise ValueError(f"eta must lie in [0, {label}], got {eta}")
+
+
 def gghz(eta: float) -> np.ndarray:
     """Generalized GHZ state cos(eta)|000> + sin(eta)|111>, eta in [0, pi/4]."""
-    if not 0.0 <= eta <= math.pi / 4 + 1e-12:
-        raise ValueError(f"eta must lie in [0, pi/4], got {eta}")
+    _check_eta(Family.GGHZ, eta)
     psi = np.zeros(8, dtype=complex)
     psi[0] = math.cos(eta)
     psi[7] = math.sin(eta)
@@ -97,8 +103,7 @@ def ms(eta: float) -> np.ndarray:
     The family is defined for eta in [0, pi/4]; values up to pi/2 are accepted
     with a warning so that rounded literature examples remain constructible.
     """
-    if not 0.0 <= eta <= math.pi / 2 + 1e-12:
-        raise ValueError(f"eta must lie in [0, pi/2], got {eta}")
+    _check_eta(Family.MS, eta)
     if eta > math.pi / 4 + 1e-12:
         warnings.warn(
             f"MS parameter eta={eta} exceeds pi/4; state is valid but outside "
@@ -119,7 +124,8 @@ def tau_c12sq(
     """(tau, C12^2) of a gghz, ms or ext_s state.
 
     gghz has (sin^2 2eta, 0) and ms (sin^2 eta, cos^2 eta); each takes eta or
-    tau, not both, and tau fixes C12^2 (0 and 1 - tau). A c12sq more than
+    tau, not both, and tau fixes C12^2 (0 and 1 - tau). eta must lie in the
+    family's range, as for ``gghz`` and ``ms``. A c12sq more than
     1e-12 from the family's value raises ValueError. ext_s has no angle and takes
     tau and c12sq as given.
     """
@@ -130,6 +136,8 @@ def tau_c12sq(
         _require(tau is not None and c12sq is not None, "ext_s needs tau and c12sq")
         return float(tau), float(c12sq)
     _require((eta is None) != (tau is None), f"{family.value} takes eta or tau, exactly one")
+    if eta is not None:
+        _check_eta(family, eta)
     if family is Family.GGHZ:
         tau, own = (math.sin(2.0 * eta) ** 2 if tau is None else tau), 0.0
     else:

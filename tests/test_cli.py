@@ -193,11 +193,27 @@ def test_tables_prints_the_published_rows_and_the_library_cells(capsys, monkeypa
 
 
 def test_bound_chsh_is_the_pure_state_maximum(capsys):
-    code, out, _ = run_cli(
-        capsys, "bound", "--family", "gghz", "--operator", "chsh", "--c12sq", "0.5",
-    )
+    code, out, _ = run_cli(capsys, "bound", "--operator", "chsh", "--c12sq", "0.5")
     assert code == 0
     assert parse_kv(out)["bound"] == f"{2 * math.sqrt(1.5):.9g}"
+
+
+@pytest.mark.parametrize("family", ["gghz", "rho8"])
+def test_bound_chsh_rejects_family(capsys, family):
+    # a gghz marginal has C12^2 = 0 and reaches 2, so the family would contradict --c12sq
+    code, out, err = run_cli(capsys, "bound", "--family", family, "--operator", "chsh",
+                             "--c12sq", "0.5")
+    assert code == 2
+    assert out == ""
+    assert "--family cannot be combined with --operator chsh" in err
+
+
+@pytest.mark.parametrize("operator", ["ns99", "svetlichny"])
+def test_bound_three_party_operators_need_family(capsys, operator):
+    code, out, err = run_cli(capsys, "bound", "--operator", operator, "--tau", "1")
+    assert code == 2
+    assert out == ""
+    assert f"the {operator} bound needs --family" in err
 
 
 def test_lp_numerical_error_exits_3(capsys, monkeypatch):
@@ -487,6 +503,34 @@ def test_membership_bad_behavior_field_exits_2(capsys, tmp_path, row, bad):
     assert "must be 0 or 1" in err
 
 
+def test_membership_repeated_behavior_row_exits_2(capsys, tmp_path):
+    path = tmp_path / "behavior.txt"
+    polytope.save_behavior(
+        polytope.quantum_behavior(np.eye(8, dtype=complex) / 8, MeasurementScenario.all_z()),
+        path,
+    )
+    # a second 0 0 0 0 0 0 row would silently replace the first
+    text = path.read_text().replace("\n0 0 0 0 0 0 ", "\n0 0 0 0 0 0 0.9\n0 0 0 0 0 0 ", 1)
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "membership", "--behavior", str(path), "--model", "ns2")
+    assert code == 2
+    assert out == ""
+    assert "'0 0 0 0 0 0 0.125' repeats an earlier x y z a b c" in err
+
+
+@pytest.mark.parametrize("given", [
+    ("--family", "gghz", "--eta", "2"),
+    ("--family", "gghz", "--eta", "-0.5"),
+    ("--family", "ms", "--eta", "3", "--no-confirm"),
+])
+def test_visibility_rejects_eta_outside_the_family_range(capsys, given):
+    # an out-of-range gghz eta used to be folded back into range: eta 2 gave GGHZ(0.43)
+    code, out, err = run_cli(capsys, "visibility", "--operator", "ns99", *given)
+    assert code == 2
+    assert out == ""
+    assert "eta must lie in [0, pi/" in err
+
+
 def test_state_file_amplitudes_not_pairs_exits_2(capsys, tmp_path):
     path = tmp_path / "state.json"
     path.write_text(json.dumps({"amplitudes": [1, 0, 0, 0, 0, 0, 0, 0]}))
@@ -604,8 +648,7 @@ def test_channel_rejects_alpha_with_closed_form(capsys):
 
 @pytest.mark.parametrize("extra", [("--tau", "0.5"), ("--p", "0.5")])
 def test_bound_chsh_rejects_tau_and_p(capsys, extra):
-    code, out, err = run_cli(capsys, "bound", "--family", "gghz", "--operator", "chsh",
-                             "--c12sq", "0.5", *extra)
+    code, out, err = run_cli(capsys, "bound", "--operator", "chsh", "--c12sq", "0.5", *extra)
     assert code == 2
     assert out == ""
     assert "neither --tau nor --p" in err

@@ -17,6 +17,8 @@ from tribell.bell import (
 from tribell.bell.operators import (
     VIOLATION_ATOL,
     _fused_coefficient_tensor,
+    _pair_block,
+    _pair_matrices,
     augmented_vectors,
     make_batched_value,
 )
@@ -24,8 +26,6 @@ from tribell.bell.optimize import (
     ViolationReport,
     _angles,
     _initial_points,
-    _pair_block,
-    _pair_matrices,
     _sweep,
     _tangent_system,
 )

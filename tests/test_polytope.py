@@ -382,6 +382,19 @@ def test_load_behavior_rejects_incomplete(tmp_path):
         polytope.load_behavior(path)
 
 
+def test_load_behavior_rejects_a_repeated_row(tmp_path):
+    path = tmp_path / "behavior.txt"
+    polytope.save_behavior(
+        polytope.quantum_behavior(np.eye(8, dtype=complex) / 8, MeasurementScenario.all_z()),
+        path,
+    )
+    # the first 0 0 0 0 0 0 row reads 0.9; the repeat used to overwrite it
+    text = path.read_text().replace("\n0 0 0 0 0 0 ", "\n0 0 0 0 0 0 0.9\n0 0 0 0 0 0 ", 1)
+    path.write_text(text)
+    with pytest.raises(ValueError, match="repeats an earlier x y z a b c"):
+        polytope.load_behavior(path)
+
+
 def _oracle_behaviors(seed, count):
     """Seeded GHZ, GGHZ, Haar and noisy Haar behaviors, equatorial and general settings."""
     kinds = ("ghz", "gghz", "haar", "noisy")

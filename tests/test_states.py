@@ -290,6 +290,9 @@ def test_tau_c12sq_matches_the_states(rng):
         (Family.MS, dict(tau=0.5, c12sq=0.1)),
         (Family.MS, dict(eta=0.5, tau=0.5)),
         (Family.MS, dict()),
+        (Family.GGHZ, dict(eta=2.0)),  # outside [0, pi/4], as gghz() rejects it
+        (Family.GGHZ, dict(eta=-0.5)),
+        (Family.MS, dict(eta=3.0)),  # outside [0, pi/2], as ms() rejects it
         (Family.EXT_S, dict(tau=0.5)),
         (Family.EXT_S, dict(eta=0.5, c12sq=0.3)),
         (Family.RHO4, dict(tau=0.5)),
