@@ -40,6 +40,8 @@ value ever falls, so a full run would give the same verdict on the stop value.
 The reported values are recomputed through the same pair block by
 ``make_batched_value``, at the final settings as canonical angles ([0, pi]
 polar, [0, 2 pi) azimuth), so the direct-trace ``operator_value`` reproduces them.
+Restarts within ``TIE_ULPS`` ulps of the best value tie, and the report takes
+the lowest-indexed of them.
 """
 
 from __future__ import annotations
@@ -79,6 +81,8 @@ NEWTON_EVERY = 16
 NEWTON_STEP_MAX = 1.0
 # A Newton step needs the tangent Hessian's largest eigenvalue below -HESSIAN_MIN.
 HESSIAN_MIN = 1e-14
+# Restarts within this many ulps of the best value tie; the lowest-indexed one is reported.
+TIE_ULPS = 8
 
 
 @dataclass
@@ -286,6 +290,14 @@ def _see_saw(pair_mats: np.ndarray, aug: np.ndarray, max_iter: int, stop: float 
     return aug, live.size, False
 
 
+def _best_restart(values: np.ndarray) -> int:
+    """The lowest restart index whose value is within ``TIE_ULPS`` ulps of the
+    maximum. Restarts that reach one maximum differ in the last bits, so a plain
+    argmax would make the reported settings hinge on rounding."""
+    top = values.max()
+    return int(np.argmax(values >= top - TIE_ULPS * np.spacing(abs(top))))
+
+
 def optimize_operator(
     rho: np.ndarray, kind: BellKind, options: OptimizeOptions | None = None
 ) -> ViolationReport:
@@ -307,7 +319,7 @@ def optimize_operator(
     aug, capped, stopped = _see_saw(pair_mats, start.reshape(-1, n, 2, 4), options.max_iter, stop)
     points = _angles(aug)
     restart_values = value_fn(points)
-    best_index = int(np.argmax(restart_values))  # ties: lowest restart index
+    best_index = _best_restart(restart_values)
     best_value = float(restart_values[best_index])
     # first- and second-order certificates of the best restart's settings
     _, grad, hess = _tangent_system(pair_mats, aug[best_index : best_index + 1])

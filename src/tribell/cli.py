@@ -21,14 +21,14 @@ import numpy as np
 
 from . import channels, polytope, states, workflows
 from .bell import (
-    NS99_MIXED_FAMILIES,
+    X_MIXED_FAMILIES,
     BellKind,
     MeasurementScenario,
     OptimizeOptions,
     bound_b4,
     bound_b5,
     chsh_pure_max,
-    ns99_mixed_bound,
+    mixed_bound,
     optimize_operator,
     visibility_threshold,
 )
@@ -146,13 +146,11 @@ def cmd_bound(args) -> int:
         states.reject_foreign(family, p=args.p)
         tau, c12sq = states.tau_c12sq(family, tau=args.tau, c12sq=args.c12sq)
         value = (bound_b5 if op is BellKind.NS99 else bound_b4)(tau, c12sq)
-    elif family in NS99_MIXED_FAMILIES:
-        if op is not BellKind.NS99:
-            raise ValueError(f"no closed-form {op.value} bound for {family.value}")
+    elif family in X_MIXED_FAMILIES:
         states.reject_foreign(family, tau=args.tau, c12sq=args.c12sq)
         if args.p is None:
             raise ValueError("mixed-family bounds need --p")
-        value = ns99_mixed_bound(family, args.p)
+        value = mixed_bound(op, family, args.p)
     else:
         raise ValueError(f"no closed-form bound for family {family.value}")
     _emit({"bound": value}, args.json)
@@ -191,8 +189,8 @@ def cmd_threshold(args) -> int:
                  restarts=args.restarts),
     )
     if query.exact:
-        _reject_given(args, ("--restarts", "--seed"),
-                      f"ns99 on {query.family.value}, whose probes take the exact maximum")
+        _reject_given(args, ("--restarts", "--seed"), f"{query.operator.value} on "
+                      f"{query.family.value}, whose probes take the exact maximum")
     try:
         result = workflows.threshold_bisect(query)
     except workflows.NoCrossingError as exc:
@@ -413,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_membership)
 
-    p = sub.add_parser("channel", help="apply a noise channel, then optimize both operators")
+    p = sub.add_parser("channel", help="apply a noise channel, then maximize both operators")
     p.add_argument("--kind", required=True, choices=[k.value for k in channels.ChannelKind])
     p.add_argument("--strengths", type=float, nargs=3, required=True,
                    metavar=("S1", "S2", "S3"))

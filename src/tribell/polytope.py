@@ -73,6 +73,8 @@ class Behavior:
         self.table = np.asarray(self.table, dtype=float)
         if self.table.shape != BEHAVIOR_SHAPE:
             raise ValueError(f"behavior table must have shape {BEHAVIOR_SHAPE}")
+        if not np.all(np.isfinite(self.table)):
+            raise ValueError("behavior table has a non-finite probability")
         if self.table.min() < -POSITIVITY_ATOL:
             raise ValueError(f"negative probability {self.table.min()!r}")
         sums = self.table.sum(axis=(0, 1, 2))

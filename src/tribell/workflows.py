@@ -20,11 +20,12 @@ from . import channels, entangle, qalg, states
 from .bell import (
     BellKind,
     CLASSICAL_BOUND,
-    NS99_MIXED_FAMILIES,
+    X_MIXED_FAMILIES,
+    X_STATE_MAXIMUM,
     OptimizeOptions,
     bound_b4,
     bound_b5,
-    ns99_ghz_diagonal_max,
+    is_real_x_state,
     optimize_operator,
     visibility_threshold,
 )
@@ -71,8 +72,9 @@ class ThresholdQuery:
 
     @property
     def exact(self) -> bool:
-        """Probes take the exact maximum, so ``seed`` and ``restarts`` go unread."""
-        return self.operator is BellKind.NS99 and self.family in NS99_MIXED_FAMILIES
+        """Probes take the exact maximum (every state of the family is a real X
+        state), so ``seed`` and ``restarts`` go unread."""
+        return self.operator in X_STATE_MAXIMUM and self.family in X_MIXED_FAMILIES
 
 
 @dataclass
@@ -93,8 +95,8 @@ def threshold_bisect(query: ThresholdQuery) -> ThresholdResult:
 
     The family is affine in p, so the maximal value v(p) is a maximum of
     affine functions and convex: if v(lo) <= bound < v(hi), the crossing in
-    [lo, hi] is unique. On an exact query (ns99 on the GHZ-diagonal families)
-    every probe is ``ns99_ghz_diagonal_max``. Otherwise every probe runs
+    [lo, hi] is unique. On an exact query (either operator on rho4..rho8)
+    every probe is the operator's exact X-state maximum. Otherwise every probe runs
     query.restarts starts from query.seed and stops at its first certified
     violation, which gives a full maximization's verdict. Ends that do not
     straddle the bound (the W component can add a low-weight violation
@@ -107,7 +109,7 @@ def threshold_bisect(query: ThresholdQuery) -> ThresholdResult:
 
     def value_at(p: float) -> float:
         if query.exact:
-            return ns99_ghz_diagonal_max(build(p))
+            return X_STATE_MAXIMUM[query.operator](build(p)).value
         return optimize_operator(build(p), query.operator, opts).value
 
     lo, hi = query.bracket
@@ -241,7 +243,7 @@ SWEEP_COLUMNS = (
 
 # Families swept over a pure-state parameter carry closed forms; every other
 # family sweeps the mixing weight 'p' and only carries the optimizer columns
-# (plus the closed-form ns bound for NS99_MIXED_FAMILIES).
+# (plus both exact bounds for X_MIXED_FAMILIES).
 _PURE_SWEEP_PARAM = {Family.GGHZ: "eta", Family.MS: "eta", Family.EXT_S: "tau"}
 
 
@@ -283,8 +285,8 @@ class SweepSpec:
             raise ValueError(f"{self.family.value} does not take c12sq; only ext_s sweeps do")
         if self.family in _PURE_SWEEP_PARAM:
             available = SWEEP_COLUMNS
-        elif self.family in NS99_MIXED_FAMILIES:
-            available = ("ns_bound", "ns_opt", "svet_opt")
+        elif self.family in X_MIXED_FAMILIES:
+            available = ("ns_bound", "svet_bound", "ns_opt", "svet_opt")
         else:
             available = ("ns_opt", "svet_opt")
         missing = [c for c in self.columns if c not in available]
@@ -320,8 +322,9 @@ def _sweep_point(spec: SweepSpec, x: float) -> dict[str, float]:
     else:
         build = mixed_builder(fam, spec.k)
         rho = build(x)
-        if "ns_bound" in spec.columns:
-            out["ns_bound"] = ns99_ghz_diagonal_max(rho)
+        for column, kind in (("ns_bound", BellKind.NS99), ("svet_bound", BellKind.SVETLICHNY)):
+            if column in spec.columns:
+                out[column] = X_STATE_MAXIMUM[kind](rho).value
     if need_opt:
         opts = OptimizeOptions(restarts=spec.restarts, seed=spec.seed)
         if "ns_opt" in spec.columns:
@@ -453,17 +456,23 @@ def channel_verdicts(
     """NS99 and Svetlichny on ``rho`` under ``spec``'s Kraus map, then on the
     published closed form of GGHZ(closed_form_eta) under ``spec`` if an angle
     is given. Verdicts come in that model order; the damped closed form warns
-    ``HermitizedClosedFormWarning``."""
+    ``HermitizedClosedFormWarning``. A model state that is a real X state (GGHZ
+    under either channel, and both closed forms) takes the exact maxima;
+    any other runs the optimizer with ``opts``."""
     noisy = {"kraus": channels.apply_channel_spec(rho, spec)}
     if closed_form_eta is not None:
         noisy["closed_form"] = _CLOSED_FORMS[spec.kind](closed_form_eta, *spec.strengths)
     verdicts = []
+    kinds = (BellKind.NS99, BellKind.SVETLICHNY)
     for model, state in noisy.items():
-        ns = optimize_operator(state, BellKind.NS99, opts)
-        sv = optimize_operator(state, BellKind.SVETLICHNY, opts)
-        verdicts.append(
-            ChannelExampleVerdict(example, model, ns.value, ns.violated, sv.value, sv.violated)
+        if is_real_x_state(state):
+            ns, sv = (X_STATE_MAXIMUM[kind](state).value for kind in kinds)
+        else:
+            ns, sv = (optimize_operator(state, kind, opts).value for kind in kinds)
+        ns_violated, sv_violated = (
+            value > CLASSICAL_BOUND[kind] + VIOLATION_ATOL for value, kind in zip((ns, sv), kinds)
         )
+        verdicts.append(ChannelExampleVerdict(example, model, ns, ns_violated, sv, sv_violated))
     return verdicts
 
 

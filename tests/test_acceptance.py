@@ -18,8 +18,9 @@ numbers (``workflows.TABLE1_ROWS``/``TABLE2_ROWS`` keep them unchanged):
   least eigenvalue -2 makes it indefinite for r > 1/2: every p > 5/8
   violates. Direct trace at the optimizer's settings gives 4.2229 at
   p = 0.718, the low edge of the published +-0.002 window. So 5/8 is a
-  proved upper bound on the onset; that nothing violates below it rests on
-  the optimizer, which gives exactly 4 for p <= 5/8.
+  proved upper bound on the onset; that nothing violates below it follows
+  from the exact real-X-state maximum (``bounds.svetlichny_x_max``), which
+  gives 4 to rounding for p <= 5/8.
 * rho8 99th-facet threshold: published 0.75843, reference 0.762845. A
   state diagonal in the GHZ basis (rho4..rho8) shows the facet only its zz
   pair correlators t_AB, t_BC, t_AC and its in-plane three-body tensor T,

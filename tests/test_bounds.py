@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,14 +12,20 @@ from tribell.bell import (
     bound_b4,
     bound_b5,
     OptimizeOptions,
+    X_MIXED_FAMILIES,
+    X_STATE_MAXIMUM,
     chsh_pure_max,
-    ns99_ghz_diagonal_max,
+    is_real_x_state,
+    mixed_bound,
     ns99_mixed_bound,
+    ns99_x_max,
+    operator_value,
     optimize_operator,
+    svetlichny_x_max,
     visibility_threshold,
 )
-from tribell import qalg, states
-from tribell.bell.bounds import NS99_LOCAL_BOUND, NS99_MIXED_FAMILIES, _check_tau_c12, _check_unit
+from tribell import channels, qalg, states, workflows
+from tribell.bell.bounds import NS99_LOCAL_BOUND, _check_tau_c12, _check_unit
 from tribell.states import Family
 from test_acceptance import _ns99_ghz_diagonal_range
 
@@ -126,7 +133,7 @@ def test_bound_b5_cases():
 
 
 # The paper's published 99th-facet forms of the rank-4..8 families, kept verbatim
-# as references for ns99_mixed_bound, which computes the exact GHZ-diagonal maximum.
+# as references for ns99_mixed_bound, which computes the exact X-state maximum.
 
 
 def _published_rho4(p: float) -> float:
@@ -237,7 +244,7 @@ def test_bound_rho5_values():
 def test_bound_table2_values():
     assert _published_table2(Family.RHO6, 0.756458) == pytest.approx(3.0, abs=1e-3)
     # at p=1 each family is locally equivalent to GHZ
-    for fam in NS99_MIXED_FAMILIES:
+    for fam in X_MIXED_FAMILIES:
         assert PUBLISHED_FORMS[fam](1.0) == pytest.approx(1 + 2 * np.sqrt(2), abs=1e-4)
         assert ns99_mixed_bound(fam, 1.0) == pytest.approx(1 + 2 * np.sqrt(2), abs=1e-14)
 
@@ -254,11 +261,14 @@ def test_bound_table2_local_bound_crossings():
 
 
 def test_ns99_mixed_bound_dispatch():
-    for family in NS99_MIXED_FAMILIES:
+    for family in X_MIXED_FAMILIES:
         rho = states.mixed_builder(family)(0.5)
-        assert ns99_mixed_bound(family, 0.5) == ns99_ghz_diagonal_max(rho)
+        assert ns99_mixed_bound(family, 0.5) == ns99_x_max(rho).value
+        assert mixed_bound(BellKind.SVETLICHNY, family, 0.5) == svetlichny_x_max(rho).value
     with pytest.raises(ValueError, match="no closed-form ns99 bound"):
         ns99_mixed_bound(Family.RHO2, 0.5)
+    with pytest.raises(ValueError, match="no closed-form svetlichny bound"):
+        mixed_bound(BellKind.SVETLICHNY, Family.RHO3, 0.5)
 
 
 def test_ghz_diagonal_max_meets_the_see_saw():
@@ -266,7 +276,7 @@ def test_ghz_diagonal_max_meets_the_see_saw():
     opts = OptimizeOptions(restarts=64, seed=1)
     for _ in range(24):
         rho = _random_ghz_diagonal(rng)
-        exact = ns99_ghz_diagonal_max(rho)
+        exact = ns99_x_max(rho).value
         found = optimize_operator(rho, BellKind.NS99, opts).value
         assert abs(found - exact) <= 1e-9, (found, exact)
         assert found <= exact + 1e-12, (found, exact)
@@ -276,13 +286,117 @@ def test_ghz_diagonal_max_inside_the_grid_bracket():
     for p in (0.6, 0.76043, 0.762845, 0.9):
         rho = states.mixed_builder(Family.RHO8)(p)
         attained, upper = _ns99_ghz_diagonal_range(rho)
-        assert attained <= ns99_ghz_diagonal_max(rho) <= upper, p
+        assert attained <= ns99_x_max(rho).value <= upper, p
 
 
 def test_ghz_diagonal_max_rejects_other_states():
-    for rho in (states.mixed_builder(Family.RHO2)(0.5), qalg.projector(states.gghz(0.3))):
-        with pytest.raises(ValueError, match="not GHZ-diagonal"):
-            ns99_ghz_diagonal_max(rho)
+    # rho2 carries W's coherences off the anti-diagonal; GHZ with an imaginary
+    # coherence is an X state, but not a real one
+    complex_ghz = qalg.projector(np.array([1, 0, 0, 0, 0, 0, 0, 1j]) / math.sqrt(2))
+    for rho in (states.mixed_builder(Family.RHO2)(0.5), complex_ghz,
+                qalg.projector(states.ms(0.4))):
+        assert not is_real_x_state(rho)
+        for exact in X_STATE_MAXIMUM.values():
+            with pytest.raises(ValueError, match="not a real X state"):
+                exact(rho)
+
+
+def test_x_mixed_families_are_the_real_x_families():
+    # a family is affine in p, so it is a real X state at every weight iff at both ends
+    for family in states.MIXED_FAMILIES:
+        build = states.mixed_builder(family, 3)
+        real_x = is_real_x_state(build(0.0)) and is_real_x_state(build(1.0))
+        assert real_x == (family in X_MIXED_FAMILIES), family
+        assert all(is_real_x_state(build(p)) == real_x for p in (0.3, 0.7625))
+
+
+def _random_real_x(rng, zzz_heavy=False):
+    """Dirichlet weights on the eight basis states, each anti-diagonal coherence a
+    uniform fraction of its positivity limit sqrt(w_i w_(7-i)). ``zzz_heavy``
+    puts most weight on even-parity states, so |T_zzz| is large."""
+    weights = rng.dirichlet(np.full(8, 0.5))
+    if zzz_heavy:
+        weights *= [1.0, 0.1, 0.1, 1.0, 0.1, 1.0, 1.0, 0.1]
+        weights /= weights.sum()
+    rho = np.diag(weights).astype(complex)
+    for i in range(4):
+        rho[i, 7 - i] = rho[7 - i, i] = rng.uniform(-1.0, 1.0) * math.sqrt(weights[i] * weights[7 - i])
+    return rho
+
+
+def test_x_state_maxima_meet_the_see_saw():
+    # every branch of both formulas is drawn: in-plane M(a, d, b, +-g) and
+    # |T_zzz| for Svetlichny, the in-plane and all-z branches for the facet
+    rng = np.random.default_rng(21)
+    opts = OptimizeOptions(restarts=128, seed=1)
+    for i in range(24):
+        rho = _random_real_x(rng, zzz_heavy=i % 3 == 0)
+        assert is_real_x_state(rho)
+        for kind, exact in X_STATE_MAXIMUM.items():
+            value = exact(rho).value
+            found = optimize_operator(rho, kind, opts).value
+            assert found <= value + 1e-12, (i, kind, found, value)
+            assert value - found <= 1e-8, (i, kind, found, value)
+
+
+def test_x_state_settings_attain_the_value():
+    rng = np.random.default_rng(22)
+    for i in range(200):
+        rho = _random_real_x(rng, zzz_heavy=i % 2 == 0)
+        for kind, exact in X_STATE_MAXIMUM.items():
+            value, scenario = exact(rho)
+            assert abs(operator_value(rho, scenario, kind) - value) <= 1e-12, (i, kind)
+
+
+def test_in_plane_block_depends_on_n_z_and_the_x_y_split():
+    # step 3 of the Svetlichny proof: for unit v in C^2 with Bloch vector n,
+    # |Q(v)|_F^2 depends on n_z alone and 4 |det Q(v)|^2 is affine in n_x^2 - n_y^2
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        a, d, b, g = rng.normal(size=4)
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        v /= np.linalg.norm(v)
+        q = np.array([[a * v[0], b * v[1]], [g * v[1], d * v[0]]])
+        cross = np.conj(v[0]) * v[1]
+        nx, ny, nz = 2 * cross.real, 2 * cross.imag, abs(v[0]) ** 2 - abs(v[1]) ** 2
+        frob = ((a * a + d * d) * (1 + nz) + (b * b + g * g) * (1 - nz)) / 2
+        det4 = (a * d * (1 + nz)) ** 2 + (b * g * (1 - nz)) ** 2 - 2 * a * b * d * g * (nx * nx - ny * ny)
+        assert np.sum(np.abs(q) ** 2) == pytest.approx(frob, abs=1e-12)
+        assert 4 * abs(np.linalg.det(q)) ** 2 == pytest.approx(det4, abs=1e-12)
+
+
+def test_gghz_exact_maxima_are_b1_and_b2():
+    # Ghose et al.'s GGHZ Svetlichny maximum B2, and B1/B3, are cases of the X-state forms
+    for eta in np.linspace(0.0, math.pi / 4, 9):
+        rho = qalg.projector(states.gghz(float(eta)))
+        tau = math.sin(2 * eta) ** 2
+        assert svetlichny_x_max(rho).value == pytest.approx(bound_b2(tau), abs=1e-12)
+        assert ns99_x_max(rho).value == pytest.approx(bound_b1_b3(tau), abs=1e-12)
+
+
+CHANNEL_CASES = [
+    (channels.ChannelKind.DEPOLARIZE, 0.69, (0.8, 0.7, 0.6)),
+    (channels.ChannelKind.DEPOLARIZE, 0.4, (0.1, 0.3, 0.05)),
+    (channels.ChannelKind.AMPLITUDE_DAMP, math.atan2(0.099, 0.995), (0.1, 0.08, 0.09)),
+    (channels.ChannelKind.AMPLITUDE_DAMP, 0.6, (0.3, 0.1, 0.5)),
+]
+
+
+@pytest.mark.parametrize("kind, eta, strengths", CHANNEL_CASES)
+def test_noisy_gghz_is_a_real_x_state_in_both_models(kind, eta, strengths):
+    spec = channels.ChannelSpec(kind, strengths)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", channels.HermitizedClosedFormWarning)
+        models = (channels.apply_channel_spec(qalg.projector(states.gghz(eta)), spec),
+                  workflows._CLOSED_FORMS[kind](eta, *strengths))
+    opts = OptimizeOptions(restarts=128, seed=1)
+    for rho in models:
+        assert is_real_x_state(rho)
+        for operator, exact in X_STATE_MAXIMUM.items():
+            value, scenario = exact(rho)
+            assert abs(operator_value(rho, scenario, operator) - value) <= 1e-12
+            found = optimize_operator(rho, operator, opts).value
+            assert found <= value + 1e-12 and value - found <= 1e-8, (operator, found, value)
 
 
 def test_chsh_pure_max():

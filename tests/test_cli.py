@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tribell import cli, polytope, states, workflows
-from tribell.bell import NS99_MIXED_FAMILIES, MeasurementScenario
+from tribell.bell import X_MIXED_FAMILIES, MeasurementScenario
 from tribell.states import Family
 
 
@@ -44,6 +44,24 @@ def test_bound_rho6_cross_checked_against_formula(capsys):
     assert float(parse_kv(out)["bound"]) == pytest.approx(
         _published_table2(Family.RHO6, 0.9), abs=1e-7
     )
+
+
+def test_bound_svetlichny_on_the_x_state_families(capsys):
+    from tribell.bell import mixed_bound
+
+    for family in X_MIXED_FAMILIES:
+        code, out, _ = run_cli(capsys, "bound", "--family", family.value,
+                               "--operator", "svetlichny", "--p", "0.7")
+        assert code == 0
+        assert parse_kv(out)["bound"] == f"{mixed_bound('svetlichny', family, 0.7):.9g}"
+    # at p = 1 each family is locally equivalent to GHZ
+    code, out, _ = run_cli(capsys, "bound", "--family", "rho4", "--operator", "svetlichny",
+                           "--p", "1")
+    assert float(parse_kv(out)["bound"]) == pytest.approx(4 * math.sqrt(2), abs=1e-8)
+    code, out, err = run_cli(capsys, "bound", "--family", "rho2", "--operator", "svetlichny",
+                             "--p", "0.7")
+    assert code == 2 and out == ""
+    assert "no closed-form bound for family rho2" in err
 
 
 def test_bound_invalid_input_exits_2(capsys):
@@ -163,6 +181,16 @@ def test_exact_threshold_rejects_options_it_never_reads(capsys, given):
     assert code == 2
     assert out == ""
     assert f"{given[0]} cannot be combined with ns99 on rho8, whose probes take the exact maximum" in err
+
+
+@pytest.mark.parametrize("given", [("--restarts", "8"), ("--seed", "9")], ids=lambda given: given[0])
+def test_exact_svetlichny_threshold_rejects_options_it_never_reads(capsys, given):
+    code, out, err = run_cli(capsys, "threshold", "--family", "rho4", "--operator", "svetlichny",
+                             "--tol", "1e-3", *given)
+    assert code == 2
+    assert out == ""
+    assert (f"{given[0]} cannot be combined with svetlichny on rho4, "
+            "whose probes take the exact maximum") in err
 
 
 def test_threshold_prints_its_keys(capsys, monkeypatch):
@@ -614,14 +642,14 @@ def test_membership_angles_reject_options_they_never_read(capsys, given):
 
 def test_closed_form_family_sets_agree(capsys):
     assert set(states.SUBCLASS_S) == {Family.GGHZ, Family.MS, Family.EXT_S}
-    assert set(NS99_MIXED_FAMILIES) == {Family.RHO4, Family.RHO5, Family.RHO6, Family.RHO7,
+    assert set(X_MIXED_FAMILIES) == {Family.RHO4, Family.RHO5, Family.RHO6, Family.RHO7,
                                         Family.RHO8}
     # bound prints a ns99 value for exactly the families with a closed form ...
     options = (("--tau", "0.5"), ("--tau", "0.5", "--c12sq", "0.5"), ("--p", "0.9"))
     for family in Family:
         codes = [run_cli(capsys, "bound", "--family", family.value, "--operator", "ns99", *given)[0]
                  for given in options]
-        closed = family in states.SUBCLASS_S or family in NS99_MIXED_FAMILIES
+        closed = family in states.SUBCLASS_S or family in X_MIXED_FAMILIES
         assert (0 in codes) == closed, (family, codes)
     # ... and a sweep offers that bound as a column for exactly the same mixed families
     for family in states.MIXED_FAMILIES:
@@ -632,7 +660,7 @@ def test_closed_form_family_sets_agree(capsys):
         except ValueError as exc:
             assert "not available" in str(exc)
             offered = False
-        assert offered == (family in NS99_MIXED_FAMILIES), family
+        assert offered == (family in X_MIXED_FAMILIES), family
 
 
 def test_channel_rejects_alpha_with_closed_form(capsys):

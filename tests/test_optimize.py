@@ -23,8 +23,10 @@ from tribell.bell.operators import (
     make_batched_value,
 )
 from tribell.bell.optimize import (
+    TIE_ULPS,
     ViolationReport,
     _angles,
+    _best_restart,
     _initial_points,
     _sweep,
     _tangent_system,
@@ -172,6 +174,35 @@ def test_determinism_bit_identical():
     assert np.array_equal(r1.scenario.angles, r2.scenario.angles)
     assert np.array_equal(r1.restart_values, r2.restart_values)
     assert (r1.violated, r1.converged) == (r2.violated, r2.converged)
+
+
+def test_tied_restarts_report_the_lowest_index_under_ulp_noise():
+    # restarts that reach one maximum differ in the last bits: one ulp of noise
+    # on each tied value must not move the reported restart
+    rng = np.random.default_rng(8)
+    for top in (3.296799, 4.0 + 1e-9, 5.656854249492381, 0.25):
+        values = np.full(64, top)
+        lower = rng.choice(64, size=40, replace=False)
+        values[lower] -= rng.uniform(1e-12, 1.0, size=40)
+        tied = np.flatnonzero(values == top)
+        for _ in range(50):
+            step = rng.integers(-1, 2, size=tied.size)
+            noisy = values.copy()
+            noisy[tied] = np.where(step > 0, np.nextafter(top, np.inf),
+                                   np.where(step < 0, np.nextafter(top, -np.inf), top))
+            assert _best_restart(noisy) == tied[0]
+        # a value further than the tie window below the maximum does not tie
+        values[tied[0]] = top - 2 * TIE_ULPS * np.spacing(top)
+        assert _best_restart(values) == tied[1]
+
+
+def test_report_takes_the_lowest_tied_restart():
+    rho = qalg.projector(states.gghz(0.6))
+    report = optimize_operator(rho, BellKind.SVETLICHNY, OptimizeOptions(restarts=32, seed=1))
+    values = report.restart_values
+    tied = np.flatnonzero(values >= values.max() - TIE_ULPS * np.spacing(values.max()))
+    assert tied.size > 1
+    assert report.value == values[tied[0]]
 
 
 def test_initial_points_are_seeded_and_prefix_stable():

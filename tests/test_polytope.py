@@ -102,9 +102,18 @@ def _ns_equality_system():
     return np.array(rows), np.array(rhs)
 
 
-def _dense_phase1_simplex(A, b, max_iter=50000):
-    """Phase-1 simplex on the full dense tableau, Bland's rule (reference).
+# Consecutive degenerate pivots after which the dense oracle enters by Bland's rule.
+DEGENERATE_RUN = 50
 
+
+def _dense_phase1_simplex(A, b, max_iter=50000):
+    """Phase-1 simplex on the full dense tableau (reference).
+
+    Enters by Dantzig's rule (most negative reduced cost), which the library's
+    Bland pricing does not share. Dantzig's rule can cycle on a degenerate LP,
+    so after DEGENERATE_RUN pivots in a row that leave the basic solution
+    unchanged it enters by Bland's rule (smallest index) until a pivot moves it
+    again. Each pivot is one rank-1 update of the whole tableau.
     Returns (objective, w, iterations).
     """
     A = np.asarray(A, dtype=float)
@@ -121,6 +130,7 @@ def _dense_phase1_simplex(A, b, max_iter=50000):
     cost = np.zeros(n + m)
     cost[n:] = 1.0
     eps = 1e-11
+    degenerate = 0
 
     for iteration in range(max_iter):
         reduced = cost - cost[basis] @ rows
@@ -130,8 +140,11 @@ def _dense_phase1_simplex(A, b, max_iter=50000):
             w = np.zeros(n + m)
             w[basis] = rhs
             return objective, w[:n], iteration
-        j = int(entering_candidates[0])  # Bland: smallest index
-        col = rows[:, j]
+        if degenerate < DEGENERATE_RUN:
+            j = int(entering_candidates[np.argmin(reduced[entering_candidates])])  # Dantzig
+        else:
+            j = int(entering_candidates[0])  # Bland: smallest index
+        col = rows[:, j].copy()
         positive = col > eps
         if not positive.any():
             raise LPNumericalError("phase-1 simplex detected an unbounded direction")
@@ -140,14 +153,11 @@ def _dense_phase1_simplex(A, b, max_iter=50000):
         best = ratios.min()
         tie_rows = np.where(ratios <= best + 1e-15)[0]
         i = int(tie_rows[np.argmin(basis[tie_rows])])  # Bland tie-break
-        pivot = rows[i, j]
-        rows[i] /= pivot
-        rhs[i] /= pivot
-        for r in range(m):
-            if r != i and abs(rows[r, j]) > 0.0:
-                factor = rows[r, j]
-                rows[r] -= factor * rows[i]
-                rhs[r] -= factor * rhs[i]
+        degenerate = degenerate + 1 if best <= 1e-15 else 0
+        pivot_row, pivot_rhs = rows[i] / col[i], rhs[i] / col[i]
+        rows -= np.outer(col, pivot_row)
+        rhs -= col * pivot_rhs
+        rows[i], rhs[i] = pivot_row, pivot_rhs
         rhs = np.maximum(rhs, 0.0)
         basis[i] = j
     raise LPNumericalError(f"phase-1 simplex did not terminate in {max_iter} pivots")
@@ -228,6 +238,16 @@ def test_behavior_validation_guards():
     neg[1, 0, 0, 0, 0, 0] = 0.26
     with pytest.raises(ValueError):
         Behavior(neg)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
+def test_behavior_rejects_non_finite_tables(entry):
+    # NaN passes the positivity and normalization tests (both compare False),
+    # so it needs its own rejection before any LP sees it
+    for table in (np.full(polytope.BEHAVIOR_SHAPE, entry), np.full(polytope.BEHAVIOR_SHAPE, 1 / 8.0)):
+        table[0, 0, 0, 0, 0, 0] = entry
+        with pytest.raises(ValueError, match="non-finite probability"):
+            Behavior(table)
 
 
 def test_fully_local_vertex_count_and_normalization():

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from tribell import workflows
+from tribell import channels, qalg, states, workflows
 from tribell.bell import (
     CLASSICAL_BOUND,
-    NS99_MIXED_FAMILIES,
+    X_MIXED_FAMILIES,
+    X_STATE_MAXIMUM,
     BellKind,
+    OptimizeOptions,
     bound_b4,
     optimize_operator,
 )
@@ -92,36 +94,43 @@ def test_every_threshold_probe_runs_the_query_restarts_and_seed(monkeypatch):
 
     monkeypatch.setattr(workflows, "optimize_operator", recording)
     query = ThresholdQuery(
-        family=Family.RHO4, operator=BellKind.SVETLICHNY, tol=workflows.TABLE_TOL, seed=3
+        family=Family.RHO2, operator=BellKind.SVETLICHNY, tol=workflows.TABLE_TOL, seed=3
     )
     result = workflows.threshold_bisect(query)
     assert result.evaluations == len(seen) == 13
     assert [(o.restarts, o.seed) for o in seen] == [(query.restarts, query.seed)] * 13
 
 
+# Both operators on rho4..rho8; the ns99 cells keep their family name as id.
 EXACT_ROOTS = [
-    (family, p_star) for family, _, operator, p_star in TABLE_ROOTS
-    if operator is BellKind.NS99 and family in NS99_MIXED_FAMILIES
+    (family, operator, p_star) for family, _, operator, p_star in TABLE_ROOTS
+    if family in X_MIXED_FAMILIES
+]
+EXACT_IDS = [
+    family.value if operator is BellKind.NS99 else f"{family.value}-{operator.value}"
+    for family, operator, _ in EXACT_ROOTS
 ]
 
 
-@pytest.mark.parametrize("family, p_star", EXACT_ROOTS, ids=[f.value for f, _ in EXACT_ROOTS])
-def test_exact_threshold_is_confirmed_by_the_optimizer(family, p_star):
+@pytest.mark.parametrize("family, operator, p_star", EXACT_ROOTS, ids=EXACT_IDS)
+def test_exact_threshold_is_confirmed_by_the_optimizer(family, operator, p_star):
     # an independent check of the exact probes: the see-saw verdict flips across p*
     build = workflows.mixed_builder(family)
     half = 0.5 * workflows.TABLE_TOL
-    below = optimize_operator(build(p_star - half), BellKind.NS99)
-    above = optimize_operator(build(p_star + half), BellKind.NS99)
+    below = optimize_operator(build(p_star - half), operator)
+    above = optimize_operator(build(p_star + half), operator)
     assert (below.violated, above.violated) == (False, True)
 
 
-@pytest.mark.parametrize("family", NS99_MIXED_FAMILIES)
-def test_exact_threshold_runs_no_optimizer(monkeypatch, family):
+@pytest.mark.parametrize(
+    "family, operator", [cell[:2] for cell in EXACT_ROOTS], ids=EXACT_IDS
+)
+def test_exact_threshold_runs_no_optimizer(monkeypatch, family, operator):
     def refuse(*args):
         raise AssertionError("an exact query ran the optimizer")
 
     monkeypatch.setattr(workflows, "optimize_operator", refuse)
-    query = ThresholdQuery(family=family, operator=BellKind.NS99, tol=workflows.TABLE_TOL)
+    query = ThresholdQuery(family=family, operator=operator, tol=workflows.TABLE_TOL)
     assert query.exact
     assert workflows.threshold_bisect(query).evaluations == 13
 
@@ -180,6 +189,41 @@ def test_sweep_ms_matches_gghz_bound_in_tau():
     for row in rows:
         tau, bound = row[1], row[2]
         assert bound == pytest.approx(1 + 2 * math.sqrt(1 + tau), abs=1e-12)
+
+
+def test_sweep_offers_both_exact_bounds_on_the_x_state_families():
+    spec = SweepSpec(Family.RHO4, "p", 0.6, 0.9, 4, ("ns_bound", "svet_bound", "svet_opt"))
+    _, rows = workflows.run_sweep(spec)
+    build = workflows.mixed_builder(Family.RHO4)
+    for p, ns_bound, svet_bound, svet_opt in rows:
+        assert ns_bound == X_STATE_MAXIMUM[BellKind.NS99](build(p)).value
+        assert svet_bound == X_STATE_MAXIMUM[BellKind.SVETLICHNY](build(p)).value
+        assert svet_opt <= svet_bound + 1e-12 and svet_bound - svet_opt <= 1e-8
+    with pytest.raises(ValueError, match="not available"):
+        SweepSpec(Family.RHO2, "p", 0.6, 0.9, 2, ("svet_bound",))
+
+
+def test_channel_verdicts_optimize_only_states_that_are_not_real_x(monkeypatch):
+    seen = []
+
+    def recording(rho, operator, opts):
+        seen.append(operator)
+        return optimize_operator(rho, operator, opts)
+
+    monkeypatch.setattr(workflows, "optimize_operator", recording)
+    spec = channels.ChannelSpec(channels.ChannelKind.DEPOLARIZE, (0.8, 0.7, 0.6))
+    opts = OptimizeOptions(restarts=8, seed=1)
+    gghz = workflows.channel_verdicts(qalg.projector(states.gghz(0.69)), spec, opts, 0.69)
+    assert seen == []
+    kraus, closed = (channels.apply_channel_spec(qalg.projector(states.gghz(0.69)), spec),
+                     channels.closed_form_depolarized_gghz(0.69, *spec.strengths))
+    for verdict, rho in zip(gghz, (kraus, closed)):
+        ns, sv = (X_STATE_MAXIMUM[kind](rho).value for kind in (BellKind.NS99, BellKind.SVETLICHNY))
+        assert (verdict.ns99_value, verdict.svetlichny_value) == (ns, sv)
+        assert verdict.ns99_violated == (ns > 3.0 + 1e-9)
+        assert verdict.svetlichny_violated == (sv > 4.0 + 1e-9)
+    workflows.channel_verdicts(qalg.projector(states.ms(0.69)), spec, opts)
+    assert seen == [BellKind.NS99, BellKind.SVETLICHNY]
 
 
 def test_sweep_optimizer_columns():
