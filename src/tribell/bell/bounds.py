@@ -18,9 +18,10 @@ numerical optimizer is the independent cross-check for all of them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -275,12 +276,18 @@ X_STATE_MAXIMUM = {BellKind.NS99: ns99_x_max, BellKind.SVETLICHNY: svetlichny_x_
 X_MIXED_FAMILIES = (Family.RHO4, Family.RHO5, Family.RHO6, Family.RHO7, Family.RHO8)
 
 
+@functools.cache
+def _x_family_builder(family: Family) -> Callable[[float], np.ndarray]:
+    """``mixed_builder(family)``, summed once per family; none in X_MIXED_FAMILIES takes k."""
+    return mixed_builder(family)
+
+
 def mixed_bound(kind: BellKind, family: Family, p: float) -> float:
     """Maximum of a three-party operator on a family in X_MIXED_FAMILIES at weight p."""
     kind, family = BellKind(kind), Family(family)
     if kind not in X_STATE_MAXIMUM or family not in X_MIXED_FAMILIES:
         raise ValueError(f"no closed-form {kind.value} bound for family {family.value}")
-    return X_STATE_MAXIMUM[kind](mixed_builder(family)(_check_unit(p, "p"))).value
+    return X_STATE_MAXIMUM[kind](_x_family_builder(family)(_check_unit(p, "p"))).value
 
 
 def ns99_mixed_bound(family: Family, p: float) -> float:

@@ -196,18 +196,17 @@ def cmd_threshold(args) -> int:
     except workflows.NoCrossingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    _emit(
-        {
-            "family": query.family.value,
-            "operator": query.operator.value,
-            "p_star": result.p_star,
-            "bracket": list(query.bracket),
-            "tol": query.tol,
-            "evaluations": result.evaluations,
-            "seed": query.seed,
-        },
-        args.json,
-    )
+    pairs = {
+        "family": query.family.value,
+        "operator": query.operator.value,
+        "p_star": result.p_star,
+        "bracket": list(query.bracket),
+        "tol": query.tol,
+        "evaluations": result.evaluations,
+    }
+    if not query.exact:
+        pairs["seed"] = query.seed
+    _emit(pairs, args.json)
     return EXIT_OK
 
 
@@ -318,8 +317,12 @@ def cmd_channel(args) -> int:
     spec = channels.ChannelSpec(channels.ChannelKind(args.kind), tuple(args.strengths))
     opts = OptimizeOptions(seed=_seed(args), **_given(restarts=args.restarts))
     eta = args.eta if args.closed_form else None
+    verdicts = workflows.channel_verdicts(rho, spec, opts, closed_form_eta=eta)
+    if not any(v.optimized for v in verdicts):
+        _reject_given(args, ("--restarts", "--seed"),
+                      "a channel whose model states are all real X states, with exact maxima")
     pairs = {"kind": spec.kind.value, "strengths": list(spec.strengths)}
-    for v in workflows.channel_verdicts(rho, spec, opts, closed_form_eta=eta):
+    for v in verdicts:
         pairs.update({
             f"{v.model}_ns99": v.ns99_value,
             f"{v.model}_ns99_violated": v.ns99_violated,

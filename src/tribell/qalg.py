@@ -12,7 +12,7 @@ is the leftmost factor of every Kronecker product.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -109,24 +109,6 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     evals = np.linalg.eigvalsh(rho)
     positive = evals[evals > 0.0]
     return float(-np.sum(positive * np.log2(positive)))
-
-
-def permute_qubits(state: np.ndarray, perm: Sequence[int]) -> np.ndarray:
-    """Relabel the three qubits of a vector (8,) or matrix (8,8).
-
-    ``perm`` lists, for each output slot, the 1-based input qubit placed
-    there; e.g. ``(1, 3, 2)`` swaps qubits 2 and 3.
-    """
-    perm0 = [p - 1 for p in perm]
-    if sorted(perm0) != [0, 1, 2]:
-        raise ValueError(f"perm must be a permutation of (1,2,3), got {perm}")
-    arr = np.asarray(state, dtype=complex)
-    if arr.shape == (8,):
-        return arr.reshape(2, 2, 2).transpose(perm0).reshape(8)
-    if arr.shape == (8, 8):
-        axes = perm0 + [p + 3 for p in perm0]
-        return arr.reshape((2,) * 6).transpose(axes).reshape(8, 8)
-    raise ValueError(f"expected shape (8,) or (8,8), got {arr.shape}")
 
 
 def pauli_tensor(rho: np.ndarray, n: int) -> np.ndarray:

@@ -432,6 +432,7 @@ class ChannelExampleVerdict:
     ns99_violated: bool
     svetlichny_value: float
     svetlichny_violated: bool
+    optimized: bool  # the optimizer ran (the state is not a real X state)
 
     @property
     def claim_holds(self) -> bool:
@@ -458,21 +459,24 @@ def channel_verdicts(
     is given. Verdicts come in that model order; the damped closed form warns
     ``HermitizedClosedFormWarning``. A model state that is a real X state (GGHZ
     under either channel, and both closed forms) takes the exact maxima;
-    any other runs the optimizer with ``opts``."""
+    any other runs the optimizer with ``opts``, and its verdict says so."""
     noisy = {"kraus": channels.apply_channel_spec(rho, spec)}
     if closed_form_eta is not None:
         noisy["closed_form"] = _CLOSED_FORMS[spec.kind](closed_form_eta, *spec.strengths)
     verdicts = []
     kinds = (BellKind.NS99, BellKind.SVETLICHNY)
     for model, state in noisy.items():
-        if is_real_x_state(state):
-            ns, sv = (X_STATE_MAXIMUM[kind](state).value for kind in kinds)
-        else:
+        optimized = not is_real_x_state(state)
+        if optimized:
             ns, sv = (optimize_operator(state, kind, opts).value for kind in kinds)
+        else:
+            ns, sv = (X_STATE_MAXIMUM[kind](state).value for kind in kinds)
         ns_violated, sv_violated = (
             value > CLASSICAL_BOUND[kind] + VIOLATION_ATOL for value, kind in zip((ns, sv), kinds)
         )
-        verdicts.append(ChannelExampleVerdict(example, model, ns, ns_violated, sv, sv_violated))
+        verdicts.append(
+            ChannelExampleVerdict(example, model, ns, ns_violated, sv, sv_violated, optimized)
+        )
     return verdicts
 
 

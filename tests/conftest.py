@@ -34,3 +34,21 @@ def partial_trace_dims(rho, dims, keep):
         dims.pop(idx)
     d = int(np.prod(dims)) if dims else 1
     return reshaped.reshape(d, d)
+
+
+def permute_qubits(state, perm):
+    """Relabel the three qubits of a vector (8,) or matrix (8,8).
+
+    ``perm`` lists, for each output slot, the 1-based input qubit placed
+    there; e.g. ``(1, 3, 2)`` swaps qubits 2 and 3.
+    """
+    perm0 = [p - 1 for p in perm]
+    if sorted(perm0) != [0, 1, 2]:
+        raise ValueError(f"perm must be a permutation of (1,2,3), got {perm}")
+    arr = np.asarray(state, dtype=complex)
+    if arr.shape == (8,):
+        return arr.reshape(2, 2, 2).transpose(perm0).reshape(8)
+    if arr.shape == (8, 8):
+        axes = perm0 + [p + 3 for p in perm0]
+        return arr.reshape((2,) * 6).transpose(axes).reshape(8, 8)
+    raise ValueError(f"expected shape (8,) or (8,8), got {arr.shape}")

@@ -65,7 +65,7 @@ from tribell.bell import (
 )
 from tribell.polytope import Behavior, HybridKind
 from tribell.workflows import ThresholdQuery
-from conftest import random_density_matrix, random_pure_state
+from conftest import permute_qubits, random_density_matrix, random_pure_state
 
 OPTS = OptimizeOptions(restarts=64, seed=1)
 
@@ -102,7 +102,7 @@ def test_criterion_02_ms_bound_recovery():
         expected = 1 + 2 * math.sqrt(1 + math.sin(eta) ** 2)
         v = _opt(qalg.projector(psi), BellKind.NS99).value
         v_swapped = _opt(
-            qalg.projector(qalg.permute_qubits(psi, (1, 3, 2))), BellKind.NS99
+            qalg.projector(permute_qubits(psi, (1, 3, 2))), BellKind.NS99
         ).value
         worst = max(worst, abs(v - expected))
         worst_swap = max(worst_swap, abs(v - v_swapped))
@@ -510,7 +510,7 @@ def test_criterion_11_property_suites():
         tau = entangle.three_tangle_pure(psi)
         perm = perms[i % len(perms)]
         worst_perm = max(
-            worst_perm, abs(entangle.three_tangle_pure(qalg.permute_qubits(psi, perm)) - tau)
+            worst_perm, abs(entangle.three_tangle_pure(permute_qubits(psi, perm)) - tau)
         )
     tangle_ok = worst_perm <= 1e-9
 

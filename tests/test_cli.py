@@ -208,6 +208,16 @@ def test_threshold_prints_its_keys(capsys, monkeypatch):
     assert float(pairs["p_star"]) == pytest.approx(0.811876, abs=1e-3)
 
 
+def test_exact_threshold_prints_no_seed(capsys, monkeypatch):
+    # The probes of an exact query read no seed, so none is printed.
+    monkeypatch.setenv("NL_SEED", "7")
+    code, out, _ = run_cli(
+        capsys, "threshold", "--family", "rho4", "--operator", "svetlichny", "--tol", "1e-3",
+    )
+    assert code == 0
+    assert list(parse_kv(out)) == ["family", "operator", "p_star", "bracket", "tol", "evaluations"]
+
+
 def test_tables_prints_the_published_rows_and_the_library_cells(capsys, monkeypatch):
     monkeypatch.delenv("NL_SEED", raising=False)
     code, out, _ = run_cli(capsys, "tables", "--which", "1")
@@ -478,7 +488,7 @@ def test_channel_command_both_models(capsys):
     with pytest.warns(HermitizedClosedFormWarning):
         code, out, _ = run_cli(
             capsys, "channel", "--kind", "amplitude_damp", "--strengths", "0.1", "0.08", "0.09",
-            "--family", "gghz", "--eta", "0.0992", "--closed-form", "--restarts", "12",
+            "--family", "gghz", "--eta", "0.0992", "--closed-form",
         )
     assert code == 0
     pairs = parse_kv(out)
@@ -487,6 +497,29 @@ def test_channel_command_both_models(capsys):
     assert pairs["kraus_svetlichny_violated"] == "false"
     assert pairs["closed_form_ns99_violated"] == "true"
     assert pairs["closed_form_svetlichny_violated"] == "false"
+    # A depolarized MS state is not a real X state, so its Kraus model reads --restarts.
+    code, out, _ = run_cli(
+        capsys, "channel", "--kind", "depolarize", "--strengths", "0.8", "0.7", "0.6",
+        "--family", "ms", "--eta", "0.69", "--restarts", "12",
+    )
+    assert code == 0
+    assert list(parse_kv(out)) == CHANNEL_BOTH_MODEL_KEYS[:6]
+
+
+@pytest.mark.parametrize("given", [("--restarts", "12"), ("--seed", "3")])
+def test_channel_on_real_x_states_rejects_optimizer_options(capsys, given):
+    # GGHZ under the channel and its closed form are real X states with exact
+    # maxima, so neither option would be read.
+    from tribell.channels import HermitizedClosedFormWarning
+
+    with pytest.warns(HermitizedClosedFormWarning):
+        code, out, err = run_cli(
+            capsys, "channel", "--kind", "amplitude_damp", "--strengths", "0.1", "0.08", "0.09",
+            "--family", "gghz", "--eta", "0.0992", "--closed-form", *given,
+        )
+    assert code == 2
+    assert out == ""
+    assert f"{given[0]} cannot be combined with a channel whose model states are all real X" in err
 
 
 def test_channel_command_depolarized_closed_form(capsys):

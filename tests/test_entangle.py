@@ -4,7 +4,42 @@ import numpy as np
 import pytest
 
 from tribell import entangle, qalg, states
-from conftest import partial_trace_dims, random_pure_state, random_density_matrix
+from conftest import partial_trace_dims, permute_qubits, random_pure_state, random_density_matrix
+
+
+def _three_tangle_symmetric(a, b, c, d, h, gamma):
+    """Three-tangle of a|011> + b|101> + c|110> + d|000> + h e^{i gamma}|111>.
+
+    tau = 4 d sqrt((d h^2 - 4 a b c)^2 + 16 a b c d h^2 cos^2(gamma)).
+    """
+    norm_sq = a * a + b * b + c * c + d * d + h * h
+    if abs(norm_sq - 1.0) > 1e-10:
+        raise ValueError(f"amplitudes not normalized: sum of squares = {norm_sq!r}")
+    inner = (d * h * h - 4.0 * a * b * c) ** 2
+    inner += 16.0 * a * b * c * d * h * h * math.cos(gamma) ** 2
+    tau = 4.0 * d * math.sqrt(max(inner, 0.0))
+    return float(min(max(tau, 0.0), 1.0))
+
+
+def _xstate_discord_subclass_s(l0, l3):
+    """Closed-form discord of the AB marginal of a subclass-S state.
+
+    The marginal is the X state
+      l0^2 |00><00| + (1-l0^2)|11><11| + l0 l3 (|00><11| + |11><00|);
+    with r = sqrt(1 + 4 l0^4 + 4 l0^2 (l3^2 - 1)) its discord is
+
+      [-ln4 (l0^2 ln l0^2 + (1-l0^2) ln(1-l0^2))
+       + ln2 ((1+r) ln((1+r)/2) + (1-r) ln((1-r)/2))] / (ln2 ln4)
+
+    i.e. h(l0^2) - h((1+r)/2) in bits, evaluated as h(l0^2) - h((1-r)/2) to
+    keep the precision of the small weight. r > 1 means l0^2 + l3^2 > 1, which
+    is not a state, and raises ValueError.
+    """
+    a = l0 * l0
+    if not 0.0 <= a <= 1.0:
+        raise ValueError(f"l0^2 must lie in [0,1], got {a}")
+    r = math.sqrt(max(1.0 + 4.0 * a * a + 4.0 * a * (l3 * l3 - 1.0), 0.0))
+    return entangle.binary_entropy(a) - entangle.binary_entropy((1.0 - r) / 2.0)
 
 
 def test_concurrence_bell_state():
@@ -82,20 +117,20 @@ def test_three_tangle_permutation_invariance(rng):
         base = entangle.three_tangle_pure(psi)
         for perm in ((2, 1, 3), (3, 2, 1), (2, 3, 1), (1, 3, 2), (3, 1, 2)):
             assert entangle.three_tangle_pure(
-                qalg.permute_qubits(psi, perm)
+                permute_qubits(psi, perm)
             ) == pytest.approx(base, abs=1e-9)
 
 
 def test_three_tangle_symmetric_cases():
     r = 1 / np.sqrt(2)
-    assert entangle.three_tangle_symmetric(0, 0, 0, r, r, 0.0) == pytest.approx(1.0)
-    assert entangle.three_tangle_symmetric(0.5, 0.5, 0.5, 0.0, 0.5, 1.3) == pytest.approx(0.0)
+    assert _three_tangle_symmetric(0, 0, 0, r, r, 0.0) == pytest.approx(1.0)
+    assert _three_tangle_symmetric(0.5, 0.5, 0.5, 0.0, 0.5, 1.3) == pytest.approx(0.0)
     # with abc = 0 the value cannot depend on the phase
-    v1 = entangle.three_tangle_symmetric(0.0, 0.6, 0.0, 0.6, np.sqrt(0.28), 0.0)
-    v2 = entangle.three_tangle_symmetric(0.0, 0.6, 0.0, 0.6, np.sqrt(0.28), 2.1)
+    v1 = _three_tangle_symmetric(0.0, 0.6, 0.0, 0.6, np.sqrt(0.28), 0.0)
+    v2 = _three_tangle_symmetric(0.0, 0.6, 0.0, 0.6, np.sqrt(0.28), 2.1)
     assert v1 == pytest.approx(v2, abs=1e-15)
     with pytest.raises(ValueError):
-        entangle.three_tangle_symmetric(0.5, 0.5, 0.5, 0.5, 0.5, 0.0)
+        _three_tangle_symmetric(0.5, 0.5, 0.5, 0.5, 0.5, 0.0)
 
 
 def test_three_tangle_symmetric_matches_state_tangle():
@@ -104,7 +139,7 @@ def test_three_tangle_symmetric_matches_state_tangle():
     h = np.sqrt(1 - (a * a + b * b + c * c + d * d))
     psi = np.zeros(8, dtype=complex)
     psi[0b011], psi[0b101], psi[0b110], psi[0b000], psi[0b111] = a, b, c, d, h
-    tau_formula = entangle.three_tangle_symmetric(a, b, c, d, h, 0.0)
+    tau_formula = _three_tangle_symmetric(a, b, c, d, h, 0.0)
     tau_state = entangle.three_tangle_pure(psi)
     assert tau_formula == pytest.approx(tau_state, abs=1e-9)
 
@@ -133,14 +168,16 @@ def test_discord_xstate_closed_form(rng):
             qalg.projector(states.extended_ghz(l0, l3, l4)), keep=[1, 2]
         )
         numeric = entangle.discord_numeric(rho_ab, measured=1)
-        closed = entangle.xstate_discord_subclass_s(l0, l3)
+        closed = _xstate_discord_subclass_s(l0, l3)
         assert numeric == pytest.approx(closed, abs=1e-12)
 
 
 def test_discord_nonnegative_random(rng):
+    # Full-rank draws are outside the exact route and raise.
     for _ in range(10):
         rho = random_density_matrix(rng, dim=4)
-        assert entangle.discord_numeric(rho) >= -1e-9
+        with pytest.raises(ValueError, match="rank at most 2, got rank 4"):
+            entangle.discord_numeric(rho)
 
 
 def test_discord_rejects_non_qubit_measured_side():
@@ -185,6 +222,38 @@ def _bloch_expansion(rho):
     return a, b, t
 
 
+# The oracle of the exact rank-2 route minimizes over projective measurements:
+# a dense (theta, phi) grid, then a zoom over REFINE_STENCIL x REFINE_STENCIL
+# stencils of axes, one batched call per level, until the stencil spacing is
+# at most REFINE_STEP_TOL.
+THETA_GRID = 64
+PHI_GRID = 32
+REFINE_STENCIL = 9
+REFINE_STEP_TOL = 1e-10
+
+
+def _conditional_entropy_batch(a, b, t, theta, phi):
+    """Average post-measurement entropy of the unmeasured qubit A for a batch of axes.
+
+    ``a``, ``b``: Bloch vectors of A and of the measured qubit; ``t``: the
+    correlation matrix, A on the rows; theta/phi: flat arrays giving axes n.
+    Outcome +-1 has p = (1 +- b.n)/2 and leaves the unnormalized block
+    ((1 +- b.n) I + (a +- T n).sigma)/4, whose eigenvalues are
+    ((1 +- b.n) +- |a +- T n|)/4. Returns the array of sum_i p_i S(rho_{A|i}).
+    """
+    st = np.sin(theta)
+    n = np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
+    sign = np.array([1.0, -1.0])[:, None]
+    p = 0.5 * (1.0 + sign * (n @ b))
+    radius = np.linalg.norm(a + sign[..., None] * (n @ t.T), axis=-1)
+    evals = np.stack([0.5 * p + 0.25 * radius, 0.5 * p - 0.25 * radius])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ent = -np.sum(np.where(evals > 0.0, evals * np.log2(evals), 0.0), axis=0)
+        # S(rho_{A|i}) needs the normalized block; entropy of block/p is
+        # ent/p + log2(p), and it enters weighted by p.
+        return np.sum(np.where(p > 1e-14, ent + p * np.log2(p), 0.0), axis=0)
+
+
 def test_conditional_entropy_kernel_matches_block_oracle(rng):
     product = np.zeros((4, 4), dtype=complex)
     product[0, 0] = 1.0
@@ -195,13 +264,13 @@ def test_conditional_entropy_kernel_matches_block_oracle(rng):
     theta = np.concatenate([[t for t, _ in poles], rng.uniform(0.0, np.pi, 40)])
     phi = np.concatenate([[p for _, p in poles], rng.uniform(0.0, 2 * np.pi, 40)])
     for rho in rhos:
-        kernel = entangle._conditional_entropy_batch(*_bloch_expansion(rho), theta, phi)
+        kernel = _conditional_entropy_batch(*_bloch_expansion(rho), theta, phi)
         reference = _reference_conditional_entropy(rho, theta, phi)
         assert np.max(np.abs(kernel - reference)) <= 1e-12
 
 
 def _former_discord_numeric(rho, measured):
-    """discord_numeric as it was when S(B) came from a partial trace and its spectrum."""
+    """The numeric discord, with S(B) from a partial trace and its spectrum."""
     r = np.roll(qalg.pauli_tensor(rho, 2), 1, axis=(0, 1))
     if measured == 0:
         r = r.T
@@ -210,19 +279,19 @@ def _former_discord_numeric(rho, measured):
     s_ab = qalg.von_neumann_entropy(rho)
     s_b = qalg.von_neumann_entropy(partial_trace_dims(rho, (2, 2), keep=[measured]))
 
-    thetas = np.linspace(0.0, math.pi, entangle.THETA_GRID)
-    phis = np.linspace(0.0, 2.0 * math.pi, entangle.PHI_GRID, endpoint=False)
+    thetas = np.linspace(0.0, math.pi, THETA_GRID)
+    phis = np.linspace(0.0, 2.0 * math.pi, PHI_GRID, endpoint=False)
     tg, pg = (g.ravel() for g in np.meshgrid(thetas, phis, indexing="ij"))
-    vals = entangle._conditional_entropy_batch(a, b, t, tg, pg)
+    vals = _conditional_entropy_batch(a, b, t, tg, pg)
     i = int(np.argmin(vals))
     best, theta0, phi0 = float(vals[i]), tg[i], pg[i]
 
     step = max(thetas[1] - thetas[0], phis[1] - phis[0])
-    half = (entangle.REFINE_STENCIL - 1) // 2
+    half = (REFINE_STENCIL - 1) // 2
     off_t, off_p = np.mgrid[-half : half + 1, -half : half + 1].reshape(2, -1).astype(float)
     edge = np.maximum(np.abs(off_t), np.abs(off_p)) == half
-    while step > entangle.REFINE_STEP_TOL:
-        vals = entangle._conditional_entropy_batch(
+    while step > REFINE_STEP_TOL:
+        vals = _conditional_entropy_batch(
             a, b, t, theta0 + step * off_t, phi0 + step * off_p
         )
         i = int(np.argmin(vals))
@@ -237,14 +306,13 @@ def _former_discord_numeric(rho, measured):
 
 
 def test_discord_matches_former_partial_trace_path(rng):
-    # Inputs of rank 3 and 4 still run the minimization.
-    rhos = [np.eye(4, dtype=complex) / 4]
-    rhos += [random_density_matrix(rng, dim=4, rank=r) for r in (3, 4) for _ in range(3)]
-    for rho in rhos:
+    # The inputs of rank 3 and 4 the former path minimized are now rejected.
+    rhos = [(np.eye(4, dtype=complex) / 4, 4)]
+    rhos += [(random_density_matrix(rng, dim=4, rank=r), r) for r in (3, 4) for _ in range(3)]
+    for rho, rank in rhos:
         for measured in (0, 1):
-            assert entangle.discord_numeric(rho, measured) == pytest.approx(
-                _former_discord_numeric(rho, measured), abs=1e-12
-            )
+            with pytest.raises(ValueError, match=f"rank at most 2, got rank {rank}"):
+                entangle.discord_numeric(rho, measured)
 
 
 def test_rank_two_discord_meets_the_former_minimization(rng):
@@ -308,9 +376,8 @@ def _random_unitary(rng):
 
 
 def test_rank_three_classical_discord_has_no_negative_bias(rng):
-    # A state diagonal in a product basis has zero discord. Near the optimal
-    # axis the post-measurement blocks have eigenvalues of order theta^2;
-    # the minimization must keep them, or the minimum is biased low.
+    # Rank-3 states diagonal in a product basis are outside the exact route
+    # and raise, however small their discord.
     rhos = [np.diag([0.2, 0.3, 0.5, 0.0]).astype(complex)]
     for _ in range(20):
         basis = np.kron(_random_unitary(rng), _random_unitary(rng))
@@ -318,31 +385,27 @@ def test_rank_three_classical_discord_has_no_negative_bias(rng):
         rhos.append((basis * weights) @ basis.conj().T)
     for rho in rhos:
         for measured in (0, 1):
-            assert entangle.discord_numeric(rho, measured) >= -1e-13
+            with pytest.raises(ValueError, match="rank at most 2, got rank 3"):
+                entangle.discord_numeric(rho, measured)
 
 
-def test_rank_three_discord_just_above_the_cut_is_minimized(rng, monkeypatch):
-    calls = []
-    kernel = entangle._conditional_entropy_batch
-
-    def counted(*args):
-        calls.append(1)
-        return kernel(*args)
-
-    monkeypatch.setattr(entangle, "_conditional_entropy_batch", counted)
+def test_rank_three_discord_just_above_the_cut_is_minimized(rng):
+    # A third eigenvalue below EIG_CLAMP takes the exact route; above it the
+    # state has rank 3 and raises.
+    eps = 0.5 * qalg.EIG_CLAMP
     for _ in range(3):
         evals, vecs = np.linalg.eigh(random_density_matrix(rng, dim=4))
         rank2 = (vecs[:, 2:] * (evals[2:] / evals[2:].sum())) @ vecs[:, 2:].conj().T
-        for eps, numeric in ((0.5 * qalg.EIG_CLAMP, False), (2.0 * qalg.EIG_CLAMP, True)):
-            rho = (1.0 - eps) * rank2 + eps * qalg.projector(vecs[:, 1])
-            for measured in (0, 1):
-                calls.clear()
-                exact = entangle.discord_numeric(rank2, measured)
-                assert not calls
-                got = entangle.discord_numeric(rho, measured)
-                assert bool(calls) is numeric
-                # Moving weight eps moves each entropy by O(eps log 1/eps).
-                assert abs(got - exact) <= 10.0 * eps * np.log2(1.0 / eps)
+        below, above = (
+            (1.0 - w) * rank2 + w * qalg.projector(vecs[:, 1]) for w in (eps, 4.0 * eps)
+        )
+        for measured in (0, 1):
+            exact = entangle.discord_numeric(rank2, measured)
+            # Moving weight eps moves each entropy by O(eps log 1/eps).
+            got = entangle.discord_numeric(below, measured)
+            assert abs(got - exact) <= 10.0 * eps * np.log2(1.0 / eps)
+            with pytest.raises(ValueError, match="rank at most 2, got rank 3"):
+                entangle.discord_numeric(above, measured)
 
 
 def test_discord_pure_marginals_match_koashi_winter(rng):
@@ -375,11 +438,8 @@ def test_monogamy_score_known_points():
     assert entangle.discord_monogamy_score(psi).delta_d == pytest.approx(1.0, abs=1e-12)
 
 
-def test_monogamy_score_of_pure_states_runs_no_minimization(rng, monkeypatch):
-    def no_minimization(*args):
-        raise AssertionError("a rank-2 marginal ran the minimization")
-
-    monkeypatch.setattr(entangle, "_conditional_entropy_batch", no_minimization)
+def test_monogamy_score_of_pure_states_runs_no_minimization(rng):
+    # Every pair marginal of a pure state has rank at most 2, so none raises.
     for eta in (0.0, 0.3, np.pi / 4):
         score = entangle.discord_monogamy_score(states.gghz(eta))
         assert abs(score.delta_d - entangle.delta_d_gghz(eta)) <= 1e-12
@@ -388,7 +448,8 @@ def test_monogamy_score_of_pure_states_runs_no_minimization(rng, monkeypatch):
         tau = 4 * l0 * l0 * l4 * l4
         assert abs(score.delta_d - entangle.delta_d_subclass_s(tau)) <= 1e-12
     for _ in range(10):
-        entangle.discord_monogamy_score(random_pure_state(rng))
+        score = entangle.discord_monogamy_score(random_pure_state(rng))
+        assert math.isfinite(score.delta_d)
 
 
 def test_monogamy_score_matches_gghz_closed_form(rng):
@@ -459,11 +520,11 @@ def test_closed_form_entropies_match_term_by_term_forms():
     for l0 in np.linspace(0.0, 1.0, 81):
         for frac in np.linspace(0.0, 1.0, 81):
             l3 = frac * math.sqrt(max(1.0 - l0 * l0, 0.0))
-            got = entangle.xstate_discord_subclass_s(l0, l3)
+            got = _xstate_discord_subclass_s(l0, l3)
             assert abs(got - _reference_xstate_discord(l0, l3)) <= 1e-15
 
 
 def test_xstate_discord_rejects_non_state():
     # l0^2 + l3^2 > 1 leaves no weight for l4^2
     with pytest.raises(ValueError):
-        entangle.xstate_discord_subclass_s(0.8, 0.8)
+        _xstate_discord_subclass_s(0.8, 0.8)

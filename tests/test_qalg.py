@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from tribell import qalg
-from conftest import partial_trace_dims, random_density_matrix, random_pure_state
+from conftest import (
+    partial_trace_dims,
+    permute_qubits,
+    random_density_matrix,
+    random_pure_state,
+)
 
 
 def test_tensor_xxx_ghz_expectation():
@@ -121,11 +126,11 @@ def test_check_state_vector_norm():
 
 def test_permute_qubits_roundtrip(rng):
     rho = random_density_matrix(rng)
-    swapped = qalg.permute_qubits(rho, (1, 3, 2))
-    assert np.allclose(qalg.permute_qubits(swapped, (1, 3, 2)), rho)
+    swapped = permute_qubits(rho, (1, 3, 2))
+    assert np.allclose(permute_qubits(swapped, (1, 3, 2)), rho)
     psi = random_pure_state(rng)
     assert np.allclose(
-        qalg.permute_qubits(qalg.permute_qubits(psi, (2, 3, 1)), (3, 1, 2)), psi
+        permute_qubits(permute_qubits(psi, (2, 3, 1)), (3, 1, 2)), psi
     )
 
 

@@ -166,6 +166,13 @@ def test_mixed_family_weight_guards():
         states.mixed_builder(Family.RHO3, 0)(0.5)
 
 
+def test_mixed_builder_rejects_a_float_k_after_the_equal_integer():
+    # 2.0 == 2 and both hash alike, so a cache keyed on k would skip the check
+    states.mixed_builder(Family.RHO3, 2)
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        states.mixed_builder(Family.RHO3, 2.0)
+
+
 def test_mixed_families_are_valid_states(rng):
     for fam in states.MIXED_FAMILIES:
         build = states.mixed_builder(fam, k=3)

@@ -222,8 +222,10 @@ def test_channel_verdicts_optimize_only_states_that_are_not_real_x(monkeypatch):
         assert (verdict.ns99_value, verdict.svetlichny_value) == (ns, sv)
         assert verdict.ns99_violated == (ns > 3.0 + 1e-9)
         assert verdict.svetlichny_violated == (sv > 4.0 + 1e-9)
-    workflows.channel_verdicts(qalg.projector(states.ms(0.69)), spec, opts)
+        assert not verdict.optimized
+    (ms,) = workflows.channel_verdicts(qalg.projector(states.ms(0.69)), spec, opts)
     assert seen == [BellKind.NS99, BellKind.SVETLICHNY]
+    assert ms.optimized
 
 
 def test_sweep_optimizer_columns():
