@@ -5,14 +5,15 @@ channel. Output is line-oriented key=value text, or a single JSON document
 with identical fields under --json. Exit codes: 0 success, 2 invalid input,
 3 numerical non-convergence / no crossing / no violation.
 
-Options left out take the library's defaults; NL_SEED overrides the default
-seed and an explicit --seed wins over both. A --seed, --restarts or --delta
-that the chosen path never reads exits 2. All angles are radians.
+Options left out take the library's defaults. A --seed, --restarts or --delta
+that the chosen path never reads exits 2; NL_SEED, the seed where no --seed is
+given, is read only where a path runs the see-saw. All angles are radians.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -28,6 +29,7 @@ from .bell import (
     bound_b4,
     bound_b5,
     chsh_pure_max,
+    is_real_x_state,
     mixed_bound,
     optimize_operator,
     visibility_threshold,
@@ -39,17 +41,6 @@ EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 THREE_PARTY = [BellKind.NS99.value, BellKind.SVETLICHNY.value]
-
-
-def _seed(args) -> int:
-    """The --seed given, else NL_SEED, else DEFAULT_SEED; read only where a path draws restarts."""
-    if args.seed is not None:
-        return args.seed
-    text = os.environ.get("NL_SEED", str(DEFAULT_SEED))
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"NL_SEED must be an integer, got {text!r}") from None
 
 
 def _fmt(value) -> str:
@@ -91,6 +82,20 @@ def _reject_given(args, options, other: str) -> None:
     for option in options:
         if getattr(args, option[2:].replace("-", "_")) is not None:
             raise ValueError(f"{option} cannot be combined with {other}")
+
+
+def _optimizer(args, runs: bool, why: str) -> dict:
+    """Library keywords for the see-saw where the path ``runs`` it: --seed (else NL_SEED, else
+    DEFAULT_SEED) and any --restarts. Elsewhere a given --restarts or --seed exits 2 (``why``)."""
+    if not runs:
+        _reject_given(args, ("--restarts", "--seed"), why)
+        return {}
+    seed = os.environ.get("NL_SEED", DEFAULT_SEED) if args.seed is None else args.seed
+    try:
+        seed = int(seed)
+    except ValueError:
+        raise ValueError(f"NL_SEED must be an integer, got {seed!r}") from None
+    return {"seed": seed, **_given(restarts=args.restarts)}
 
 
 def _state_from_args(args) -> np.ndarray:
@@ -160,9 +165,8 @@ def cmd_bound(args) -> int:
 def cmd_optimize(args) -> int:
     rho = _state_from_args(args)
     op = BellKind(args.operator)
-    seed = _seed(args)
-    opts = OptimizeOptions(seed=seed, **_given(restarts=args.restarts))
-    report = optimize_operator(rho, op, opts)
+    optimizer = _optimizer(args, True, "")
+    report = optimize_operator(rho, op, OptimizeOptions(**optimizer))
     _emit(
         {
             "operator": op.value,
@@ -171,7 +175,7 @@ def cmd_optimize(args) -> int:
             "violated": report.violated,
             "converged": report.converged,
             "restarts": report.restarts_used,
-            "seed": seed,
+            "seed": optimizer["seed"],
             "angles_rad": [float(a) for a in report.scenario.flat()],
         },
         args.json,
@@ -184,13 +188,10 @@ def cmd_threshold(args) -> int:
         family=Family(args.family),
         operator=BellKind(args.operator),
         k=args.k,
-        seed=_seed(args),
-        **_given(bracket=args.bracket and tuple(args.bracket), tol=args.tol,
-                 restarts=args.restarts),
+        **_given(bracket=args.bracket and tuple(args.bracket), tol=args.tol),
     )
-    if query.exact:
-        _reject_given(args, ("--restarts", "--seed"), f"{query.operator.value} on "
-                      f"{query.family.value}, whose probes take the exact maximum")
+    why = f"{query.operator.value} on {query.family.value}, whose probes take the exact maximum"
+    query = dataclasses.replace(query, **_optimizer(args, not query.exact, why))
     try:
         result = workflows.threshold_bisect(query)
     except workflows.NoCrossingError as exc:
@@ -211,8 +212,6 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_visibility(args) -> int:
-    if not args.confirm:
-        _reject_given(args, ("--delta", "--restarts", "--seed"), "--no-confirm")
     if args.tau is not None and args.eta is None and args.family in (None, Family.EXT_S.value):
         # --tau without a family (or with ext_s) names a subclass-S point; C12^2 defaults to 0.
         family, c12sq = Family.EXT_S, args.c12sq or 0.0
@@ -224,10 +223,12 @@ def cmd_visibility(args) -> int:
     if threshold is None:
         print(f"error: no violation of {op.value} for tau={tau}, C12^2={c12sq}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    if not args.confirm:
+        _reject_given(args, ("--delta",), "--no-confirm")
+    optimizer = _optimizer(args, args.confirm, "--no-confirm")
     pairs = {"operator": op.value, "tau": tau, "c12sq": c12sq, "threshold": threshold}
     if args.confirm:
-        given = _given(delta=args.delta, restarts=args.restarts)
-        check = workflows.visibility_check(op, tau, c12sq, seed=_seed(args), **given)
+        check = workflows.visibility_check(op, tau, c12sq, **_given(delta=args.delta), **optimizer)
         pairs.update(
             below_value=check.below_value,
             below_violates=check.below_violates,
@@ -241,19 +242,16 @@ def cmd_visibility(args) -> int:
 
 def cmd_sweep(args) -> int:
     columns = tuple(args.columns.split(","))
-    if "ns_opt" not in columns and "svet_opt" not in columns:
-        _reject_given(args, ("--restarts", "--seed"), "columns without ns_opt or svet_opt")
+    runs = "ns_opt" in columns or "svet_opt" in columns
     spec = workflows.SweepSpec(
         family=Family(args.family),
-        param=args.param,
         start=getattr(args, "from"),
         stop=args.to,
         steps=args.steps,
         columns=columns,
         c12sq=args.c12sq,
         k=args.k,
-        seed=_seed(args),
-        **_given(restarts=args.restarts),
+        **_optimizer(args, runs, "columns without ns_opt or svet_opt"),
     )
     header, rows = workflows.run_sweep(spec)
     text = workflows.sweep_csv(header, rows)
@@ -266,28 +264,31 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    given = _given(tol=args.tol, restarts=args.restarts)
-    rows = workflows.compute_table(args.which, seed=_seed(args), **given)
+    runs = not all(workflows.ThresholdQuery(row.family, op, row.k).exact
+                   for row in workflows.TABLES[args.which] for op in THREE_PARTY)
+    optimizer = _optimizer(args, runs, f"table {args.which}, whose cells take exact maxima")
+    rows = workflows.compute_table(args.which, **_given(tol=args.tol), **optimizer)
     print(workflows.format_table(rows, fmt=args.format))
     return EXIT_OK
 
 
 def cmd_membership(args) -> int:
+    # without a behavior file or angles, the path optimizes a scenario
+    optimizer = _optimizer(args, not (args.behavior or args.angles),
+                           "--behavior FILE" if args.behavior else "--angles")
     if args.behavior:
         ignored = ("--state", *FAMILY_OPTIONS, "--alpha", "--angles", "--optimize-scenario",
-                   "--behavior-out", "--restarts", "--seed")
+                   "--behavior-out")
         _reject_given(args, ignored, "--behavior FILE")
         behavior = polytope.load_behavior(args.behavior)
     else:
         rho = _state_from_args(args)
         if args.angles is not None:
-            _reject_given(args, ("--optimize-scenario", "--restarts", "--seed"), "--angles")
+            _reject_given(args, ("--optimize-scenario",), "--angles")
             scenario = MeasurementScenario.from_flat(np.array(args.angles))
         elif args.optimize_scenario:
             op = BellKind(args.optimize_scenario)
-            opts = OptimizeOptions(seed=_seed(args), **_given(restarts=args.restarts))
-            report = optimize_operator(rho, op, opts)
-            scenario = report.scenario
+            scenario = optimize_operator(rho, op, OptimizeOptions(**optimizer)).scenario
         else:
             raise ValueError("membership needs --angles (12 values) or --optimize-scenario OP")
         behavior = polytope.quantum_behavior(rho, scenario)
@@ -315,12 +316,10 @@ def cmd_channel(args) -> int:
             raise ValueError("--alpha would mix only the Kraus input; drop it or --closed-form")
     rho = _state_from_args(args)
     spec = channels.ChannelSpec(channels.ChannelKind(args.kind), tuple(args.strengths))
-    opts = OptimizeOptions(seed=_seed(args), **_given(restarts=args.restarts))
-    eta = args.eta if args.closed_form else None
-    verdicts = workflows.channel_verdicts(rho, spec, opts, closed_form_eta=eta)
-    if not any(v.optimized for v in verdicts):
-        _reject_given(args, ("--restarts", "--seed"),
-                      "a channel whose model states are all real X states, with exact maxima")
+    noisy = workflows.channel_states(rho, spec, args.eta if args.closed_form else None)
+    why = "a channel whose model states are all real X states, with exact maxima"
+    optimizer = _optimizer(args, not all(map(is_real_x_state, noisy.values())), why)
+    verdicts = workflows.channel_verdicts(noisy, OptimizeOptions(**optimizer))
     pairs = {"kind": spec.kind.value, "strengths": list(spec.strengths)}
     for v in verdicts:
         pairs.update({
@@ -383,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="parameter sweep emitting CSV data")
     p.add_argument("--family", required=True, choices=[f.value for f in Family])
-    p.add_argument("--param", required=True, choices=["eta", "tau", "p"])
     p.add_argument("--from", type=float, required=True)
     p.add_argument("--to", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)

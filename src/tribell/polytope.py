@@ -132,6 +132,8 @@ def load_behavior(path) -> Behavior:
         seen.add(tuple(fields))
         x, y, z, a, b, c = fields
         table[a, b, c, x, y, z] = float(parts[6])
+        if not math.isfinite(table[a, b, c, x, y, z]):
+            raise ValueError(f"behavior row {raw!r} has a non-finite probability")
     if np.isnan(table).any():
         raise ValueError("behavior file does not cover all 64 entries")
     return Behavior(table)

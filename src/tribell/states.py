@@ -88,8 +88,8 @@ def extended_ghz(l0: float, l3: float, l4: float) -> np.ndarray:
     lam0^2 + lam3^2 + lam4^2 = 1 to 1e-10.
     """
     norm_sq = l0 * l0 + l3 * l3 + l4 * l4
-    if abs(norm_sq - 1.0) > NORM_ATOL:
-        raise ValueError(f"lambda triple not normalized: sum of squares = {norm_sq!r}")
+    if not abs(norm_sq - 1.0) <= NORM_ATOL:  # also rejects a non-finite entry
+        raise ValueError(f"lambda triple must be finite and normalized, got {(l0, l3, l4)}")
     psi = np.zeros(8, dtype=complex)
     psi[0b000] = l0
     psi[0b110] = l3
@@ -157,8 +157,8 @@ def ext_s_lambdas_from_tau_c12(tau: float, c12sq: float) -> tuple[float, float, 
     (l0 >= 1/sqrt(2)) is returned; both give the same tau, C12^2 and hence
     the same operator bounds.
     """
-    if tau < -1e-12 or c12sq < -1e-12 or tau + c12sq > 1.0 + 1e-12:
-        raise ValueError(f"need tau, C12^2 >= 0 and tau + C12^2 <= 1, got {(tau, c12sq)}")
+    if not (tau >= -1e-12 and c12sq >= -1e-12 and tau + c12sq <= 1.0 + 1e-12):  # NaN fails
+        raise ValueError(f"need finite tau, C12^2 >= 0 with tau + C12^2 <= 1, got {(tau, c12sq)}")
     tau = max(tau, 0.0)
     c12sq = max(c12sq, 0.0)
     disc = math.sqrt(max(1.0 - (tau + c12sq), 0.0))

@@ -168,6 +168,8 @@ TABLE2_ROWS = (
     TableRowSpec("rho8", Family.RHO8, None, 0.2490, 0.75843, 0.763645),
 )
 
+TABLES = {1: TABLE1_ROWS, 2: TABLE2_ROWS}
+
 
 @dataclass
 class TableRow:
@@ -187,7 +189,7 @@ def compute_table(
     The tangle-positivity column is echoed from stored constants (the
     convex-roof tangle of mixed states is out of scope here).
     """
-    rows_spec = {1: TABLE1_ROWS, 2: TABLE2_ROWS}.get(which)
+    rows_spec = TABLES.get(which)
     if rows_spec is None:
         raise ValueError(f"table must be 1 or 2, got {which}")
     rows = []
@@ -250,7 +252,6 @@ _PURE_SWEEP_PARAM = {Family.GGHZ: "eta", Family.MS: "eta", Family.EXT_S: "tau"}
 @dataclass
 class SweepSpec:
     family: Family
-    param: str  # 'eta' for gghz/ms, 'tau' for ext_s, 'p' for mixed families
     start: float
     stop: float
     steps: int
@@ -273,11 +274,6 @@ class SweepSpec:
         unknown = [c for c in self.columns if c not in SWEEP_COLUMNS]
         if unknown:
             raise ValueError(f"unknown sweep columns {unknown}; choose from {SWEEP_COLUMNS}")
-        expected_param = _PURE_SWEEP_PARAM.get(self.family, "p")
-        if self.param != expected_param:
-            raise ValueError(
-                f"family {self.family.value} sweeps over '{expected_param}', got {self.param!r}"
-            )
         states.reject_foreign(self.family, k=self.k)
         if self.family is Family.EXT_S and self.c12sq is None:
             raise ValueError("ext_s sweeps need the fixed c12sq value")
@@ -292,6 +288,11 @@ class SweepSpec:
         missing = [c for c in self.columns if c not in available]
         if missing:
             raise ValueError(f"columns {missing} are not available for family {self.family.value}")
+
+    @property
+    def param(self) -> str:
+        """The swept parameter: 'eta' for gghz/ms, 'tau' for ext_s, 'p' for mixed families."""
+        return _PURE_SWEEP_PARAM.get(self.family, "p")
 
 
 def _sweep_point(spec: SweepSpec, x: float) -> dict[str, float]:
@@ -432,7 +433,6 @@ class ChannelExampleVerdict:
     ns99_violated: bool
     svetlichny_value: float
     svetlichny_violated: bool
-    optimized: bool  # the optimizer ran (the state is not a real X state)
 
     @property
     def claim_holds(self) -> bool:
@@ -447,36 +447,35 @@ _CLOSED_FORMS = {
 }
 
 
-def channel_verdicts(
-    rho: np.ndarray,
-    spec: channels.ChannelSpec,
-    opts: OptimizeOptions,
-    closed_form_eta: float | None = None,
-    example: str = "",
-) -> list[ChannelExampleVerdict]:
-    """NS99 and Svetlichny on ``rho`` under ``spec``'s Kraus map, then on the
-    published closed form of GGHZ(closed_form_eta) under ``spec`` if an angle
-    is given. Verdicts come in that model order; the damped closed form warns
-    ``HermitizedClosedFormWarning``. A model state that is a real X state (GGHZ
-    under either channel, and both closed forms) takes the exact maxima;
-    any other runs the optimizer with ``opts``, and its verdict says so."""
+def channel_states(
+    rho: np.ndarray, spec: channels.ChannelSpec, closed_form_eta: float | None = None
+) -> dict[str, np.ndarray]:
+    """``rho`` under ``spec``'s Kraus map ('kraus'), then, if an angle is given, the published
+    closed form of GGHZ(closed_form_eta) under ``spec`` ('closed_form'); the damped closed
+    form warns ``HermitizedClosedFormWarning``."""
     noisy = {"kraus": channels.apply_channel_spec(rho, spec)}
     if closed_form_eta is not None:
         noisy["closed_form"] = _CLOSED_FORMS[spec.kind](closed_form_eta, *spec.strengths)
+    return noisy
+
+
+def channel_verdicts(
+    noisy: dict[str, np.ndarray], opts: OptimizeOptions, example: str = ""
+) -> list[ChannelExampleVerdict]:
+    """NS99 and Svetlichny on each model state of ``channel_states``, in its
+    order. A real X state (GGHZ under either channel, and both closed forms)
+    takes the exact maxima; any other runs the optimizer with ``opts``."""
     verdicts = []
     kinds = (BellKind.NS99, BellKind.SVETLICHNY)
     for model, state in noisy.items():
-        optimized = not is_real_x_state(state)
-        if optimized:
-            ns, sv = (optimize_operator(state, kind, opts).value for kind in kinds)
-        else:
+        if is_real_x_state(state):
             ns, sv = (X_STATE_MAXIMUM[kind](state).value for kind in kinds)
+        else:
+            ns, sv = (optimize_operator(state, kind, opts).value for kind in kinds)
         ns_violated, sv_violated = (
             value > CLASSICAL_BOUND[kind] + VIOLATION_ATOL for value, kind in zip((ns, sv), kinds)
         )
-        verdicts.append(
-            ChannelExampleVerdict(example, model, ns, ns_violated, sv, sv_violated, optimized)
-        )
+        verdicts.append(ChannelExampleVerdict(example, model, ns, ns_violated, sv, sv_violated))
     return verdicts
 
 
@@ -508,5 +507,6 @@ def channel_example_report(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", channels.HermitizedClosedFormWarning)
         for label, psi, spec, eta in examples:
-            verdicts += channel_verdicts(qalg.projector(psi), spec, opts, eta, example=label)
+            noisy = channel_states(qalg.projector(psi), spec, eta)
+            verdicts += channel_verdicts(noisy, opts, label)
     return verdicts

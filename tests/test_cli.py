@@ -363,7 +363,7 @@ def test_threshold_rejects_k_for_families_other_than_rho3(capsys):
 
 def test_sweep_rejects_c12sq_for_families_other_than_ext_s(capsys):
     code, out, err = run_cli(
-        capsys, "sweep", "--family", "gghz", "--param", "eta", "--from", "0.1", "--to", "0.7",
+        capsys, "sweep", "--family", "gghz", "--from", "0.1", "--to", "0.7",
         "--steps", "2", "--c12sq", "0.3", "--columns", "tau,c12sq",
     )
     assert code == 2
@@ -390,7 +390,7 @@ def test_optimize_rejects_foreign_family_options(capsys):
         ("channel", "--family", "rho3", "--p", "0.9", "--kind", "depolarize",
          "--strengths", "0.8", "0.7", "0.6"),
         ("threshold", "--family", "rho3", "--operator", "ns99"),
-        ("sweep", "--family", "rho3", "--param", "p", "--from", "0.6", "--to", "0.9",
+        ("sweep", "--family", "rho3", "--from", "0.6", "--to", "0.9",
          "--steps", "2", "--columns", "ns_opt"),
     ],
 )
@@ -403,13 +403,14 @@ def test_rho3_without_k_exits_2_in_every_verb(capsys, argv):
 
 def test_sweep_csv_output(capsys, tmp_path):
     out_file = tmp_path / "sweep.csv"
-    code, _, _ = run_cli(
-        capsys, "sweep", "--family", "gghz", "--param", "eta",
-        "--from", "0", "--to", "0.785398", "--steps", "4",
-        "--columns", "tau,ns_bound,delta_d", "--output", str(out_file),
-    )
+    argv = ("sweep", "--family", "gghz", "--from", "0", "--to", "0.785398", "--steps", "4",
+            "--columns", "tau,ns_bound,delta_d", "--output", str(out_file))
+    code, _, _ = run_cli(capsys, *argv)
     assert code == 0
-    lines = out_file.read_text().strip().splitlines()
+    text = out_file.read_text()
+    # without --output the same CSV goes to stdout
+    assert run_cli(capsys, *argv[:-2]) == (0, text, "")
+    lines = text.strip().splitlines()
     assert lines[0] == "eta,tau,ns_bound,delta_d"
     assert len(lines) == 5
     xs = [float(line.split(",")[0]) for line in lines[1:]]
@@ -418,7 +419,7 @@ def test_sweep_csv_output(capsys, tmp_path):
 
 @pytest.mark.parametrize("given", [("--restarts", "3"), ("--seed", "9")], ids=lambda given: given[0])
 def test_sweep_without_optimizer_columns_rejects_options_it_never_reads(capsys, given):
-    code, out, err = run_cli(capsys, "sweep", "--family", "gghz", "--param", "eta", "--from", "0.1",
+    code, out, err = run_cli(capsys, "sweep", "--family", "gghz", "--from", "0.1",
                              "--to", "0.7", "--steps", "2", "--columns", "tau", *given)
     assert code == 2
     assert out == ""
@@ -427,7 +428,7 @@ def test_sweep_without_optimizer_columns_rejects_options_it_never_reads(capsys, 
 
 @pytest.mark.parametrize("bounds", [("0.7", "inf"), ("nan", "0.8"), ("0.7", "nan")])
 def test_sweep_rejects_non_finite_bounds(capsys, bounds):
-    code, out, err = run_cli(capsys, "sweep", "--family", "rho6", "--param", "p", "--from", bounds[0],
+    code, out, err = run_cli(capsys, "sweep", "--family", "rho6", "--from", bounds[0],
                              "--to", bounds[1], "--steps", "3", "--columns", "ns_bound")
     assert code == 2
     assert out == ""
@@ -436,7 +437,7 @@ def test_sweep_rejects_non_finite_bounds(capsys, bounds):
 
 def test_sweep_rejects_single_step(capsys):
     code, _, err = run_cli(
-        capsys, "sweep", "--family", "gghz", "--param", "eta",
+        capsys, "sweep", "--family", "gghz",
         "--from", "0", "--to", "0.5", "--steps", "1", "--columns", "tau",
     )
     assert code == 2
@@ -627,7 +628,7 @@ def test_sweep_rejects_unavailable_column_before_optimizing(capsys, monkeypatch)
 
     monkeypatch.setattr(workflows, "optimize_operator", fail)
     code, out, err = run_cli(
-        capsys, "sweep", "--family", "rho2", "--param", "p", "--from", "0.6", "--to", "0.9",
+        capsys, "sweep", "--family", "rho2", "--from", "0.6", "--to", "0.9",
         "--steps", "2", "--columns", "ns_opt,ns_bound",
     )
     assert code == 2
@@ -688,7 +689,7 @@ def test_closed_form_family_sets_agree(capsys):
     for family in states.MIXED_FAMILIES:
         k = 3 if family is Family.RHO3 else None
         try:
-            workflows.SweepSpec(family, "p", 0.6, 0.9, 2, ("ns_bound",), k=k)
+            workflows.SweepSpec(family, 0.6, 0.9, 2, ("ns_bound",), k=k)
             offered = True
         except ValueError as exc:
             assert "not available" in str(exc)
@@ -840,3 +841,67 @@ def test_membership_non_finite_angle_exits_2(capsys, bad):
     assert code == 2
     assert out == ""
     assert "measurement angles must be finite" in err
+
+
+def _no_see_saw(*args, **kwargs):
+    raise AssertionError("the see-saw ran")
+
+
+BEHAVIOR_FILE = object()  # stands for a behavior file written in the test's tmp_path
+DEPOLARIZED = ("--kind", "depolarize", "--strengths", "0.8", "0.7", "0.6", "--eta", "0.69")
+RHO6_SWEEP = ("sweep", "--family", "rho6", "--from", "0.7", "--to", "0.8", "--steps", "3")
+
+# Paths that run no see-saw, and the matching paths that do.
+NO_SEE_SAW = {
+    "threshold-rho4-svetlichny": ("threshold", "--family", "rho4", "--operator", "svetlichny",
+                                  "--tol", "1e-2"),
+    "threshold-rho8-ns99": ("threshold", "--family", "rho8", "--operator", "ns99", "--tol", "1e-2"),
+    "tables-2": ("tables", "--which", "2"),
+    "sweep-bounds": (*RHO6_SWEEP, "--columns", "ns_bound,svet_bound"),
+    "visibility-no-confirm": ("visibility", "--operator", "ns99", "--tau", "1", "--no-confirm"),
+    "membership-angles": ("membership", "--family", "ghz", *MEMBERSHIP_ANGLES),
+    "membership-behavior": ("membership", "--behavior", BEHAVIOR_FILE, "--model", "ns2"),
+    "channel-all-x": ("channel", *DEPOLARIZED, "--family", "gghz", "--closed-form"),
+}
+SEE_SAW = {
+    "optimize": ("optimize", "--family", "ghz", "--operator", "ns99"),
+    "threshold-rho2": ("threshold", "--family", "rho2", "--operator", "ns99", "--tol", "1e-2"),
+    "tables-1": ("tables", "--which", "1"),
+    "sweep-opt": (*RHO6_SWEEP, "--columns", "ns_bound,ns_opt"),
+    "visibility-confirm": ("visibility", "--operator", "ns99", "--tau", "1"),
+    "membership-optimize": ("membership", "--family", "ghz", "--model", "ns2",
+                            "--optimize-scenario", "ns99"),
+    "channel-not-x": ("channel", *DEPOLARIZED, "--family", "ms"),
+}
+
+
+@pytest.mark.parametrize("path", NO_SEE_SAW)
+def test_paths_without_the_see_saw_read_no_optimizer_option(capsys, monkeypatch, tmp_path, path):
+    monkeypatch.setattr(workflows, "optimize_operator", _no_see_saw)
+    monkeypatch.setattr(cli, "optimize_operator", _no_see_saw)
+    behavior = tmp_path / "behavior.txt"
+    polytope.save_behavior(
+        polytope.quantum_behavior(np.eye(8, dtype=complex) / 8, MeasurementScenario.all_z()),
+        behavior,
+    )
+    argv = [str(behavior) if arg is BEHAVIOR_FILE else arg for arg in NO_SEE_SAW[path]]
+    monkeypatch.delenv("NL_SEED", raising=False)
+    code, expected, _ = run_cli(capsys, *argv)
+    assert code == 0 and expected
+    monkeypatch.setenv("NL_SEED", "abc")
+    assert run_cli(capsys, *argv)[:2] == (0, expected)
+    for given in (("--seed", "9"), ("--restarts", "3")):
+        code, out, err = run_cli(capsys, *argv, *given)
+        assert (code, out) == (2, "")
+        assert f"error: {given[0]} cannot be combined with" in err
+
+
+@pytest.mark.parametrize("path", SEE_SAW)
+def test_see_saw_paths_read_nl_seed(capsys, monkeypatch, path):
+    # NL_SEED is read before the see-saw runs, so a bad one stops the path first
+    monkeypatch.setattr(workflows, "optimize_operator", _no_see_saw)
+    monkeypatch.setattr(cli, "optimize_operator", _no_see_saw)
+    monkeypatch.setenv("NL_SEED", "abc")
+    code, out, err = run_cli(capsys, *SEE_SAW[path])
+    assert (code, out) == (2, "")
+    assert "NL_SEED must be an integer, got 'abc'" in err

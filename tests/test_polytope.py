@@ -402,6 +402,21 @@ def test_load_behavior_rejects_incomplete(tmp_path):
         polytope.load_behavior(path)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_load_behavior_names_a_non_finite_row(tmp_path, bad):
+    # a NaN entry was reported as a coverage gap
+    path = tmp_path / "behavior.txt"
+    polytope.save_behavior(
+        polytope.quantum_behavior(np.eye(8, dtype=complex) / 8, MeasurementScenario.all_z()),
+        path,
+    )
+    text = path.read_text()
+    assert "\n0 0 0 0 0 0 0.125\n" in text
+    path.write_text(text.replace("\n0 0 0 0 0 0 0.125\n", f"\n0 0 0 0 0 0 {bad}\n"))
+    with pytest.raises(ValueError, match=f"behavior row '0 0 0 0 0 0 {bad}' has a non-finite"):
+        polytope.load_behavior(path)
+
+
 def test_load_behavior_rejects_a_repeated_row(tmp_path):
     path = tmp_path / "behavior.txt"
     polytope.save_behavior(

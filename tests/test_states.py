@@ -49,6 +49,13 @@ def test_extended_ghz_rejects_unnormalized():
         states.extended_ghz(0.8, 0.5, 0.5)
 
 
+@pytest.mark.parametrize("triple", [(np.nan, 0.0, 1.0), (0.6, np.inf, 0.8)])
+def test_extended_ghz_rejects_non_finite(triple):
+    # a NaN norm passed the normalization check and reached the eigensolver
+    with pytest.raises(ValueError, match="lambda triple must be finite"):
+        states.extended_ghz(*triple)
+
+
 def test_ms_range_and_warning():
     with pytest.warns(UserWarning):
         psi = states.ms(np.pi / 2)
@@ -315,6 +322,13 @@ def test_ext_s_lambdas_from_tau_c12():
     assert 4 * l0 * l0 * l3 * l3 == pytest.approx(0.4, abs=1e-10)
     with pytest.raises(ValueError):
         states.ext_s_lambdas_from_tau_c12(0.7, 0.7)
+
+
+@pytest.mark.parametrize("tau, c12sq", [(0.5, np.nan), (np.nan, 0.2)])
+def test_ext_s_lambdas_from_tau_c12_rejects_non_finite(tau, c12sq):
+    # NaN passed the range checks and came back as a NaN triple
+    with pytest.raises(ValueError, match="need finite tau"):
+        states.ext_s_lambdas_from_tau_c12(tau, c12sq)
 
 
 def test_state_file_amplitudes(tmp_path):

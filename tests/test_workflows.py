@@ -163,7 +163,6 @@ def test_threshold_query_validation():
 def test_sweep_gghz_formula_columns():
     spec = SweepSpec(
         family=Family.GGHZ,
-        param="eta",
         start=0.0,
         stop=math.pi / 4,
         steps=6,
@@ -183,7 +182,7 @@ def test_sweep_gghz_formula_columns():
 def test_sweep_ms_matches_gghz_bound_in_tau():
     # the two families share the bound 1 + 2 sqrt(1 + tau)
     ms = SweepSpec(
-        family=Family.MS, param="eta", start=0.1, stop=0.7, steps=4, columns=("tau", "ns_bound")
+        family=Family.MS, start=0.1, stop=0.7, steps=4, columns=("tau", "ns_bound")
     )
     _, rows = workflows.run_sweep(ms)
     for row in rows:
@@ -192,7 +191,7 @@ def test_sweep_ms_matches_gghz_bound_in_tau():
 
 
 def test_sweep_offers_both_exact_bounds_on_the_x_state_families():
-    spec = SweepSpec(Family.RHO4, "p", 0.6, 0.9, 4, ("ns_bound", "svet_bound", "svet_opt"))
+    spec = SweepSpec(Family.RHO4, 0.6, 0.9, 4, ("ns_bound", "svet_bound", "svet_opt"))
     _, rows = workflows.run_sweep(spec)
     build = workflows.mixed_builder(Family.RHO4)
     for p, ns_bound, svet_bound, svet_opt in rows:
@@ -200,7 +199,7 @@ def test_sweep_offers_both_exact_bounds_on_the_x_state_families():
         assert svet_bound == X_STATE_MAXIMUM[BellKind.SVETLICHNY](build(p)).value
         assert svet_opt <= svet_bound + 1e-12 and svet_bound - svet_opt <= 1e-8
     with pytest.raises(ValueError, match="not available"):
-        SweepSpec(Family.RHO2, "p", 0.6, 0.9, 2, ("svet_bound",))
+        SweepSpec(Family.RHO2, 0.6, 0.9, 2, ("svet_bound",))
 
 
 def test_channel_verdicts_optimize_only_states_that_are_not_real_x(monkeypatch):
@@ -213,25 +212,29 @@ def test_channel_verdicts_optimize_only_states_that_are_not_real_x(monkeypatch):
     monkeypatch.setattr(workflows, "optimize_operator", recording)
     spec = channels.ChannelSpec(channels.ChannelKind.DEPOLARIZE, (0.8, 0.7, 0.6))
     opts = OptimizeOptions(restarts=8, seed=1)
-    gghz = workflows.channel_verdicts(qalg.projector(states.gghz(0.69)), spec, opts, 0.69)
+    noisy = workflows.channel_states(qalg.projector(states.gghz(0.69)), spec, 0.69)
+    gghz = workflows.channel_verdicts(noisy, opts)
     assert seen == []
     kraus, closed = (channels.apply_channel_spec(qalg.projector(states.gghz(0.69)), spec),
                      channels.closed_form_depolarized_gghz(0.69, *spec.strengths))
-    for verdict, rho in zip(gghz, (kraus, closed)):
+    assert list(noisy) == ["kraus", "closed_form"]
+    assert np.array_equal(noisy["kraus"], kraus) and np.array_equal(noisy["closed_form"], closed)
+    for verdict, model, rho in zip(gghz, noisy, (kraus, closed)):
         ns, sv = (X_STATE_MAXIMUM[kind](rho).value for kind in (BellKind.NS99, BellKind.SVETLICHNY))
+        assert verdict.model == model
         assert (verdict.ns99_value, verdict.svetlichny_value) == (ns, sv)
         assert verdict.ns99_violated == (ns > 3.0 + 1e-9)
         assert verdict.svetlichny_violated == (sv > 4.0 + 1e-9)
-        assert not verdict.optimized
-    (ms,) = workflows.channel_verdicts(qalg.projector(states.ms(0.69)), spec, opts)
+    (ms,) = workflows.channel_verdicts(
+        workflows.channel_states(qalg.projector(states.ms(0.69)), spec), opts
+    )
     assert seen == [BellKind.NS99, BellKind.SVETLICHNY]
-    assert ms.optimized
+    assert ms.model == "kraus"
 
 
 def test_sweep_optimizer_columns():
     spec = SweepSpec(
         family=Family.RHO4,
-        param="p",
         start=0.7,
         stop=0.8,
         steps=3,
@@ -247,7 +250,7 @@ def test_sweep_ext_s_optimizer_columns_meet_the_closed_forms():
     # B5 and B4 are the subclass-S maxima; 2e-3 is the tolerance of A03
     columns = ("ns_bound", "ns_opt", "svet_bound", "svet_opt")
     spec = SweepSpec(
-        family=Family.EXT_S, param="tau", start=0.3, stop=0.7, steps=3, columns=columns,
+        family=Family.EXT_S, start=0.3, stop=0.7, steps=3, columns=columns,
         c12sq=0.3,
     )
     header, rows = workflows.run_sweep(spec)
@@ -259,23 +262,25 @@ def test_sweep_ext_s_optimizer_columns_meet_the_closed_forms():
 
 def test_sweep_validation():
     with pytest.raises(ValueError):
-        SweepSpec(family=Family.GGHZ, param="eta", start=0.0, stop=0.5, steps=1, columns=("tau",))
+        SweepSpec(family=Family.GGHZ, start=0.0, stop=0.5, steps=1, columns=("tau",))
+    # the swept parameter is the family's, not an input
+    assert SweepSpec(Family.MS, 0.1, 0.5, 2, ("tau",)).param == "eta"
+    assert SweepSpec(Family.EXT_S, 0.1, 0.5, 2, ("tau",), c12sq=0.3).param == "tau"
+    assert SweepSpec(Family.RHO6, 0.6, 0.9, 2, ("ns_bound",)).param == "p"
     with pytest.raises(ValueError):
-        SweepSpec(family=Family.GGHZ, param="p", start=0.0, stop=0.5, steps=3, columns=("tau",))
+        SweepSpec(family=Family.GGHZ, start=0.0, stop=0.5, steps=3, columns=("bogus",))
     with pytest.raises(ValueError):
-        SweepSpec(family=Family.GGHZ, param="eta", start=0.0, stop=0.5, steps=3, columns=("bogus",))
-    with pytest.raises(ValueError):
-        SweepSpec(family=Family.EXT_S, param="tau", start=0.0, stop=0.5, steps=3, columns=("tau",))
+        SweepSpec(family=Family.EXT_S, start=0.0, stop=0.5, steps=3, columns=("tau",))
     with pytest.raises(ValueError, match="gghz does not take c12sq"):
-        SweepSpec(family=Family.GGHZ, param="eta", start=0.0, stop=0.5, steps=3, columns=("tau",),
+        SweepSpec(family=Family.GGHZ, start=0.0, stop=0.5, steps=3, columns=("tau",),
                   c12sq=0.3)
     with pytest.raises(ValueError, match="rho2 does not take k"):
-        SweepSpec(family=Family.RHO2, param="p", start=0.1, stop=0.9, steps=2, columns=("ns_opt",),
+        SweepSpec(family=Family.RHO2, start=0.1, stop=0.9, steps=2, columns=("ns_opt",),
                   k=3)
     # delta_d unavailable for mixed families, ns_bound for rho2/rho3: rejected before any point
     for family, column in ((Family.RHO2, "delta_d"), (Family.RHO3, "ns_bound")):
         with pytest.raises(ValueError, match=f"not available for family {family.value}"):
-            SweepSpec(family=family, param="p", start=0.1, stop=0.9, steps=2, columns=(column,),
+            SweepSpec(family=family, start=0.1, stop=0.9, steps=2, columns=(column,),
                       k=2 if family is Family.RHO3 else None)
 
 
