@@ -217,8 +217,12 @@ def _pair_matrices(fused: np.ndarray) -> np.ndarray:
     """Per party pair p < q (in ``itertools.combinations`` order), the fused
     tensor with p and q leading, laid out as an (8**(n-2), 64) matrix that the
     remaining party's vector multiplies."""
-    pairs = itertools.combinations(range(fused.ndim), 2)
-    return np.stack([np.moveaxis(fused, pq, (0, 1)).reshape(64, -1).T for pq in pairs])
+    n = fused.ndim
+    pairs = itertools.combinations(range(n), 2)
+    return np.stack([
+        fused.transpose(*pq, *(k for k in range(n) if k not in pq)).reshape(64, -1).T
+        for pq in pairs
+    ])
 
 
 def _pair_block(pair_mats: np.ndarray, aug: np.ndarray, pair: int) -> np.ndarray:

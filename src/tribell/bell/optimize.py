@@ -13,9 +13,11 @@ value.
 
 All restarts start from seeded random angles and are swept in lockstep as
 one vectorized batch, which keeps the search deterministic for a fixed
-seed. After each sweep an extrapolation along the sweep's move is tried and
-kept per restart only if it raises the value; this crosses the flat ridges
-on which plain see-saw crawls. A restart freezes once a sweep raises its
+seed; a frozen restart leaves the batch. No restart's arithmetic reads
+another's, so restart k follows the same path whatever the restart count.
+After each sweep an extrapolation along the sweep's move is tried and kept
+per restart only if it raises the value; this crosses the flat ridges on
+which plain see-saw crawls. A restart freezes once a sweep raises its
 value by at most ``RISE_TOL``; ``max_iter`` caps the iterations (one sweep
 plus one extrapolation trial each).
 
@@ -30,8 +32,12 @@ Hessian has only cross-party blocks (the pair blocks in tangent bases) plus
 ``-<g_s, v_s>`` on the diagonal of each party and setting. The step
 -H^-1 grad is retracted by normalization and kept only where H is negative
 definite, the step is bounded and the value strictly rises, so no value
-ever falls. Each report carries the largest eigenvalue of the best
-restart's tangent Hessian (``ViolationReport.hessian_max``).
+ever falls. Definiteness is decided without an eigendecomposition: H's
+largest eigenvalue lies below -``HESSIAN_MIN`` exactly where
+-H - ``HESSIAN_MIN`` I has a Cholesky factor, and one batched elimination
+tests its pivots for every restart at once (``_negative_definite``). Each
+report carries the largest eigenvalue of the best restart's tangent Hessian
+(``ViolationReport.hessian_max``).
 
 With ``OptimizeOptions.stop_above`` set,
 the batch stops once one restart's value exceeds it by ``STOP_MARGIN``; no
@@ -46,7 +52,9 @@ the lowest-indexed of them.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,8 +101,14 @@ class OptimizeOptions:
     stop_above: float | None = None
 
     def __post_init__(self):
+        for name in ("restarts", "seed", "max_iter"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.restarts < 1:
             raise ValueError("at least one restart required")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
 
@@ -139,9 +153,18 @@ def _initial_points(restarts: int, dim: int, seed: int) -> np.ndarray:
     return points
 
 
+@functools.lru_cache(maxsize=8)
+def _starts(restarts: int, dim: int, seed: int) -> np.ndarray:
+    """The augmented vectors of ``_initial_points``, read-only and shared by
+    every optimization with these arguments (all probes of a threshold query)."""
+    start = augmented_vectors(_initial_points(restarts, dim, seed))
+    start.setflags(write=False)
+    return start
+
+
 def _angles(aug: np.ndarray) -> np.ndarray:
     """Augmented vectors -> flat canonical (theta, phi) rows."""
-    v = aug[..., :3].reshape(len(aug), -1, 3)
+    v = aug.reshape(len(aug), -1, 4)
     points = np.empty((len(aug), 2 * v.shape[1]))
     points[:, 0::2] = np.arccos(np.clip(v[..., 2], -1.0, 1.0))
     points[:, 1::2] = np.arctan2(v[..., 1], v[..., 0]) % (2.0 * np.pi)
@@ -149,10 +172,18 @@ def _angles(aug: np.ndarray) -> np.ndarray:
 
 
 def _normalize_into(out: np.ndarray, v: np.ndarray) -> None:
-    """Write the rows of ``v`` scaled to unit length into ``out``; a zero row
-    leaves ``out`` unchanged."""
-    norm = np.sqrt(np.einsum("...i,...i->...", v, v))[..., None]
-    np.divide(v, norm, out=out, where=norm > 0.0)
+    """Write the Bloch parts of the augmented rows ``v`` (..., 4), scaled to
+    unit length, into the augmented rows ``out``; a zero Bloch part leaves its
+    row of ``out`` unchanged. Whole rows are divided where no norm is zero,
+    which is faster than dividing the strided Bloch parts, and the constant
+    components are then reset to 1."""
+    bloch = v[..., :3]
+    norm = np.sqrt(np.einsum("...i,...i->...", bloch, bloch))[..., None]
+    if norm.min() > 0.0:
+        np.divide(v, norm, out=out)
+        out[..., 3] = 1.0
+    else:
+        np.divide(bloch, norm, out=out[..., :3], where=norm > 0.0)
 
 
 def _sweep(pair_mats: np.ndarray, aug: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -162,13 +193,13 @@ def _sweep(pair_mats: np.ndarray, aug: np.ndarray) -> tuple[np.ndarray, np.ndarr
     flat = aug.reshape(len(aug), -1, 8)
     block = _pair_block(pair_mats, aug, 0)
     g = (block @ flat[:, 1, :, None]).reshape(-1, 2, 4)
-    _normalize_into(aug[:, 0, :, :3], g[..., :3])
+    _normalize_into(aug[:, 0], g)
     g = (flat[:, 0, None, :] @ block).reshape(-1, 2, 4)
     if aug.shape[1] == 3:
-        _normalize_into(aug[:, 1, :, :3], g[..., :3])
+        _normalize_into(aug[:, 1], g)
         g = (flat[:, 1, None, :] @ _pair_block(pair_mats, aug, 2)).reshape(-1, 2, 4)
-    _normalize_into(aug[:, -1, :, :3], g[..., :3])
-    return aug, np.sum(g * aug[:, -1], axis=(1, 2))
+    _normalize_into(aug[:, -1], g)
+    return aug, (g * aug[:, -1]).sum(axis=(1, 2))
 
 
 def _tangent_bases(v: np.ndarray) -> np.ndarray:
@@ -186,6 +217,10 @@ def _tangent_bases(v: np.ndarray) -> np.ndarray:
     return bases
 
 
+# Per party count, the party pairs p < q in ``itertools.combinations`` order.
+_PAIRS = {n: np.array(list(itertools.combinations(range(n), 2))).T for n in (2, 3)}
+
+
 def _tangent_system(pair_mats: np.ndarray, aug: np.ndarray):
     """Riemannian gradient and Hessian of the value on the product of unit spheres.
 
@@ -198,7 +233,7 @@ def _tangent_system(pair_mats: np.ndarray, aug: np.ndarray):
     couple.
     """
     rows, n = aug.shape[:2]
-    p, q = np.array(list(itertools.combinations(range(n), 2))).T
+    p, q = _PAIRS[n]
     flat = aug.reshape(rows, n, 8)
     blocks = np.stack([_pair_block(pair_mats, aug, k) for k in range(len(p))], axis=1)
     g = np.empty((rows, n, 8))
@@ -206,19 +241,38 @@ def _tangent_system(pair_mats: np.ndarray, aug: np.ndarray):
     g[:, q] = (flat[:, p, None, :] @ blocks)[..., 0, :]
     bases = _tangent_bases(aug[..., :3])
     embed = np.zeros((rows, n, 2, 4, 2, 2))  # [row, party, s, component, s', basis vector]
-    for s in range(2):
-        embed[:, :, s, :3, s] = bases[:, :, s].swapaxes(-1, -2)
+    embed[:, :, [0, 1], :3, [0, 1]] = bases.transpose(2, 0, 1, 4, 3)
     embed = embed.reshape(rows, n, 8, 4)
     cross = (embed[:, p].swapaxes(-1, -2) @ blocks @ embed[:, q]).swapaxes(0, 1)
     hess = np.zeros((rows, n, 4, n, 4))
     hess[:, p, :, q] = cross
     hess[:, q, :, p] = cross.swapaxes(-1, -2)
     hess = hess.reshape(rows, 4 * n, 4 * n)
-    curvature = -np.sum(g.reshape(rows, n, 2, 4)[..., :3] * aug[..., :3], axis=-1)
+    curvature = -np.sum((g.reshape(rows, n, 2, 4) * aug)[..., :3], axis=-1)
     diagonal = np.arange(4 * n)
     hess[:, diagonal, diagonal] = np.repeat(curvature.reshape(rows, -1), 2, axis=1)
     grad = (g[:, :, None, :] @ embed)[:, :, 0].reshape(rows, 4 * n)
     return bases, grad, hess
+
+
+def _negative_definite(hess: np.ndarray) -> np.ndarray:
+    """Rows of ``hess`` whose largest eigenvalue lies below -``HESSIAN_MIN``.
+
+    That holds exactly where A = -H - ``HESSIAN_MIN`` I has a Cholesky
+    factor, that is, where every pivot of its symmetric elimination
+    A = L D L^T is positive. The elimination runs column by column over all
+    rows at once, kept on the last axis so that each step is one contiguous
+    vector operation. A row fails at its first pivot that is not positive;
+    from there on its columns are zeroed, so its remaining updates stay finite.
+    """
+    m = hess.shape[-1]
+    a = np.ascontiguousarray((-hess - HESSIAN_MIN * np.eye(m)).transpose(1, 2, 0))
+    ok = np.ones(len(hess), dtype=bool)
+    for j in range(m):
+        ok &= a[j, j] > 0.0
+        below = a[j + 1 :, j] / np.where(ok, a[j, j], np.inf)
+        a[j + 1 :, j + 1 :] -= below[:, None] * a[j, j + 1 :]
+    return ok
 
 
 def _newton(
@@ -234,14 +288,16 @@ def _newton(
     """
     rows, n = aug.shape[:2]
     bases, grad, hess = _tangent_system(pair_mats, aug)
-    ok = np.linalg.eigvalsh(hess)[:, -1] < -HESSIAN_MIN
+    ok = _negative_definite(hess)
     step = np.zeros_like(grad)
     if ok.any():
         step[ok] = np.linalg.solve(hess[ok], -grad[ok, :, None])[..., 0]
     ok &= np.all(np.abs(step) <= NEWTON_STEP_MAX, axis=1)
     step = np.where(ok[:, None], step, 0.0).reshape(rows, n, 2, 1, 2)
+    shifted = aug.copy()
+    shifted[..., :3] += (step @ bases)[..., 0, :]
     trial = aug.copy()
-    _normalize_into(trial[..., :3], aug[..., :3] + (step @ bases)[..., 0, :])
+    _normalize_into(trial, shifted)
     trial_values = _pair_value(pair_mats, trial)
     moved = ok & (trial_values > values)
     return (
@@ -253,41 +309,50 @@ def _newton(
 
 def _see_saw(pair_mats: np.ndarray, aug: np.ndarray, max_iter: int, stop: float | None):
     """Ascend every row of ``aug``; returns (vectors, rows stopped by the cap,
-    whether a value above ``stop`` ended the run; None never stops it)."""
-    aug = aug.copy()
+    whether a value above ``stop`` ended the run; None never stops it).
+
+    Only the live rows are swept, kept compacted in ``live``'s order; each row
+    is written back to the returned vectors once it freezes. No row's
+    arithmetic depends on the others, so compaction changes no bit.
+    """
+    result = aug.copy()
+    live = np.arange(len(aug))
     values = np.full(len(aug), -np.inf)
     step = np.ones(len(aug))
     polishing = np.zeros(len(aug), dtype=bool)  # rows whose last Newton step was kept
-    live = np.arange(len(aug))
+    top = -np.inf  # the best value of the frozen rows
     for sweep in range(max_iter):
-        start, before = aug[live], values[live]
-        swept, after = _sweep(pair_mats, start)
+        swept, after = _sweep(pair_mats, aug)
         # Extrapolate along the sweep's move and keep the trial where it wins;
         # the step doubles while trials win and falls back to 1 when one loses.
-        move = swept[..., :3] - start[..., :3]
         ahead = swept.copy()
-        _normalize_into(ahead[..., :3], swept[..., :3] + step[live, None, None, None] * move)
+        _normalize_into(ahead, swept + step[:, None, None, None] * (swept - aug))
         ahead, ahead_values = _sweep(pair_mats, ahead)
         better = ahead_values > after
-        aug[live] = np.where(better[:, None, None, None], ahead, swept)
-        values[live] = np.where(better, ahead_values, after)
-        step[live] = np.where(better, 2.0 * step[live], 1.0)
-        rise = after - before
+        rising = after - values > RISE_TOL
+        aug = np.where(better[:, None, None, None], ahead, swept)
+        values = np.where(better, ahead_values, after)
+        step = np.where(better, 2.0 * step, 1.0)
+        if not rising.all():
+            result[live[~rising]] = aug[~rising]
+            top = max(top, values[~rising].max())
+            live, aug, values, step, polishing = (
+                x[rising] for x in (live, aug, values, step, polishing)
+            )
         # Every NEWTON_EVERY sweeps (the first past the start's transient) each
         # row still rising takes a Newton step, and one per sweep while kept.
-        due = rise > RISE_TOL
-        if sweep == 0 or sweep % NEWTON_EVERY:
-            due &= polishing[live]
-        polishing[live] = False
-        crawl = live[due]
-        if crawl.size:
-            aug[crawl], values[crawl], polishing[crawl] = _newton(pair_mats, aug[crawl], values[crawl])
-        live = live[rise > RISE_TOL]
-        if stop is not None and values.max() > stop:
-            return aug, 0, True
+        if sweep and not sweep % NEWTON_EVERY and live.size:
+            aug, values, polishing = _newton(pair_mats, aug, values)
+        elif polishing.any():
+            due, polishing = polishing, np.zeros(live.size, dtype=bool)
+            aug[due], values[due], polishing[due] = _newton(pair_mats, aug[due], values[due])
+        if stop is not None and values.max(initial=top) > stop:
+            result[live] = aug
+            return result, 0, True
         if live.size == 0:
             break
-    return aug, live.size, False
+    result[live] = aug
+    return result, live.size, False
 
 
 def _best_restart(values: np.ndarray) -> int:
@@ -314,7 +379,7 @@ def optimize_operator(
     value_fn = make_batched_value(rho, kind)
     pair_mats = _pair_matrices(_fused_coefficient_tensor(rho, kind))
 
-    start = augmented_vectors(_initial_points(options.restarts, 4 * n, options.seed))
+    start = _starts(options.restarts, 4 * n, options.seed)
     stop = None if options.stop_above is None else options.stop_above + STOP_MARGIN
     aug, capped, stopped = _see_saw(pair_mats, start.reshape(-1, n, 2, 4), options.max_iter, stop)
     points = _angles(aug)

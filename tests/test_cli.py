@@ -648,6 +648,17 @@ def test_nl_seed_must_be_an_integer(capsys, monkeypatch):
     assert code == 0
 
 
+def test_negative_seed_exits_2_naming_the_seed(capsys, monkeypatch):
+    optimize = ("optimize", "--family", "gghz", "--eta", "0.5", "--operator", "ns99")
+    code, out, err = run_cli(capsys, *optimize, "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert "error: seed must be non-negative, got -1" in err
+    monkeypatch.setenv("NL_SEED", "-2")
+    code, out, err = run_cli(capsys, *optimize)
+    assert (code, out) == (2, "")
+    assert "error: seed must be non-negative, got -2" in err
+
+
 def test_bound_has_no_seed(capsys):
     # a closed form draws no restarts, so bound offers no --seed to ignore
     with pytest.raises(SystemExit) as exc:

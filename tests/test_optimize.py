@@ -23,11 +23,15 @@ from tribell.bell.operators import (
     make_batched_value,
 )
 from tribell.bell.optimize import (
+    HESSIAN_MIN,
     TIE_ULPS,
     ViolationReport,
     _angles,
     _best_restart,
     _initial_points,
+    _negative_definite,
+    _see_saw,
+    _starts,
     _sweep,
     _tangent_system,
 )
@@ -269,6 +273,112 @@ def test_options_validation():
         OptimizeOptions(restarts=0)
     with pytest.raises(ValueError):
         OptimizeOptions(max_iter=0)
+
+
+@pytest.mark.parametrize(
+    "given, message",
+    [
+        ({"seed": -1}, "seed must be non-negative, got -1"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": "3"}, "seed must be an integer, got '3'"),
+        ({"restarts": 2.5}, "restarts must be an integer, got 2.5"),
+        ({"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
+        ({"restarts": True}, "restarts must be an integer, got True"),
+    ],
+)
+def test_options_name_a_bad_seed_or_count(given, message):
+    # each would otherwise fail late, inside the first optimization
+    with pytest.raises(ValueError, match=message):
+        OptimizeOptions(**given)
+
+
+def test_options_accept_numpy_integers():
+    opts = OptimizeOptions(restarts=np.int64(4), seed=np.uint32(0), max_iter=np.int32(5))
+    rho = qalg.projector(states.ghz_state())
+    assert optimize_operator(rho, BellKind.NS99, opts).restart_values.shape == (4,)
+
+
+def test_starts_are_shared_read_only():
+    start = _starts(8, 12, 5)
+    assert _starts(8, 12, 5) is start
+    assert not start.flags.writeable
+    assert np.array_equal(start, augmented_vectors(_initial_points(8, 12, 5)))
+
+
+@pytest.mark.parametrize(
+    "rho, kind",
+    [
+        (qalg.projector(states.ms(0.5)), BellKind.NS99),
+        (states.mixed_builder(states.Family.RHO2)(0.7), BellKind.SVETLICHNY),
+        (qalg.partial_trace(qalg.projector(states.ms(0.5)), [1, 2]), BellKind.CHSH),
+    ],
+    ids=["ns99", "svetlichny", "chsh"],
+)
+def test_restarts_are_independent(rho, kind):
+    # no restart's arithmetic reads another's, so the first 16 restarts of a
+    # 64-restart run follow the 16-restart run bit for bit, wherever each freezes
+    short = optimize_operator(rho, kind, OptimizeOptions(restarts=16, seed=3))
+    long = optimize_operator(rho, kind, OptimizeOptions(restarts=64, seed=3))
+    assert np.array_equal(long.restart_values[:16], short.restart_values)
+
+
+def test_stopped_run_reports_its_live_rows():
+    # rho4 at p = 0.63 violates Svetlichny's bound: the run stops with restarts
+    # still live, and each is reported where it stood, below its full run's value
+    rho = states.mixed_builder(states.Family.RHO4)(0.63)
+    cut = CLASSICAL_BOUND[BellKind.SVETLICHNY] + VIOLATION_ATOL
+    full = optimize_operator(rho, BellKind.SVETLICHNY, FAST)
+    stopped_opts = dataclasses.replace(FAST, stop_above=cut)
+    stopped = optimize_operator(rho, BellKind.SVETLICHNY, stopped_opts)
+    assert stopped.capped == 0 and not stopped.converged
+    assert stopped.violated and cut < stopped.value
+    assert stopped.value == stopped.restart_values[_best_restart(stopped.restart_values)]
+    assert np.all(stopped.restart_values <= full.restart_values + 1e-12)
+    assert np.any(stopped.restart_values < full.restart_values - 1e-9)
+
+
+def _definite_by_eigvalsh(hess):
+    return np.linalg.eigvalsh(hess)[:, -1] < -HESSIAN_MIN
+
+
+def test_negative_definite_at_the_threshold():
+    # Q diag(lambda) Q^T with the largest eigenvalue on either side of -HESSIAN_MIN
+    rng = np.random.default_rng(2010)
+    tops = [-10 * HESSIAN_MIN, -HESSIAN_MIN / 10, 0.0, 1e-3]
+    hess = []
+    for top in tops:
+        for _ in range(8):
+            q, _ = np.linalg.qr(rng.normal(size=(12, 12)))
+            eigenvalues = np.concatenate([[top], -rng.uniform(0.5, 5.0, size=11)])
+            h = q @ np.diag(eigenvalues) @ q.T
+            hess.append((h + h.T) / 2)
+    hess = np.array(hess)
+    expected = np.repeat([True, False, False, False], 8)
+    assert np.array_equal(_definite_by_eigvalsh(hess), expected)
+    assert np.array_equal(_negative_definite(hess), expected)
+
+
+@pytest.mark.parametrize(
+    "rho, kind",
+    [
+        (np.eye(8) / 8, BellKind.NS99),
+        (qalg.projector(states.gghz(0.6)), BellKind.NS99),
+        (qalg.projector(states.gghz(0.6)), BellKind.SVETLICHNY),
+        (qalg.projector(states.gghz(np.pi / 4)), BellKind.SVETLICHNY),
+        (states.mixed_builder(states.Family.RHO2)(0.78), BellKind.NS99),
+        (states.mixed_builder(states.Family.RHO2)(0.9), BellKind.SVETLICHNY),
+    ],
+    ids=["zero", "gghz-ns99", "gghz-svetlichny", "ghz-svetlichny", "rho2-ns99", "rho2-svetlichny"],
+)
+def test_negative_definite_matches_eigvalsh_on_converged_hessians(rho, kind):
+    # the converged restarts of a full run: the zero Hessian of the maximally
+    # mixed state, the flat families of maxima of GHZ-type states (largest
+    # eigenvalue at rounding level) and the strict maxima of rho2
+    pair_mats = _pair_matrices(_fused_coefficient_tensor(rho, kind))
+    aug, capped, _ = _see_saw(pair_mats, _starts(64, 12, 1).reshape(-1, 3, 2, 4), 2000, None)
+    assert capped == 0
+    hess = _tangent_system(pair_mats, aug)[2]
+    assert np.array_equal(_negative_definite(hess), _definite_by_eigvalsh(hess))
 
 
 # rho4 Svetlichny crosses its bound tangentially at 5/8, rho8 ns99 crosses
