@@ -9,8 +9,6 @@ from .bounds import (
     bound_b5,
     chsh_pure_max,
     is_real_x_state,
-    mixed_bound,
-    ns99_mixed_bound,
     ns99_x_max,
     svetlichny_x_max,
     visibility_threshold,
@@ -53,8 +51,6 @@ __all__ = [
     "correlator",
     "is_real_x_state",
     "make_batched_value",
-    "mixed_bound",
-    "ns99_mixed_bound",
     "ns99_x_max",
     "operator_value",
     "optimize_operator",

@@ -18,10 +18,9 @@ numerical optimizer is the independent cross-check for all of them.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -276,23 +275,13 @@ X_STATE_MAXIMUM = {BellKind.NS99: ns99_x_max, BellKind.SVETLICHNY: svetlichny_x_
 X_MIXED_FAMILIES = (Family.RHO4, Family.RHO5, Family.RHO6, Family.RHO7, Family.RHO8)
 
 
-@functools.cache
-def _x_family_builder(family: Family) -> Callable[[float], np.ndarray]:
-    """``mixed_builder(family)``, summed once per family; none in X_MIXED_FAMILIES takes k."""
-    return mixed_builder(family)
-
-
-def mixed_bound(kind: BellKind, family: Family, p: float) -> float:
-    """Maximum of a three-party operator on a family in X_MIXED_FAMILIES at weight p."""
-    kind, family = BellKind(kind), Family(family)
-    if kind not in X_STATE_MAXIMUM or family not in X_MIXED_FAMILIES:
-        raise ValueError(f"no closed-form {kind.value} bound for family {family.value}")
-    return X_STATE_MAXIMUM[kind](_x_family_builder(family)(_check_unit(p, "p"))).value
-
-
+# Unread in src/: perfbench's threshold and scan checks and the tests use it.
 def ns99_mixed_bound(family: Family, p: float) -> float:
     """99th-facet maximum of a family in X_MIXED_FAMILIES at mixing weight p."""
-    return mixed_bound(BellKind.NS99, family, p)
+    family = Family(family)
+    if family not in X_MIXED_FAMILIES:
+        raise ValueError(f"no closed-form ns99 bound for family {family.value}")
+    return ns99_x_max(mixed_builder(family)(_check_unit(p, "p"))).value
 
 
 def chsh_pure_max(c12sq: float) -> float:

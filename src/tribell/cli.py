@@ -23,6 +23,7 @@ import numpy as np
 from . import channels, polytope, states, workflows
 from .bell import (
     X_MIXED_FAMILIES,
+    X_STATE_MAXIMUM,
     BellKind,
     MeasurementScenario,
     OptimizeOptions,
@@ -30,7 +31,6 @@ from .bell import (
     bound_b5,
     chsh_pure_max,
     is_real_x_state,
-    mixed_bound,
     optimize_operator,
     visibility_threshold,
 )
@@ -155,7 +155,7 @@ def cmd_bound(args) -> int:
         states.reject_foreign(family, tau=args.tau, c12sq=args.c12sq)
         if args.p is None:
             raise ValueError("mixed-family bounds need --p")
-        value = mixed_bound(op, family, args.p)
+        value = X_STATE_MAXIMUM[op](states.mixed_builder(family)(args.p)).value
     else:
         raise ValueError(f"no closed-form bound for family {family.value}")
     _emit({"bound": value}, args.json)

@@ -1,16 +1,16 @@
 """Analysis workflows shared by the command-line interface and the tests.
 
-Threshold bisection over mixing weights, parameter sweeps emitting figure
-data, side-by-side reproduction of the published threshold tables, white
-noise visibility confirmation, and the noisy-state verdicts (Kraus model
-and published closed form) shared by ``tribell channel`` and the four
-published detection examples.
+One rule for an operator's maximum (``maximum``: exact on a real X state,
+else the see-saw), threshold bisection over mixing weights, parameter
+sweeps emitting figure data, side-by-side reproduction of the published
+threshold tables, white noise visibility confirmation, and the noisy-state
+verdicts (Kraus model and published closed form) of ``tribell channel``
+and the four published detection examples.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,12 +23,14 @@ from .bell import (
     X_MIXED_FAMILIES,
     X_STATE_MAXIMUM,
     OptimizeOptions,
+    ViolationReport,
     bound_b4,
     bound_b5,
     is_real_x_state,
     optimize_operator,
     visibility_threshold,
 )
+from .bell.bounds import XStateMaximum
 from .bell.operators import VIOLATION_ATOL
 from .bell.optimize import DEFAULT_RESTARTS, DEFAULT_SEED
 from .states import Family, mixed_builder
@@ -38,6 +40,18 @@ MIN_BISECT_TOL = 1e-7
 TABLE_TOL = 2.5e-4  # bisection tolerance of the recomputed tables
 # Unread in src/: perfbench's Threshold re-check and tests/test_optimize.py use it.
 ROOT_RESTARTS = 128
+
+
+def maximum(
+    rho: np.ndarray, kind: BellKind, options: OptimizeOptions | None = None
+) -> XStateMaximum | ViolationReport:
+    """An operator's maximum on ``rho``, with settings that reach it: exact where the
+    operator has an X-state maximum and ``rho`` is a real X state, else the see-saw
+    (``optimize_operator`` with ``options``). Both results carry ``.value`` and ``.scenario``."""
+    kind = BellKind(kind)
+    if kind in X_STATE_MAXIMUM and is_real_x_state(rho):
+        return X_STATE_MAXIMUM[kind](rho)
+    return optimize_operator(rho, kind, options)
 
 
 class NoCrossingError(RuntimeError):
@@ -72,16 +86,17 @@ class ThresholdQuery:
 
     @property
     def exact(self) -> bool:
-        """Probes take the exact maximum (every state of the family is a real X
+        """Every probe takes the exact maximum (every state of the family is a real X
         state), so ``seed`` and ``restarts`` go unread."""
         return self.operator in X_STATE_MAXIMUM and self.family in X_MIXED_FAMILIES
 
 
 @dataclass
 class ThresholdResult:
-    """The bracket ends' probe values. An optimizer probe stops at its first
-    certified violation, so a value above the bound (always ``value_hi``) is a
-    lower bound, not the maximum; on an exact query both values are maxima."""
+    """The bracket ends' probe values. A see-saw probe stops at its first
+    certified violation, so its value above the bound is a lower bound, not the
+    maximum. A probe on a real X state is the exact maximum: both ends of an
+    exact query, and ``value_hi`` of rho2 and rho3 at p = 1 (GHZ)."""
 
     p_star: float
     query: ThresholdQuery
@@ -95,8 +110,8 @@ def threshold_bisect(query: ThresholdQuery) -> ThresholdResult:
 
     The family is affine in p, so the maximal value v(p) is a maximum of
     affine functions and convex: if v(lo) <= bound < v(hi), the crossing in
-    [lo, hi] is unique. On an exact query (either operator on rho4..rho8)
-    every probe is the operator's exact X-state maximum. Otherwise every probe runs
+    [lo, hi] is unique. Every probe is a ``maximum``: exact on a real X state
+    (every state of rho4..rho8, and rho2 and rho3 at p = 1, which is GHZ); elsewhere it runs
     query.restarts starts from query.seed and stops at its first certified
     violation, which gives a full maximization's verdict. Ends that do not
     straddle the bound (the W component can add a low-weight violation
@@ -108,9 +123,7 @@ def threshold_bisect(query: ThresholdQuery) -> ThresholdResult:
     opts = OptimizeOptions(restarts=query.restarts, seed=query.seed, stop_above=cut)
 
     def value_at(p: float) -> float:
-        if query.exact:
-            return X_STATE_MAXIMUM[query.operator](build(p)).value
-        return optimize_operator(build(p), query.operator, opts).value
+        return maximum(build(p), query.operator, opts).value
 
     lo, hi = query.bracket
     value_lo, value_hi = value_at(lo), value_at(hi)
@@ -118,7 +131,8 @@ def threshold_bisect(query: ThresholdQuery) -> ThresholdResult:
     if value_lo > cut or value_hi <= cut:
         raise NoCrossingError(
             f"no violation onset of {target} in bracket {query.bracket}: "
-            f"endpoint values {value_lo:.6f}, {value_hi:.6f} (probes stop at a violation)"
+            f"endpoint values {value_lo:.6f}, {value_hi:.6f} (exact maxima on real X states; "
+            "a see-saw value above the bound is a lower bound)"
         )
 
     while hi - lo > query.tol:
@@ -434,11 +448,6 @@ class ChannelExampleVerdict:
     svetlichny_value: float
     svetlichny_violated: bool
 
-    @property
-    def claim_holds(self) -> bool:
-        """The published claim: the 99th facet fires while Svetlichny does not."""
-        return self.ns99_violated and not self.svetlichny_violated
-
 
 # The published closed form of each channel, a function of (eta, s1, s2, s3).
 _CLOSED_FORMS = {
@@ -463,50 +472,14 @@ def channel_verdicts(
     noisy: dict[str, np.ndarray], opts: OptimizeOptions, example: str = ""
 ) -> list[ChannelExampleVerdict]:
     """NS99 and Svetlichny on each model state of ``channel_states``, in its
-    order. A real X state (GGHZ under either channel, and both closed forms)
-    takes the exact maxima; any other runs the optimizer with ``opts``."""
+    order, each a ``maximum``: exact on a real X state (GGHZ under either
+    channel, and both closed forms); any other runs the see-saw with ``opts``."""
     verdicts = []
     kinds = (BellKind.NS99, BellKind.SVETLICHNY)
     for model, state in noisy.items():
-        if is_real_x_state(state):
-            ns, sv = (X_STATE_MAXIMUM[kind](state).value for kind in kinds)
-        else:
-            ns, sv = (optimize_operator(state, kind, opts).value for kind in kinds)
+        ns, sv = (maximum(state, kind, opts).value for kind in kinds)
         ns_violated, sv_violated = (
             value > CLASSICAL_BOUND[kind] + VIOLATION_ATOL for value, kind in zip((ns, sv), kinds)
         )
         verdicts.append(ChannelExampleVerdict(example, model, ns, ns_violated, sv, sv_violated))
-    return verdicts
-
-
-def channel_example_report(
-    seed: int = DEFAULT_SEED, restarts: int = DEFAULT_RESTARTS
-) -> list[ChannelExampleVerdict]:
-    """Evaluate the four published noisy-state examples under each model."""
-    dep = channels.ChannelSpec(channels.ChannelKind.DEPOLARIZE, (0.8, 0.7, 0.6))
-    damp = channels.ChannelKind.AMPLITUDE_DAMP
-    # (label, pure state, channel, closed-form eta or None)
-    examples = (
-        ("depolarized gghz(0.69), p=(0.8,0.7,0.6)", states.gghz(0.69), dep, 0.69),
-        ("depolarized ms(0.69), p=(0.8,0.7,0.6)", states.ms(0.69), dep, None),
-        (
-            "damped 0.995|000>+0.099|111>, g=(0.1,0.08,0.09)",
-            states.pure_state([0.995, 0, 0, 0, 0, 0, 0, 0.099], normalize=True),
-            channels.ChannelSpec(damp, (0.1, 0.08, 0.09)),
-            math.atan2(0.099, 0.995),
-        ),
-        (
-            "damped ms-type (1,0.955,0.296)/sqrt2, g=(0.33,0.15,0.09)",
-            states.pure_state([1.0, 0, 0, 0, 0, 0, 0.955, 0.296], normalize=True),
-            channels.ChannelSpec(damp, (0.33, 0.15, 0.09)),
-            None,
-        ),
-    )
-    opts = OptimizeOptions(restarts=restarts, seed=seed)
-    verdicts = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", channels.HermitizedClosedFormWarning)
-        for label, psi, spec, eta in examples:
-            noisy = channel_states(qalg.projector(psi), spec, eta)
-            verdicts += channel_verdicts(noisy, opts, label)
     return verdicts

@@ -16,8 +16,6 @@ from tribell.bell import (
     X_STATE_MAXIMUM,
     chsh_pure_max,
     is_real_x_state,
-    mixed_bound,
-    ns99_mixed_bound,
     ns99_x_max,
     operator_value,
     optimize_operator,
@@ -25,7 +23,7 @@ from tribell.bell import (
     visibility_threshold,
 )
 from tribell import channels, qalg, states, workflows
-from tribell.bell.bounds import NS99_LOCAL_BOUND, _check_tau_c12, _check_unit
+from tribell.bell.bounds import NS99_LOCAL_BOUND, _check_tau_c12, _check_unit, ns99_mixed_bound
 from tribell.states import Family
 from test_acceptance import _ns99_ghz_diagonal_range
 
@@ -264,11 +262,11 @@ def test_ns99_mixed_bound_dispatch():
     for family in X_MIXED_FAMILIES:
         rho = states.mixed_builder(family)(0.5)
         assert ns99_mixed_bound(family, 0.5) == ns99_x_max(rho).value
-        assert mixed_bound(BellKind.SVETLICHNY, family, 0.5) == svetlichny_x_max(rho).value
+        assert workflows.maximum(rho, BellKind.SVETLICHNY).value == svetlichny_x_max(rho).value
     with pytest.raises(ValueError, match="no closed-form ns99 bound"):
         ns99_mixed_bound(Family.RHO2, 0.5)
-    with pytest.raises(ValueError, match="no closed-form svetlichny bound"):
-        mixed_bound(BellKind.SVETLICHNY, Family.RHO3, 0.5)
+    with pytest.raises(ValueError, match="not a real X state"):
+        svetlichny_x_max(states.mixed_builder(Family.RHO3, 3)(0.5))
 
 
 def test_ghz_diagonal_max_meets_the_see_saw():

@@ -47,13 +47,14 @@ def test_bound_rho6_cross_checked_against_formula(capsys):
 
 
 def test_bound_svetlichny_on_the_x_state_families(capsys):
-    from tribell.bell import mixed_bound
+    from tribell.bell import svetlichny_x_max
 
     for family in X_MIXED_FAMILIES:
         code, out, _ = run_cli(capsys, "bound", "--family", family.value,
                                "--operator", "svetlichny", "--p", "0.7")
         assert code == 0
-        assert parse_kv(out)["bound"] == f"{mixed_bound('svetlichny', family, 0.7):.9g}"
+        bound = svetlichny_x_max(states.mixed_builder(family)(0.7)).value
+        assert parse_kv(out)["bound"] == f"{bound:.9g}"
     # at p = 1 each family is locally equivalent to GHZ
     code, out, _ = run_cli(capsys, "bound", "--family", "rho4", "--operator", "svetlichny",
                            "--p", "1")
@@ -62,6 +63,27 @@ def test_bound_svetlichny_on_the_x_state_families(capsys):
                              "--p", "0.7")
     assert code == 2 and out == ""
     assert "no closed-form bound for family rho2" in err
+
+
+def test_bound_p_is_checked_like_every_other_p(capsys):
+    # a weight 5e-13 above 1 used to be clamped to 1 and print the GHZ bound
+    code, out, err = run_cli(capsys, "bound", "--family", "rho4", "--operator", "ns99",
+                             "--p", "1.0000000000005")
+    assert (code, out) == (2, "")
+    assert "mixing weight must lie in [0,1], got 1.0000000000005" in err
+
+
+def test_threshold_without_a_crossing_exits_3(capsys, monkeypatch):
+    # both ends of an exact query are maxima, and the message must not call them lower bounds
+    monkeypatch.setattr(workflows, "optimize_operator", None)
+    code, out, err = run_cli(capsys, "threshold", "--family", "rho4", "--operator", "ns99",
+                             "--bracket", "0.9", "1.0")
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: no violation onset of 3.0 in bracket (0.9, 1.0): endpoint values 3.513258, "
+        "3.828427 (exact maxima on real X states; a see-saw value above the bound is a "
+        "lower bound)\n"
+    )
 
 
 def test_bound_invalid_input_exits_2(capsys):

@@ -11,10 +11,84 @@ from tribell.bell import (
     BellKind,
     OptimizeOptions,
     bound_b4,
+    operator_value,
     optimize_operator,
 )
 from tribell.states import Family
 from tribell.workflows import SweepSpec, ThresholdQuery
+from conftest import random_density_matrix
+
+
+def _refuse_see_saw(*args, **kwargs):
+    raise AssertionError("the see-saw ran")
+
+
+# Real X states: GGHZ, rho4..rho8 at any weight, and rho2 and rho3 at p = 1 (GHZ).
+REAL_X_STATES = {
+    "gghz-0.3": lambda: qalg.projector(states.gghz(0.3)),
+    "gghz-pi/4": lambda: qalg.projector(states.gghz(math.pi / 4)),
+    **{f"{f.value}-0.7": (lambda f=f: states.mixed_builder(f)(0.7)) for f in X_MIXED_FAMILIES},
+    "rho2-1": lambda: states.mixed_builder(Family.RHO2)(1.0),
+    "rho3-k3-1": lambda: states.mixed_builder(Family.RHO3, 3)(1.0),
+}
+# States that are not real X states: W admixtures, MS, and a random mixed state.
+OTHER_STATES = {
+    "rho2-0.8": lambda: states.mixed_builder(Family.RHO2)(0.8),
+    "rho3-k3-0.85": lambda: states.mixed_builder(Family.RHO3, 3)(0.85),
+    "ms-0.69": lambda: qalg.projector(states.ms(0.69)),
+    "random": lambda: random_density_matrix(np.random.default_rng(11), rank=3),
+}
+THREE_PARTY = (BellKind.NS99, BellKind.SVETLICHNY)
+
+
+@pytest.mark.parametrize("kind", THREE_PARTY, ids=lambda k: k.value)
+@pytest.mark.parametrize("state", REAL_X_STATES)
+def test_maximum_is_exact_on_real_x_states(monkeypatch, state, kind):
+    monkeypatch.setattr(workflows, "optimize_operator", _refuse_see_saw)
+    rho = REAL_X_STATES[state]()
+    result = workflows.maximum(rho, kind, OptimizeOptions(restarts=8, seed=3))
+    exact = X_STATE_MAXIMUM[kind](rho)
+    assert result.value == exact.value
+    assert np.array_equal(result.scenario.angles, exact.scenario.angles)
+    assert abs(operator_value(rho, result.scenario, kind) - result.value) <= 1e-9
+
+
+@pytest.mark.parametrize("stop_above", [None, 3.2], ids=["full", "stop"])
+@pytest.mark.parametrize("kind", THREE_PARTY, ids=lambda k: k.value)
+@pytest.mark.parametrize("state", OTHER_STATES)
+def test_maximum_runs_the_see_saw_elsewhere(monkeypatch, state, kind, stop_above):
+    seen = []
+
+    def recording(rho, operator, opts):
+        seen.append((operator, opts))
+        return optimize_operator(rho, operator, opts)
+
+    monkeypatch.setattr(workflows, "optimize_operator", recording)
+    rho = OTHER_STATES[state]()
+    opts = OptimizeOptions(restarts=8, seed=5, stop_above=stop_above)
+    result = workflows.maximum(rho, kind, opts)
+    direct = optimize_operator(rho, kind, opts)
+    assert seen == [(kind, opts)]
+    assert result.value == direct.value
+    assert np.array_equal(result.restart_values, direct.restart_values)
+    assert np.array_equal(result.scenario.angles, direct.scenario.angles)
+    assert abs(operator_value(rho, result.scenario, kind) - result.value) <= 1e-9
+
+
+def test_maximum_of_chsh_runs_the_see_saw(monkeypatch):
+    # CHSH has no exact form here, even on a Bell state, which is a real X state
+    seen = []
+
+    def recording(rho, operator, opts):
+        seen.append(operator)
+        return optimize_operator(rho, operator, opts)
+
+    monkeypatch.setattr(workflows, "optimize_operator", recording)
+    rho = qalg.projector(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0))
+    result = workflows.maximum(rho, "chsh", OptimizeOptions(restarts=8, seed=1))
+    assert seen == [BellKind.CHSH]
+    assert result.value == pytest.approx(2 * math.sqrt(2), abs=1e-9)
+    assert abs(operator_value(rho, result.scenario, BellKind.CHSH) - result.value) <= 1e-9
 
 
 def test_threshold_rho4_matches_analytic_crossing():
@@ -97,8 +171,10 @@ def test_every_threshold_probe_runs_the_query_restarts_and_seed(monkeypatch):
         family=Family.RHO2, operator=BellKind.SVETLICHNY, tol=workflows.TABLE_TOL, seed=3
     )
     result = workflows.threshold_bisect(query)
-    assert result.evaluations == len(seen) == 13
-    assert [(o.restarts, o.seed) for o in seen] == [(query.restarts, query.seed)] * 13
+    # the end p = 1 is GHZ, a real X state, so its probe is exact
+    assert result.evaluations == 13 and len(seen) == 12
+    assert [(o.restarts, o.seed) for o in seen] == [(query.restarts, query.seed)] * 12
+    assert result.value_hi == pytest.approx(4 * math.sqrt(2), abs=1e-12)
 
 
 # Both operators on rho4..rho8; the ns99 cells keep their family name as id.
