@@ -5,7 +5,9 @@ maxima of both operators are known in closed form as functions of the
 three-tangle tau and the squared concurrence C12^2: B5 for the 99th facet
 and B4 for Svetlichny's operator. The GGHZ forms B1/B3 and B2 are their
 C12^2 = 0 cases, and each white-noise visibility threshold is the local
-bound divided by one of them.
+bound divided by one of them. This module checks no range itself: every
+(tau, C12^2) goes through ``states.check_tau_c12`` and every mixing weight
+through ``states.mixed_builder``.
 
 Every real three-qubit X state (entries only on the diagonal and the
 anti-diagonal, all real) has an exact maximum of each operator, with
@@ -25,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .. import qalg
-from ..states import Family, mixed_builder
+from ..states import Family, check_tau_c12, mixed_builder
 from .operators import CLASSICAL_BOUND, BellKind, MeasurementScenario
 
 NS99_LOCAL_BOUND = CLASSICAL_BOUND[BellKind.NS99]
@@ -38,26 +40,12 @@ _REAL_X_ENTRIES[(0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 0)] = True
 X_STATE_ATOL = 1e-12
 
 
-def _check_unit(value: float, name: str) -> float:
-    if not -1e-12 <= value <= 1.0 + 1e-12:
-        raise ValueError(f"{name} must lie in [0,1], got {value}")
-    return min(max(value, 0.0), 1.0)
-
-
-def _check_tau_c12(tau: float, c12sq: float) -> tuple[float, float]:
-    tau = _check_unit(tau, "tau")
-    c12sq = _check_unit(c12sq, "C12^2")
-    if tau + c12sq > 1.0 + 1e-10:
-        raise ValueError(f"infeasible pair: tau + C12^2 = {tau + c12sq} > 1")
-    return tau, c12sq
-
-
 def bound_b4(tau: float, c12sq: float) -> float:
     """Svetlichny maximum for subclass S.
 
     4 sqrt(1 - tau) for tau <= (1 - C12^2)/3, else 4 sqrt(C12^2 + 2 tau).
     """
-    tau, c12sq = _check_tau_c12(tau, c12sq)
+    tau, c12sq = check_tau_c12(tau, c12sq)
     if tau <= (1.0 - c12sq) / 3.0:
         return 4.0 * math.sqrt(1.0 - tau)
     return 4.0 * math.sqrt(c12sq + 2.0 * tau)
@@ -70,7 +58,7 @@ def bound_b5(tau: float, c12sq: float) -> float:
     1 + sqrt(A + 2C) + sqrt(A - 2C) with A = 1 + tau and
     C = sqrt(C12^2 (1 - tau - C12^2)).
     """
-    tau, c12sq = _check_tau_c12(tau, c12sq)
+    tau, c12sq = check_tau_c12(tau, c12sq)
     threshold = c12sq * (1.0 - c12sq) / (1.0 + c12sq)
     if tau <= threshold:
         return NS99_LOCAL_BOUND
@@ -104,13 +92,18 @@ def is_real_x_state(rho: np.ndarray) -> bool:
     return _x_leak(qalg.pauli_tensor(rho, 3)) <= X_STATE_ATOL
 
 
+class NotRealXStateError(ValueError):
+    """An exact X-state maximum was asked of a state that is not a real X state."""
+
+
 def _x_entries(rho: np.ndarray) -> list[float]:
     """The Pauli entries a, d, b, g = T_xxx, T_xyy, T_yxy, T_yyx, then T_zzz and the
-    pair correlators t_AB, t_AC, t_BC of a real X state; other states raise ValueError."""
+    pair correlators t_AB, t_AC, t_BC of a real X state; other states raise
+    NotRealXStateError."""
     r = qalg.pauli_tensor(rho, 3)
     leak = _x_leak(r)
     if not leak <= X_STATE_ATOL:  # is_real_x_state's test, on the tensor at hand
-        raise ValueError(f"state is not a real X state: off entry {leak:.3g}")
+        raise NotRealXStateError(f"state is not a real X state: off entry {leak:.3g}")
     return r[(0, 0, 1, 1, 2, 2, 2, 3), (0, 1, 0, 1, 2, 2, 3, 2), (0, 1, 1, 0, 2, 3, 2, 2)].tolist()
 
 
@@ -177,7 +170,7 @@ def svetlichny_x_max(rho: np.ndarray) -> XStateMaximum:
     """Exact Svetlichny maximum of a real X state, 4 max(M(a, d, b, g), M(a, d, b, -g), |T_zzz|),
     with a = T_xxx, d = T_xyy, b = T_yxy, g = T_yyx and M as in ``_in_plane_max``.
 
-    Any other Pauli content raises ValueError. Proof. With a0 + a1 = 2 cos t u,
+    Any other Pauli content raises NotRealXStateError. Proof. With a0 + a1 = 2 cos t u,
     a1 - a0 = 2 sin t w (u, w orthonormal), beta = b0 + i b1 and gamma = c0 + i c1,
     the operator is 2 Re[beta^H (cos t T(u) + i sin t T(w)) gamma], T(v) the B x C
     matrix of the correlation tensor contracted with v on A. As
@@ -229,7 +222,7 @@ def ns99_x_max(rho: np.ndarray) -> XStateMaximum:
     |t_AB| + hypot(t_BC, M) + hypot(t_AC, M) with M = M(a, d, b, g) (see
     ``svetlichny_x_max``), and the best all-z assignment.
 
-    Any other Pauli content raises ValueError. Proof. The facet's value is
+    Any other Pauli content raises NotRealXStateError. Proof. The facet's value is
     a1^T T_AB b1 + b1^T T_BC c0 + a1^T T_AC c1 + a0^T T(., ., c0 - c1) b0. For a
     real X state each pair tensor is its zz entry t alone, and T(., ., w) is
     block diagonal: [[a w_x, d w_y], [b w_y, g w_x]] in the plane, whose
@@ -281,12 +274,12 @@ def ns99_mixed_bound(family: Family, p: float) -> float:
     family = Family(family)
     if family not in X_MIXED_FAMILIES:
         raise ValueError(f"no closed-form ns99 bound for family {family.value}")
-    return ns99_x_max(mixed_builder(family)(_check_unit(p, "p"))).value
+    return ns99_x_max(mixed_builder(family)(p)).value
 
 
 def chsh_pure_max(c12sq: float) -> float:
     """CHSH maximum 2 sqrt(1 + C12^2) of a pure two-qubit state."""
-    c12sq = _check_unit(c12sq, "C12^2")
+    c12sq = check_tau_c12(0.0, c12sq)[1]
     return 2.0 * math.sqrt(1.0 + c12sq)
 
 

@@ -1,7 +1,7 @@
 """Single-qubit Kraus noise channels acting on three-qubit states.
 
-Two channels are provided, each applied to one named qubit of an 8x8
-density matrix:
+Two channels are provided, each applied qubit by qubit to an 8x8 density
+matrix with one strength per qubit:
 
 * depolarization with Kraus weights
   {sqrt(1 - 3p/4) I, sqrt(p/4) X, sqrt(p/4) Y, sqrt(p/4) Z}, so that every
@@ -17,6 +17,9 @@ generalized-GHZ states (one per channel); both are restricted to the
 |000>/|111> block and are kept for diagnostic comparison only. The
 amplitude-damping closed form is non-Hermitian as printed and is symmetrized
 here, with a warning, by averaging the two off-diagonal coefficients.
+
+``ChannelSpec`` is the one check of the strengths, which the closed forms
+also build; their GGHZ angle goes through ``states.check_eta``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qalg
+from . import qalg, states
 
 
 class ChannelKind(str, enum.Enum):
@@ -57,8 +60,6 @@ class HermitizedClosedFormWarning(UserWarning):
 
 
 def _depolarizing_kraus(p: float) -> list[np.ndarray]:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"depolarization strength must lie in [0,1], got {p}")
     k0 = math.sqrt(1.0 - 3.0 * p / 4.0)
     kp = math.sqrt(p / 4.0)
     return [
@@ -70,8 +71,6 @@ def _depolarizing_kraus(p: float) -> list[np.ndarray]:
 
 
 def _amplitude_damping_kraus(gamma: float) -> list[np.ndarray]:
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"damping strength must lie in [0,1], got {gamma}")
     e0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]], dtype=complex)
     e1 = np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
     return [e0, e1]
@@ -91,18 +90,6 @@ def _apply_kraus_on_qubit(rho: np.ndarray, kraus, qubit: int) -> np.ndarray:
         kr = np.moveaxis(np.tensordot(k, r, axes=(1, row)), 0, row)
         out += np.moveaxis(np.tensordot(kr, k.conj(), axes=(col, 1)), -1, col)
     return out.reshape(8, 8)
-
-
-def depolarize_qubit(rho: np.ndarray, qubit: int, p: float) -> np.ndarray:
-    """Depolarize one qubit of a three-qubit state with strength p."""
-    rho = qalg.check_density_matrix(rho)
-    return _apply_kraus_on_qubit(rho, _depolarizing_kraus(p), qubit)
-
-
-def amplitude_damp_qubit(rho: np.ndarray, qubit: int, gamma: float) -> np.ndarray:
-    """Amplitude-damp one qubit of a three-qubit state with strength gamma."""
-    rho = qalg.check_density_matrix(rho)
-    return _apply_kraus_on_qubit(rho, _amplitude_damping_kraus(gamma), qubit)
 
 
 def apply_channel_spec(rho: np.ndarray, spec: ChannelSpec) -> np.ndarray:
@@ -136,11 +123,8 @@ def closed_form_depolarized_gghz(eta: float, p1: float, p2: float, p3: float) ->
     three-qubit depolarization spreads over all eight basis states;
     ``apply_channel_spec`` is the faithful model, this form is diagnostic.
     """
-    for p in (p1, p2, p3):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"depolarization strength must lie in [0,1], got {p}")
-    if not 0.0 <= eta <= math.pi / 4 + 1e-12:
-        raise ValueError(f"eta must lie in [0, pi/4], got {eta}")
+    ChannelSpec(ChannelKind.DEPOLARIZE, (p1, p2, p3))  # checks the strengths
+    states.check_eta(states.Family.GGHZ, eta)
     j1 = (1.0 - 3.0 * p1 / 4.0) * (1.0 - 3.0 * p2 / 4.0) * (1.0 - 3.0 * p3 / 4.0)
     j2 = p1 * p2 * p3 / 64.0
     c2, s2 = math.cos(eta) ** 2, math.sin(eta) ** 2
@@ -171,11 +155,8 @@ def closed_form_damped_gghz(eta: float, g1: float, g2: float, g3: float) -> np.n
     gate; any PSD deficit is included in the warning.
     ``apply_channel_spec`` remains the oracle.
     """
-    for g in (g1, g2, g3):
-        if not 0.0 <= g <= 1.0:
-            raise ValueError(f"damping strength must lie in [0,1], got {g}")
-    if not 0.0 <= eta <= math.pi / 4 + 1e-12:
-        raise ValueError(f"eta must lie in [0, pi/4], got {eta}")
+    ChannelSpec(ChannelKind.AMPLITUDE_DAMP, (g1, g2, g3))  # checks the strengths
+    states.check_eta(states.Family.GGHZ, eta)
     d1 = math.sqrt((1.0 - g1) * (1.0 - g2) * (1.0 - g3))
     d2 = g1 * g2 * g3
     c2, s2 = math.cos(eta) ** 2, math.sin(eta) ** 2

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qalg
+from . import qalg, states
 
 _SIGMA_YY = np.kron(qalg.PAULI_Y, qalg.PAULI_Y)
 
@@ -178,8 +178,7 @@ def delta_d_gghz(eta: float) -> float:
 
     Evaluated as h(sin^2 eta), which keeps the precision of the small weight.
     """
-    if not 0.0 <= eta <= math.pi / 4 + 1e-12:
-        raise ValueError(f"eta must lie in [0, pi/4], got {eta}")
+    states.check_eta(states.Family.GGHZ, eta)
     return binary_entropy(math.sin(eta) ** 2)
 
 
@@ -189,8 +188,8 @@ def delta_d_subclass_s(tau: float) -> float:
     Printed form
       -[(1 - sqrt(1-tau)) ln((1 - sqrt(1-tau))/2)
         + (1 + sqrt(1-tau)) ln((1 + sqrt(1-tau))/2)] / ln 4,
-    which reduces to the binary entropy of (1 - sqrt(1-tau))/2 in bits.
+    which reduces to the binary entropy of (1 - sqrt(1-tau))/2 in bits. tau
+    goes through ``states.check_tau_c12``.
     """
-    if not -1e-12 <= tau <= 1.0 + 1e-12:
-        raise ValueError(f"tau must lie in [0,1], got {tau}")
-    return binary_entropy((1.0 - math.sqrt(max(1.0 - tau, 0.0))) / 2.0)
+    tau = states.check_tau_c12(tau, 0.0)[0]
+    return binary_entropy((1.0 - math.sqrt(1.0 - tau)) / 2.0)

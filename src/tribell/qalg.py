@@ -137,9 +137,3 @@ def bloch_observable(v: np.ndarray) -> np.ndarray:
     if v.shape != (3,):
         raise ValueError(f"Bloch vector must have shape (3,), got {v.shape}")
     return v[0] * PAULI_X + v[1] * PAULI_Y + v[2] * PAULI_Z
-
-
-def bloch_projectors(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Projectors (I + v.sigma)/2 and (I - v.sigma)/2; outcome 0 is +1."""
-    obs = bloch_observable(v)
-    return (IDENTITY_2 + obs) / 2.0, (IDENTITY_2 - obs) / 2.0

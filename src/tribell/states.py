@@ -9,6 +9,10 @@ Mixed families rho2..rho8: one affine table. Each is p |top><top| + (1 - p)/n
 rest, with rest an integer-weighted sum of projectors of trace n: W and
 W-tilde for the rank-2 and rank-3 GHZ mixtures, the eight |L,i+-> for the
 rank-4..8 ones.
+
+Each parameter range has one owner, which every other module calls:
+``check_eta`` the GGHZ (and MS) angle, ``check_tau_c12`` the subclass-S pair
+(tau, C12^2), and ``mixed_builder`` the mixing weight p.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ def pure_state(amplitudes, normalize: bool = False) -> np.ndarray:
     return qalg.check_state_vector(psi)
 
 
-def _check_eta(family: Family, eta: float) -> None:
+def check_eta(family: Family, eta: float) -> None:
     """Raise unless eta lies in [0, pi/4] for gghz or in [0, pi/2] for ms (see ``ms``)."""
     top, label = (math.pi / 4, "pi/4") if family is Family.GGHZ else (math.pi / 2, "pi/2")
     if not 0.0 <= eta <= top + 1e-12:
@@ -74,7 +78,7 @@ def _check_eta(family: Family, eta: float) -> None:
 
 def gghz(eta: float) -> np.ndarray:
     """Generalized GHZ state cos(eta)|000> + sin(eta)|111>, eta in [0, pi/4]."""
-    _check_eta(Family.GGHZ, eta)
+    check_eta(Family.GGHZ, eta)
     psi = np.zeros(8, dtype=complex)
     psi[0] = math.cos(eta)
     psi[7] = math.sin(eta)
@@ -103,7 +107,7 @@ def ms(eta: float) -> np.ndarray:
     The family is defined for eta in [0, pi/4]; values up to pi/2 are accepted
     with a warning so that rounded literature examples remain constructible.
     """
-    _check_eta(Family.MS, eta)
+    check_eta(Family.MS, eta)
     if eta > math.pi / 4 + 1e-12:
         warnings.warn(
             f"MS parameter eta={eta} exceeds pi/4; state is valid but outside "
@@ -112,6 +116,20 @@ def ms(eta: float) -> np.ndarray:
         )
     r = 1.0 / math.sqrt(2.0)
     return extended_ghz(r, math.cos(eta) * r, math.sin(eta) * r)
+
+
+def check_tau_c12(tau: float, c12sq: float) -> tuple[float, float]:
+    """The pair (tau, C12^2), each clamped to [0, 1], of a subclass-S state.
+
+    Each value may lie 1e-12 outside [0, 1] and their sum 1e-10 above 1, so
+    rounded inputs pass; a non-finite value or anything further out raises
+    ValueError.
+    """
+    ok = -1e-12 <= tau <= 1.0 + 1e-12 and -1e-12 <= c12sq <= 1.0 + 1e-12  # NaN fails
+    t, c = min(max(float(tau), 0.0), 1.0), min(max(float(c12sq), 0.0), 1.0)
+    if not (ok and t + c <= 1.0 + 1e-10):
+        raise ValueError(f"need finite tau, C12^2 >= 0 with tau + C12^2 <= 1, got {(tau, c12sq)}")
+    return t, c
 
 
 def tau_c12sq(
@@ -124,20 +142,20 @@ def tau_c12sq(
     """(tau, C12^2) of a gghz, ms or ext_s state.
 
     gghz has (sin^2 2eta, 0) and ms (sin^2 eta, cos^2 eta); each takes eta or
-    tau, not both, and tau fixes C12^2 (0 and 1 - tau). eta must lie in the
-    family's range, as for ``gghz`` and ``ms``. A c12sq more than
+    tau, not both, and tau fixes C12^2 (0 and 1 - tau). ``check_eta`` checks
+    eta, as in ``gghz`` and ``ms``. A c12sq more than
     1e-12 from the family's value raises ValueError. ext_s has no angle and takes
-    tau and c12sq as given.
+    tau and c12sq. Every pair is returned through ``check_tau_c12``.
     """
     family = Family(family)
     _require(family in SUBCLASS_S, f"{family.value} has no (tau, C12^2) form")
     if family is Family.EXT_S:
         _require(eta is None, "ext_s has no angle eta")
         _require(tau is not None and c12sq is not None, "ext_s needs tau and c12sq")
-        return float(tau), float(c12sq)
+        return check_tau_c12(tau, c12sq)
     _require((eta is None) != (tau is None), f"{family.value} takes eta or tau, exactly one")
     if eta is not None:
-        _check_eta(family, eta)
+        check_eta(family, eta)
     if family is Family.GGHZ:
         tau, own = (math.sin(2.0 * eta) ** 2 if tau is None else tau), 0.0
     else:
@@ -147,20 +165,17 @@ def tau_c12sq(
         c12sq is None or abs(c12sq - own) <= 1e-12,
         f"a {family.value} state has C12^2 = {own:g}; only ext_s takes other values",
     )
-    return float(tau), own
+    return check_tau_c12(tau, own)
 
 
 def ext_s_lambdas_from_tau_c12(tau: float, c12sq: float) -> tuple[float, float, float]:
     """Invert tau = 4 l0^2 l4^2, C12^2 = 4 l0^2 l3^2 for a subclass-S state.
 
-    Requires tau + C12^2 <= 1. Of the two l0 branches the larger one
+    The pair goes through ``check_tau_c12``. Of the two l0 branches the larger one
     (l0 >= 1/sqrt(2)) is returned; both give the same tau, C12^2 and hence
     the same operator bounds.
     """
-    if not (tau >= -1e-12 and c12sq >= -1e-12 and tau + c12sq <= 1.0 + 1e-12):  # NaN fails
-        raise ValueError(f"need finite tau, C12^2 >= 0 with tau + C12^2 <= 1, got {(tau, c12sq)}")
-    tau = max(tau, 0.0)
-    c12sq = max(c12sq, 0.0)
+    tau, c12sq = check_tau_c12(tau, c12sq)
     disc = math.sqrt(max(1.0 - (tau + c12sq), 0.0))
     l0_sq = (1.0 + disc) / 2.0
     l0 = math.sqrt(l0_sq)
@@ -223,7 +238,8 @@ MIXED_FAMILIES = tuple(_MIXED)
 
 
 def mixed_builder(family: Family, k: int | None = None) -> Callable[[float], np.ndarray]:
-    """Map a mixing weight p in [0, 1] to the density matrix of a mixed family."""
+    """Map a mixing weight p in [0, 1] to the density matrix of a mixed family; the
+    builder is the one check of p."""
     family = Family(family)
     _require(family in _MIXED, f"{family.value} has no mixing-weight builder")
     top, basis, weights = _MIXED[family]

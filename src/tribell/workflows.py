@@ -26,11 +26,10 @@ from .bell import (
     ViolationReport,
     bound_b4,
     bound_b5,
-    is_real_x_state,
     optimize_operator,
     visibility_threshold,
 )
-from .bell.bounds import XStateMaximum
+from .bell.bounds import NotRealXStateError, XStateMaximum
 from .bell.operators import VIOLATION_ATOL
 from .bell.optimize import DEFAULT_RESTARTS, DEFAULT_SEED
 from .states import Family, mixed_builder
@@ -49,8 +48,11 @@ def maximum(
     operator has an X-state maximum and ``rho`` is a real X state, else the see-saw
     (``optimize_operator`` with ``options``). Both results carry ``.value`` and ``.scenario``."""
     kind = BellKind(kind)
-    if kind in X_STATE_MAXIMUM and is_real_x_state(rho):
-        return X_STATE_MAXIMUM[kind](rho)
+    if kind in X_STATE_MAXIMUM:
+        try:  # the X-state maximum reads the Pauli tensor once and tests it itself
+            return X_STATE_MAXIMUM[kind](rho)
+        except NotRealXStateError:
+            pass
     return optimize_operator(rho, kind, options)
 
 
@@ -400,13 +402,16 @@ def visibility_check(
     """Closed-form visibility threshold plus numeric confirmation.
 
     Optimizes the operator on the white-noise mixture at threshold -/+ delta
-    and records whether the violation switches on across the threshold.
-    Raises NoViolationError when the pure state never violates and
-    ValueError for a delta that is not positive.
+    and records whether the violation switches on across the threshold. The
+    state is built from, and the check records, the pair as
+    ``states.check_tau_c12`` returns it. Raises NoViolationError when the pure
+    state never violates and ValueError for a pair out of range or a delta
+    that is not positive.
     """
     if not delta > 0.0:
         raise ValueError(f"visibility delta must be positive, got {delta}")
     operator = BellKind(operator)
+    tau, c12sq = states.check_tau_c12(tau, c12sq)
     threshold = visibility_threshold(operator, tau, c12sq)
     if threshold is None:
         raise NoViolationError(

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from tribell import channels, qalg
+
 
 @pytest.fixture
 def rng():
@@ -52,3 +54,21 @@ def permute_qubits(state, perm):
         axes = perm0 + [p + 3 for p in perm0]
         return arr.reshape((2,) * 6).transpose(axes).reshape(8, 8)
     raise ValueError(f"expected shape (8,) or (8,8), got {arr.shape}")
+
+
+def bloch_projectors(v):
+    """Projectors (I + v.sigma)/2 and (I - v.sigma)/2; outcome 0 is +1."""
+    obs = qalg.bloch_observable(v)
+    return (qalg.IDENTITY_2 + obs) / 2.0, (qalg.IDENTITY_2 - obs) / 2.0
+
+
+def depolarize_qubit(rho, qubit, p):
+    """Depolarize one qubit of a three-qubit state with strength p."""
+    rho = qalg.check_density_matrix(rho)
+    return channels._apply_kraus_on_qubit(rho, channels._depolarizing_kraus(p), qubit)
+
+
+def amplitude_damp_qubit(rho, qubit, gamma):
+    """Amplitude-damp one qubit of a three-qubit state with strength gamma."""
+    rho = qalg.check_density_matrix(rho)
+    return channels._apply_kraus_on_qubit(rho, channels._amplitude_damping_kraus(gamma), qubit)

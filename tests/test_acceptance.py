@@ -66,7 +66,13 @@ from tribell.bell import (
 from tribell.bell.bounds import ns99_mixed_bound
 from tribell.polytope import Behavior, HybridKind
 from tribell.workflows import ThresholdQuery
-from conftest import permute_qubits, random_density_matrix, random_pure_state
+from conftest import (
+    amplitude_damp_qubit,
+    depolarize_qubit,
+    permute_qubits,
+    random_density_matrix,
+    random_pure_state,
+)
 
 OPTS = OptimizeOptions(restarts=64, seed=1)
 
@@ -533,9 +539,9 @@ def test_criterion_11_property_suites():
         qubit = int(rng.integers(1, 4))
         strength = float(rng.uniform(0, 1))
         if rng.integers(2):
-            out = channels.depolarize_qubit(rho, qubit, strength)
+            out = depolarize_qubit(rho, qubit, strength)
         else:
-            out = channels.amplitude_damp_qubit(rho, qubit, strength)
+            out = amplitude_damp_qubit(rho, qubit, strength)
         worst_trace = max(worst_trace, abs(np.trace(out).real - 1.0))
         worst_eig = min(worst_eig, float(np.linalg.eigvalsh(out).min()))
     channels_ok = worst_trace <= 1e-12 and worst_eig >= -1e-10

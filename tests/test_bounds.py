@@ -23,7 +23,7 @@ from tribell.bell import (
     visibility_threshold,
 )
 from tribell import channels, qalg, states, workflows
-from tribell.bell.bounds import NS99_LOCAL_BOUND, _check_tau_c12, _check_unit, ns99_mixed_bound
+from tribell.bell.bounds import NS99_LOCAL_BOUND, ns99_mixed_bound
 from tribell.states import Family
 from test_acceptance import _ns99_ghz_diagonal_range
 
@@ -33,7 +33,7 @@ from test_acceptance import _ns99_ghz_diagonal_range
 
 
 def _reference_bound_b2(tau: float) -> float:
-    tau = _check_unit(tau, "tau")
+    tau = states.check_tau_c12(tau, 0.0)[0]
     if tau <= 1.0 / 3.0:
         return 4.0 * math.sqrt(1.0 - tau)
     return 4.0 * math.sqrt(2.0 * tau)
@@ -47,7 +47,7 @@ def _reference_visibility_ns99(tau: float, c12sq: float = 0.0) -> float | None:
 
 
 def _reference_visibility_svetlichny(tau: float, c12sq: float = 0.0) -> float | None:
-    tau, c12sq = _check_tau_c12(tau, c12sq)
+    tau, c12sq = states.check_tau_c12(tau, c12sq)
     arg = 2.0 * tau + c12sq
     if arg <= 1.0 + 1e-12:
         return None
@@ -418,7 +418,7 @@ def test_bound_domain_guards():
     for fn in (bound_b1_b3, bound_b2):
         with pytest.raises(ValueError):
             fn(1.5)
-    with pytest.raises(ValueError, match="p must lie in"):
+    with pytest.raises(ValueError, match="mixing weight must lie in"):
         ns99_mixed_bound(Family.RHO4, -0.1)
     with pytest.raises(ValueError):
         chsh_pure_max(2.0)

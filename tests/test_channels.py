@@ -3,17 +3,17 @@ import pytest
 
 from tribell import channels, qalg, states
 from tribell.channels import ChannelKind, ChannelSpec
-from conftest import random_density_matrix
+from conftest import amplitude_damp_qubit, depolarize_qubit, random_density_matrix
 
 
 def test_depolarize_zero_strength_is_identity(rng):
     rho = random_density_matrix(rng)
-    assert np.allclose(channels.depolarize_qubit(rho, 2, 0.0), rho, atol=1e-14)
+    assert np.allclose(depolarize_qubit(rho, 2, 0.0), rho, atol=1e-14)
 
 
 def test_depolarize_full_strength_mixes_marginal(rng):
     rho = random_density_matrix(rng)
-    out = channels.depolarize_qubit(rho, 1, 1.0)
+    out = depolarize_qubit(rho, 1, 1.0)
     marginal = qalg.partial_trace(out, keep=[1])
     assert np.allclose(marginal, np.eye(2) / 2, atol=1e-12)
     # untouched qubits keep their joint marginal
@@ -25,13 +25,13 @@ def test_depolarize_full_strength_mixes_marginal(rng):
 def test_depolarize_scales_ghz_coherence():
     p = 0.37
     rho = qalg.projector(states.ghz_state())
-    out = channels.depolarize_qubit(rho, 1, p)
+    out = depolarize_qubit(rho, 1, p)
     assert out[0, 7].real == pytest.approx((1.0 - p) * 0.5, abs=1e-14)
 
 
 def test_amplitude_damp_zero_strength_is_identity(rng):
     rho = random_density_matrix(rng)
-    assert np.allclose(channels.amplitude_damp_qubit(rho, 3, 0.0), rho, atol=1e-14)
+    assert np.allclose(amplitude_damp_qubit(rho, 3, 0.0), rho, atol=1e-14)
 
 
 def test_amplitude_damp_single_qubit_population():
@@ -39,23 +39,23 @@ def test_amplitude_damp_single_qubit_population():
     rho = np.zeros((8, 8), dtype=complex)
     rho[7, 7] = 1.0
     gamma = 0.42
-    out = channels.amplitude_damp_qubit(rho, 3, gamma)
+    out = amplitude_damp_qubit(rho, 3, gamma)
     assert out[7, 7].real == pytest.approx(1.0 - gamma)
     assert out[6, 6].real == pytest.approx(gamma)  # |110><110|
-    full = channels.amplitude_damp_qubit(rho, 3, 1.0)
+    full = amplitude_damp_qubit(rho, 3, 1.0)
     assert full[6, 6].real == pytest.approx(1.0)
 
 
 def test_strength_guards():
+    # ChannelSpec is the one check of the strengths, for either kind and any qubit
+    for kind, bad in ((ChannelKind.DEPOLARIZE, 1.2), (ChannelKind.AMPLITUDE_DAMP, -0.1)):
+        for qubit in range(3):
+            strengths = tuple(bad if q == qubit else 0.5 for q in range(3))
+            with pytest.raises(ValueError, match="channel strength must lie in"):
+                ChannelSpec(kind, strengths)
     rho = np.eye(8, dtype=complex) / 8
-    with pytest.raises(ValueError):
-        channels.depolarize_qubit(rho, 1, 1.2)
-    with pytest.raises(ValueError):
-        channels.amplitude_damp_qubit(rho, 1, -0.1)
-    with pytest.raises(ValueError):
-        channels.depolarize_qubit(rho, 4, 0.5)
-    with pytest.raises(ValueError):
-        ChannelSpec(ChannelKind.DEPOLARIZE, (0.5, 2.0, 0.1))
+    with pytest.raises(ValueError, match="qubit must be in 1..3"):
+        channels._apply_kraus_on_qubit(rho, channels._depolarizing_kraus(0.5), 4)
 
 
 def test_apply_channel_spec_zero_is_identity(rng):
@@ -84,8 +84,8 @@ def test_channels_preserve_trace_and_psd(rng):
         rho = random_density_matrix(rng)
         qubit = int(rng.integers(1, 4))
         for out in (
-            channels.depolarize_qubit(rho, qubit, float(rng.uniform(0, 1))),
-            channels.amplitude_damp_qubit(rho, qubit, float(rng.uniform(0, 1))),
+            depolarize_qubit(rho, qubit, float(rng.uniform(0, 1))),
+            amplitude_damp_qubit(rho, qubit, float(rng.uniform(0, 1))),
         ):
             assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.eigvalsh(out).min() >= -1e-10
@@ -93,11 +93,11 @@ def test_channels_preserve_trace_and_psd(rng):
 
 def test_channels_commute_across_qubits(rng):
     rho = random_density_matrix(rng)
-    a = channels.depolarize_qubit(channels.depolarize_qubit(rho, 1, 0.3), 2, 0.7)
-    b = channels.depolarize_qubit(channels.depolarize_qubit(rho, 2, 0.7), 1, 0.3)
+    a = depolarize_qubit(depolarize_qubit(rho, 1, 0.3), 2, 0.7)
+    b = depolarize_qubit(depolarize_qubit(rho, 2, 0.7), 1, 0.3)
     assert np.max(np.abs(a - b)) <= 1e-12
-    c = channels.amplitude_damp_qubit(channels.amplitude_damp_qubit(rho, 1, 0.2), 3, 0.5)
-    d = channels.amplitude_damp_qubit(channels.amplitude_damp_qubit(rho, 3, 0.5), 1, 0.2)
+    c = amplitude_damp_qubit(amplitude_damp_qubit(rho, 1, 0.2), 3, 0.5)
+    d = amplitude_damp_qubit(amplitude_damp_qubit(rho, 3, 0.5), 1, 0.2)
     assert np.max(np.abs(c - d)) <= 1e-12
 
 
@@ -105,7 +105,7 @@ def test_depolarization_coherence_factor_exact(rng):
     # every single-qubit coherence on the addressed qubit scales by 1 - p
     rho = random_density_matrix(rng)
     p = 0.61
-    out = channels.depolarize_qubit(rho, 1, p)
+    out = depolarize_qubit(rho, 1, p)
     # coherence blocks between qubit-1 values 0 and 1
     r = rho.reshape(2, 4, 2, 4)
     o = out.reshape(2, 4, 2, 4)
@@ -133,11 +133,11 @@ def test_kraus_map_matches_kron_oracle(rng):
         for qubit in (1, 2, 3):
             s = float(rng.uniform())
             assert np.array_equal(
-                channels.depolarize_qubit(rho, qubit, s),
+                depolarize_qubit(rho, qubit, s),
                 _kron_kraus_on_qubit(rho, channels._depolarizing_kraus(s), qubit),
             )
             assert np.array_equal(
-                channels.amplitude_damp_qubit(rho, qubit, s),
+                amplitude_damp_qubit(rho, qubit, s),
                 _kron_kraus_on_qubit(rho, channels._amplitude_damping_kraus(s), qubit),
             )
         for kind, builder in (
@@ -154,7 +154,7 @@ def test_kraus_map_matches_kron_oracle(rng):
 
 def test_channels_reject_states_that_are_not_three_qubits():
     with pytest.raises(ValueError, match="three-qubit"):
-        channels.depolarize_qubit(np.eye(4) / 4, 1, 0.5)
+        depolarize_qubit(np.eye(4) / 4, 1, 0.5)
     with pytest.raises(ValueError, match="three-qubit"):
         channels.apply_channel_spec(np.eye(2) / 2, ChannelSpec(ChannelKind.DEPOLARIZE, (0.1,) * 3))
 

@@ -311,6 +311,36 @@ def test_visibility_tau_without_family_takes_c12sq_as_given(capsys):
     assert float(pairs["threshold"]) == pytest.approx(expected, abs=1e-8)
 
 
+# A sum 5e-11 above 1 and a tau 5e-13 above 1, both inside states.check_tau_c12's tolerance.
+EDGE_PAIRS = [("0.5", "0.50000000005"), ("1.0000000000005", "0")]
+
+
+@pytest.mark.parametrize("tau, c12sq", EDGE_PAIRS)
+def test_every_verb_takes_a_pair_at_the_edge_of_the_range_alike(capsys, tau, c12sq):
+    # bound and visibility --no-confirm took both pairs; sweep and the confirmation refused
+    # the first, and the confirmation built its state from the second unclamped
+    pair = ("--tau", tau, "--c12sq", c12sq)
+    expected = states.check_tau_c12(float(tau), float(c12sq))
+    code, out, err = run_cli(capsys, "bound", "--family", "ext_s", "--operator", "svetlichny",
+                             *pair, "--json")
+    assert (code, err) == (0, "")
+    bound = json.loads(out)["bound"]
+    for confirm in (("--no-confirm",), ("--restarts", "4")):
+        code, out, err = run_cli(capsys, "visibility", "--operator", "svetlichny", *pair,
+                                 *confirm, "--json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert (doc["tau"], doc["c12sq"]) == expected
+        assert doc["threshold"] == 4.0 / bound
+    assert doc["confirmed"]
+    code, out, err = run_cli(capsys, "sweep", "--family", "ext_s", "--c12sq", c12sq,
+                             "--from", "0.4", "--to", tau, "--steps", "2",
+                             "--columns", "c12sq,svet_bound,visibility_svet")
+    assert (code, err) == (0, "")
+    last = out.strip().splitlines()[-1].split(",")
+    assert last[1:] == [f"{v:.9g}" for v in (expected[1], bound, 4.0 / bound)]
+
+
 def test_visibility_exit_3_when_no_violation(capsys):
     code, _, err = run_cli(
         capsys, "visibility", "--operator", "svetlichny", "--tau", "0.1",

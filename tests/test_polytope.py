@@ -14,6 +14,7 @@ from tribell.bell import (
     optimize_operator,
 )
 from tribell.polytope import Behavior, HybridKind, LPNumericalError
+from conftest import bloch_projectors
 
 MODELS = (HybridKind.FULLY_LOCAL, HybridKind.NS2, HybridKind.S2)
 
@@ -21,7 +22,7 @@ MODELS = (HybridKind.FULLY_LOCAL, HybridKind.NS2, HybridKind.S2)
 def _trace_behavior(rho, scenario):
     """Born rule by one kron and trace per table entry (reference)."""
     projs = [
-        [qalg.bloch_projectors(scenario.vector(party, setting)) for setting in (0, 1)]
+        [bloch_projectors(scenario.vector(party, setting)) for setting in (0, 1)]
         for party in range(3)
     ]
     table = np.empty(polytope.BEHAVIOR_SHAPE)

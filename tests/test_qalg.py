@@ -3,6 +3,7 @@ import pytest
 
 from tribell import qalg
 from conftest import (
+    bloch_projectors,
     partial_trace_dims,
     permute_qubits,
     random_density_matrix,
@@ -138,6 +139,6 @@ def test_bloch_helpers():
     v = qalg.bloch_vector(0.0, 0.0)
     assert np.allclose(v, [0, 0, 1])
     assert np.allclose(qalg.bloch_observable(v), qalg.PAULI_Z)
-    plus, minus = qalg.bloch_projectors(v)
+    plus, minus = bloch_projectors(v)
     assert np.allclose(plus + minus, np.eye(2))
     assert np.allclose(plus @ plus, plus, atol=1e-15)

@@ -53,6 +53,16 @@ def test_maximum_is_exact_on_real_x_states(monkeypatch, state, kind):
     assert abs(operator_value(rho, result.scenario, kind) - result.value) <= 1e-9
 
 
+@pytest.mark.parametrize("kind", THREE_PARTY, ids=lambda k: k.value)
+def test_maximum_expands_the_pauli_tensor_once_on_the_exact_route(monkeypatch, kind):
+    # the X-state test and the exact maximum read one tensor
+    calls = []
+    expand = qalg.pauli_tensor
+    monkeypatch.setattr(qalg, "pauli_tensor", lambda rho, n: calls.append(n) or expand(rho, n))
+    workflows.maximum(states.mixed_builder(Family.RHO8)(0.76), kind)
+    assert calls == [3]
+
+
 @pytest.mark.parametrize("stop_above", [None, 3.2], ids=["full", "stop"])
 @pytest.mark.parametrize("kind", THREE_PARTY, ids=lambda k: k.value)
 @pytest.mark.parametrize("state", OTHER_STATES)
