@@ -1,7 +1,6 @@
 """Bell-operator evaluation, optimization and closed-form bounds."""
 
 from .bounds import (
-    X_MIXED_FAMILIES,
     X_STATE_MAXIMUM,
     bound_b1_b3,
     bound_b2,
@@ -39,7 +38,6 @@ __all__ = [
     "OptimizeOptions",
     "TERMS",
     "ViolationReport",
-    "X_MIXED_FAMILIES",
     "X_STATE_MAXIMUM",
     "behavior_operator_value",
     "bound_b1_b3",

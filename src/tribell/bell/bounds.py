@@ -263,17 +263,9 @@ def ns99_x_max(rho: np.ndarray) -> XStateMaximum:
 X_STATE_MAXIMUM = {BellKind.NS99: ns99_x_max, BellKind.SVETLICHNY: svetlichny_x_max}
 
 
-# The mixed families whose every state is a real X state (rho2 and rho3 carry
-# W's coherences); each has an exact maximum at every weight.
-X_MIXED_FAMILIES = (Family.RHO4, Family.RHO5, Family.RHO6, Family.RHO7, Family.RHO8)
-
-
 # Unread in src/: perfbench's threshold and scan checks and the tests use it.
 def ns99_mixed_bound(family: Family, p: float) -> float:
-    """99th-facet maximum of a family in X_MIXED_FAMILIES at mixing weight p."""
-    family = Family(family)
-    if family not in X_MIXED_FAMILIES:
-        raise ValueError(f"no closed-form ns99 bound for family {family.value}")
+    """99th-facet maximum of a mixed family's real X state at mixing weight p."""
     return ns99_x_max(mixed_builder(family)(p)).value
 
 

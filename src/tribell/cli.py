@@ -1,8 +1,9 @@
 """Command-line frontend.
 
 Verbs: bound, optimize, threshold, visibility, sweep, tables, membership,
-channel. Output is line-oriented key=value text, or a single JSON document
-with identical fields under --json. Exit codes: 0 success, 2 invalid input,
+channel. sweep prints CSV and tables a markdown or CSV table; every other
+verb prints line-oriented key=value text, or a single JSON document with
+identical fields under --json. Exit codes: 0 success, 2 invalid input,
 3 numerical non-convergence / no crossing / no violation.
 
 Options left out take the library's defaults. A --seed, --restarts or --delta
@@ -22,7 +23,6 @@ import numpy as np
 
 from . import channels, polytope, states, workflows
 from .bell import (
-    X_MIXED_FAMILIES,
     X_STATE_MAXIMUM,
     BellKind,
     MeasurementScenario,
@@ -62,10 +62,11 @@ def _emit(pairs: dict, as_json: bool) -> None:
                 print(f"{key}={_fmt(value)}")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, key_value: bool = True) -> None:
     parser.add_argument("--restarts", type=int, help=f"default {DEFAULT_RESTARTS}")
     parser.add_argument("--seed", type=int, help=f"RNG seed (default NL_SEED or {DEFAULT_SEED})")
-    parser.add_argument("--json", action="store_true", help="emit one JSON document")
+    if key_value:
+        parser.add_argument("--json", action="store_true", help="emit one JSON document")
 
 
 def _given(**options) -> dict:
@@ -151,10 +152,11 @@ def cmd_bound(args) -> int:
         states.reject_foreign(family, p=args.p)
         tau, c12sq = states.tau_c12sq(family, tau=args.tau, c12sq=args.c12sq)
         value = (bound_b5 if op is BellKind.NS99 else bound_b4)(tau, c12sq)
-    elif family in X_MIXED_FAMILIES:
+    elif family in states.MIXED_FAMILIES:
         states.reject_foreign(family, tau=args.tau, c12sq=args.c12sq)
         if args.p is None:
             raise ValueError("mixed-family bounds need --p")
+        # a state that is not a real X state raises NotRealXStateError, a ValueError
         value = X_STATE_MAXIMUM[op](states.mixed_builder(family)(args.p)).value
     else:
         raise ValueError(f"no closed-form bound for family {family.value}")
@@ -390,14 +392,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c12sq", type=float)
     p.add_argument("--k", type=int)
     p.add_argument("--output", help="write CSV here instead of stdout")
-    _add_common(p)
+    _add_common(p, key_value=False)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("tables", help="recompute a published threshold table")
     p.add_argument("--which", type=int, required=True, choices=[1, 2])
     p.add_argument("--tol", type=float)
     p.add_argument("--format", choices=["md", "csv"], default="md")
-    _add_common(p)
+    _add_common(p, key_value=False)
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("membership", help="LP membership in a hybrid local model")

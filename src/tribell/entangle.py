@@ -188,8 +188,9 @@ def delta_d_subclass_s(tau: float) -> float:
     Printed form
       -[(1 - sqrt(1-tau)) ln((1 - sqrt(1-tau))/2)
         + (1 + sqrt(1-tau)) ln((1 + sqrt(1-tau))/2)] / ln 4,
-    which reduces to the binary entropy of (1 - sqrt(1-tau))/2 in bits. tau
-    goes through ``states.check_tau_c12``.
+    which reduces to the binary entropy of (1 - sqrt(1-tau))/2 in bits,
+    evaluated as tau / (2 (1 + sqrt(1-tau))), which does not cancel at small
+    tau. tau goes through ``states.check_tau_c12``.
     """
     tau = states.check_tau_c12(tau, 0.0)[0]
-    return binary_entropy((1.0 - math.sqrt(1.0 - tau)) / 2.0)
+    return binary_entropy(tau / (2.0 * (1.0 + math.sqrt(1.0 - tau))))

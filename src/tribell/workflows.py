@@ -20,12 +20,12 @@ from . import channels, entangle, qalg, states
 from .bell import (
     BellKind,
     CLASSICAL_BOUND,
-    X_MIXED_FAMILIES,
     X_STATE_MAXIMUM,
     OptimizeOptions,
     ViolationReport,
     bound_b4,
     bound_b5,
+    is_real_x_state,
     optimize_operator,
     visibility_threshold,
 )
@@ -45,7 +45,7 @@ def maximum(
     rho: np.ndarray, kind: BellKind, options: OptimizeOptions | None = None
 ) -> XStateMaximum | ViolationReport:
     """An operator's maximum on ``rho``, with settings that reach it: exact where the
-    operator has an X-state maximum and ``rho`` is a real X state, else the see-saw
+    operator has an X-state maximum and ``rho`` passes ``is_real_x_state``, else the see-saw
     (``optimize_operator`` with ``options``). Both results carry ``.value`` and ``.scenario``."""
     kind = BellKind(kind)
     if kind in X_STATE_MAXIMUM:
@@ -88,17 +88,25 @@ class ThresholdQuery:
 
     @property
     def exact(self) -> bool:
-        """Every probe takes the exact maximum (every state of the family is a real X
-        state), so ``seed`` and ``restarts`` go unread."""
-        return self.operator in X_STATE_MAXIMUM and self.family in X_MIXED_FAMILIES
+        """Every probe takes the exact maximum, so ``seed`` and ``restarts`` go unread: both
+        bracket ends are real X states. The family is affine in p and the real-X pattern a
+        linear subspace, so each off-pattern Pauli entry is affine in p and its modulus
+        peaks at an end; the ends pass ``is_real_x_state`` iff every probe between does."""
+        return self.operator in X_STATE_MAXIMUM and _real_x_ends(self.family, self.k, self.bracket)
+
+
+def _real_x_ends(family: Family, k: int | None, ends: Sequence[float]) -> bool:
+    """Whether the family is a real X state at both ``ends``, hence between them."""
+    build = mixed_builder(family, k)
+    return all(is_real_x_state(build(p)) for p in ends)
 
 
 @dataclass
 class ThresholdResult:
     """The bracket ends' probe values. A see-saw probe stops at its first
     certified violation, so its value above the bound is a lower bound, not the
-    maximum. A probe on a real X state is the exact maximum: both ends of an
-    exact query, and ``value_hi`` of rho2 and rho3 at p = 1 (GHZ)."""
+    maximum. A probe on a real X state is the exact maximum: both ends of an exact
+    query, and a real-X end of another, such as p = 1 (GHZ) of rho2 and rho3."""
 
     p_star: float
     query: ThresholdQuery
@@ -260,8 +268,8 @@ SWEEP_COLUMNS = (
 )
 
 # Families swept over a pure-state parameter carry closed forms; every other
-# family sweeps the mixing weight 'p' and only carries the optimizer columns
-# (plus both exact bounds for X_MIXED_FAMILIES).
+# family sweeps the mixing weight 'p' and carries the optimizer columns, plus
+# both exact bounds where both ends of the range are real X states.
 _PURE_SWEEP_PARAM = {Family.GGHZ: "eta", Family.MS: "eta", Family.EXT_S: "tau"}
 
 
@@ -296,8 +304,8 @@ class SweepSpec:
         if self.family is not Family.EXT_S and self.c12sq is not None:
             raise ValueError(f"{self.family.value} does not take c12sq; only ext_s sweeps do")
         if self.family in _PURE_SWEEP_PARAM:
-            available = SWEEP_COLUMNS
-        elif self.family in X_MIXED_FAMILIES:
+            available = tuple(c for c in SWEEP_COLUMNS if c != self.param)  # it leads each row
+        elif _real_x_ends(self.family, self.k, (self.start, self.stop)):
             available = ("ns_bound", "svet_bound", "ns_opt", "svet_opt")
         else:
             available = ("ns_opt", "svet_opt")
@@ -318,15 +326,11 @@ def _sweep_point(spec: SweepSpec, x: float) -> dict[str, float]:
     need_opt = any(c in spec.columns for c in ("ns_opt", "svet_opt"))
     if fam in _PURE_SWEEP_PARAM:
         tau, c12 = states.tau_c12sq(fam, c12sq=spec.c12sq, **{spec.param: x})
-        if fam is Family.GGHZ:
-            psi = states.gghz(x)
-            out["delta_d"] = entangle.delta_d_gghz(x)
-        elif fam is Family.MS:
-            psi = states.ms(x)
-            out["delta_d"] = entangle.delta_d_subclass_s(tau)
-        else:
+        if fam is Family.EXT_S:
             psi = states.extended_ghz(*states.ext_s_lambdas_from_tau_c12(tau, c12))
-            out["delta_d"] = entangle.delta_d_subclass_s(tau)
+        else:
+            psi = (states.gghz if fam is Family.GGHZ else states.ms)(x)
+        out["delta_d"] = entangle.delta_d_subclass_s(tau)
         out["tau"] = tau
         out["c12sq"] = c12
         out["ns_bound"] = bound_b5(tau, c12)

@@ -2,6 +2,11 @@ import numpy as np
 import pytest
 
 from tribell import channels, qalg
+from tribell.states import Family
+
+# The mixed families that are real X states at every weight; rho2 and rho3 carry
+# W's coherences below p = 1.
+REAL_X_MIXED = (Family.RHO4, Family.RHO5, Family.RHO6, Family.RHO7, Family.RHO8)
 
 
 @pytest.fixture

@@ -12,7 +12,6 @@ from tribell.bell import (
     bound_b4,
     bound_b5,
     OptimizeOptions,
-    X_MIXED_FAMILIES,
     X_STATE_MAXIMUM,
     chsh_pure_max,
     is_real_x_state,
@@ -23,9 +22,10 @@ from tribell.bell import (
     visibility_threshold,
 )
 from tribell import channels, qalg, states, workflows
-from tribell.bell.bounds import NS99_LOCAL_BOUND, ns99_mixed_bound
+from tribell.bell.bounds import NS99_LOCAL_BOUND, NotRealXStateError, ns99_mixed_bound
 from tribell.states import Family
 from test_acceptance import _ns99_ghz_diagonal_range
+from conftest import REAL_X_MIXED
 
 
 # The separate GGHZ and visibility formulas that bound_b2 and
@@ -242,7 +242,7 @@ def test_bound_rho5_values():
 def test_bound_table2_values():
     assert _published_table2(Family.RHO6, 0.756458) == pytest.approx(3.0, abs=1e-3)
     # at p=1 each family is locally equivalent to GHZ
-    for fam in X_MIXED_FAMILIES:
+    for fam in REAL_X_MIXED:
         assert PUBLISHED_FORMS[fam](1.0) == pytest.approx(1 + 2 * np.sqrt(2), abs=1e-4)
         assert ns99_mixed_bound(fam, 1.0) == pytest.approx(1 + 2 * np.sqrt(2), abs=1e-14)
 
@@ -259,11 +259,11 @@ def test_bound_table2_local_bound_crossings():
 
 
 def test_ns99_mixed_bound_dispatch():
-    for family in X_MIXED_FAMILIES:
+    for family in REAL_X_MIXED:
         rho = states.mixed_builder(family)(0.5)
         assert ns99_mixed_bound(family, 0.5) == ns99_x_max(rho).value
         assert workflows.maximum(rho, BellKind.SVETLICHNY).value == svetlichny_x_max(rho).value
-    with pytest.raises(ValueError, match="no closed-form ns99 bound"):
+    with pytest.raises(NotRealXStateError, match="not a real X state"):
         ns99_mixed_bound(Family.RHO2, 0.5)
     with pytest.raises(ValueError, match="not a real X state"):
         svetlichny_x_max(states.mixed_builder(Family.RHO3, 3)(0.5))
@@ -304,7 +304,7 @@ def test_x_mixed_families_are_the_real_x_families():
     for family in states.MIXED_FAMILIES:
         build = states.mixed_builder(family, 3)
         real_x = is_real_x_state(build(0.0)) and is_real_x_state(build(1.0))
-        assert real_x == (family in X_MIXED_FAMILIES), family
+        assert real_x == (family in REAL_X_MIXED), family
         assert all(is_real_x_state(build(p)) == real_x for p in (0.3, 0.7625))
 
 

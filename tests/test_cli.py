@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from tribell import cli, polytope, states, workflows
-from tribell.bell import X_MIXED_FAMILIES, MeasurementScenario
+from tribell.bell import MeasurementScenario
 from tribell.states import Family
+from conftest import REAL_X_MIXED
 
 
 def run_cli(capsys, *argv):
@@ -49,7 +50,7 @@ def test_bound_rho6_cross_checked_against_formula(capsys):
 def test_bound_svetlichny_on_the_x_state_families(capsys):
     from tribell.bell import svetlichny_x_max
 
-    for family in X_MIXED_FAMILIES:
+    for family in REAL_X_MIXED:
         code, out, _ = run_cli(capsys, "bound", "--family", family.value,
                                "--operator", "svetlichny", "--p", "0.7")
         assert code == 0
@@ -62,7 +63,37 @@ def test_bound_svetlichny_on_the_x_state_families(capsys):
     code, out, err = run_cli(capsys, "bound", "--family", "rho2", "--operator", "svetlichny",
                              "--p", "0.7")
     assert code == 2 and out == ""
-    assert "no closed-form bound for family rho2" in err
+    assert "state is not a real X state" in err
+
+
+def test_bound_asks_the_state_not_the_family(capsys):
+    # rho2 at p = 1 is GHZ, a real X state, so its bound is the exact GHZ maximum
+    code, out, _ = run_cli(capsys, "bound", "--family", "rho2", "--operator", "ns99", "--p", "1")
+    assert (code, out) == (0, "bound=3.82842712\n")
+    code, out, err = run_cli(capsys, "bound", "--family", "rho2", "--operator", "ns99",
+                             "--p", "0.999")
+    assert (code, out) == (2, "")
+    assert "state is not a real X state" in err
+
+
+def test_bound_ms_at_a_tau_rounded_above_one(capsys):
+    # C12^2 = 1 - tau of ms is clamped like tau, so ms meets gghz at the same tau
+    for family in ("ms", "gghz"):
+        code, out, _ = run_cli(capsys, "bound", "--family", family, "--operator", "ns99",
+                               "--tau", "1.000000000001")
+        assert (code, out) == (0, "bound=3.82842712\n"), family
+
+
+@pytest.mark.parametrize("verb", [
+    ("sweep", "--family", "gghz", "--from", "0", "--to", "0.5", "--steps", "2",
+     "--columns", "tau"),
+    ("tables", "--which", "2"),
+], ids=lambda verb: verb[0])
+def test_json_exits_2_on_verbs_that_print_no_key_value_pairs(capsys, verb):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*verb, "--json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
 
 
 def test_bound_p_is_checked_like_every_other_p(capsys):
@@ -739,14 +770,14 @@ def test_membership_angles_reject_options_they_never_read(capsys, given):
 
 def test_closed_form_family_sets_agree(capsys):
     assert set(states.SUBCLASS_S) == {Family.GGHZ, Family.MS, Family.EXT_S}
-    assert set(X_MIXED_FAMILIES) == {Family.RHO4, Family.RHO5, Family.RHO6, Family.RHO7,
+    assert set(REAL_X_MIXED) == {Family.RHO4, Family.RHO5, Family.RHO6, Family.RHO7,
                                         Family.RHO8}
     # bound prints a ns99 value for exactly the families with a closed form ...
     options = (("--tau", "0.5"), ("--tau", "0.5", "--c12sq", "0.5"), ("--p", "0.9"))
     for family in Family:
         codes = [run_cli(capsys, "bound", "--family", family.value, "--operator", "ns99", *given)[0]
                  for given in options]
-        closed = family in states.SUBCLASS_S or family in X_MIXED_FAMILIES
+        closed = family in states.SUBCLASS_S or family in REAL_X_MIXED
         assert (0 in codes) == closed, (family, codes)
     # ... and a sweep offers that bound as a column for exactly the same mixed families
     for family in states.MIXED_FAMILIES:
@@ -757,7 +788,7 @@ def test_closed_form_family_sets_agree(capsys):
         except ValueError as exc:
             assert "not available" in str(exc)
             offered = False
-        assert offered == (family in X_MIXED_FAMILIES), family
+        assert offered == (family in REAL_X_MIXED), family
 
 
 def test_channel_rejects_alpha_with_closed_form(capsys):

@@ -476,6 +476,14 @@ def test_delta_d_subclass_s_values():
     assert entangle.delta_d_subclass_s(0.75) == pytest.approx(0.8112781, abs=1e-6)
 
 
+def test_delta_d_subclass_s_keeps_its_precision_at_small_tau():
+    # (1 - sqrt(1 - tau))/2 cancels here: at tau = 4e-14 it is off by 7.5e-4 relative
+    eta = 1e-7
+    tau = math.sin(2.0 * eta) ** 2
+    expected = entangle.delta_d_gghz(eta)
+    assert entangle.delta_d_subclass_s(tau) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 def test_monogamy_components_structure():
     score = entangle.discord_monogamy_score(states.extended_ghz(0.6, 0.5, np.sqrt(0.39)))
     assert score.delta_d == pytest.approx(

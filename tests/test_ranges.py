@@ -68,6 +68,8 @@ RANGES = {
             "bound_b2": bound_b2,
             "delta_d_subclass_s": entangle.delta_d_subclass_s,
             "tau_c12sq_gghz": lambda t: states.tau_c12sq(Family.GGHZ, tau=t),
+            # C12^2 = 1 - tau must not fall below -1e-12 where tau is rounded above 1
+            "tau_c12sq_ms": lambda t: states.tau_c12sq(Family.MS, tau=t),
         },
         [(-2e-12,), (1.0 + 2e-12,), (NAN,)],
         [(-1e-12,), (0.0,), (1.0,), (1.0 + 1e-12,)],

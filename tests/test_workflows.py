@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from tribell import channels, qalg, states, workflows
+from tribell import channels, entangle, qalg, states, workflows
 from tribell.bell import (
     CLASSICAL_BOUND,
-    X_MIXED_FAMILIES,
     X_STATE_MAXIMUM,
     BellKind,
     OptimizeOptions,
@@ -16,7 +15,7 @@ from tribell.bell import (
 )
 from tribell.states import Family
 from tribell.workflows import SweepSpec, ThresholdQuery
-from conftest import random_density_matrix
+from conftest import REAL_X_MIXED, random_density_matrix
 
 
 def _refuse_see_saw(*args, **kwargs):
@@ -27,7 +26,7 @@ def _refuse_see_saw(*args, **kwargs):
 REAL_X_STATES = {
     "gghz-0.3": lambda: qalg.projector(states.gghz(0.3)),
     "gghz-pi/4": lambda: qalg.projector(states.gghz(math.pi / 4)),
-    **{f"{f.value}-0.7": (lambda f=f: states.mixed_builder(f)(0.7)) for f in X_MIXED_FAMILIES},
+    **{f"{f.value}-0.7": (lambda f=f: states.mixed_builder(f)(0.7)) for f in REAL_X_MIXED},
     "rho2-1": lambda: states.mixed_builder(Family.RHO2)(1.0),
     "rho3-k3-1": lambda: states.mixed_builder(Family.RHO3, 3)(1.0),
 }
@@ -190,7 +189,7 @@ def test_every_threshold_probe_runs_the_query_restarts_and_seed(monkeypatch):
 # Both operators on rho4..rho8; the ns99 cells keep their family name as id.
 EXACT_ROOTS = [
     (family, operator, p_star) for family, _, operator, p_star in TABLE_ROOTS
-    if family in X_MIXED_FAMILIES
+    if family in REAL_X_MIXED
 ]
 EXACT_IDS = [
     family.value if operator is BellKind.NS99 else f"{family.value}-{operator.value}"
@@ -219,6 +218,44 @@ def test_exact_threshold_runs_no_optimizer(monkeypatch, family, operator):
     query = ThresholdQuery(family=family, operator=operator, tol=workflows.TABLE_TOL)
     assert query.exact
     assert workflows.threshold_bisect(query).evaluations == 13
+
+
+# Every mixed family (rho3 at three k) and a bracket that ends at GHZ, one inside
+# (0, 1) and one that is real X at both ends only to X_STATE_ATOL.
+MIXED_CASES = [(f, None) for f in states.MIXED_FAMILIES if f is not Family.RHO3]
+MIXED_CASES += [(Family.RHO3, k) for k in (1, 2, 10)]
+
+
+@pytest.mark.parametrize("bracket", [(0.55, 1.0), (0.6, 0.9), (1.0 - 1e-13, 1.0)], ids=str)
+@pytest.mark.parametrize(
+    "family, k", MIXED_CASES, ids=[f.value + (f"-k{k}" if k else "") for f, k in MIXED_CASES]
+)
+def test_exact_is_asked_of_the_states_the_query_probes(monkeypatch, family, k, bracket):
+    calls = []
+
+    def counting(rho, operator, opts):
+        calls.append(operator)
+        return optimize_operator(rho, operator, opts)
+
+    monkeypatch.setattr(workflows, "optimize_operator", counting)
+    for operator in (BellKind.NS99, BellKind.SVETLICHNY):
+        calls.clear()
+        query = ThresholdQuery(family, operator, k, bracket=bracket, tol=1e-3)
+        try:
+            workflows.threshold_bisect(query)
+        except workflows.NoCrossingError:
+            pass  # the calls made before it still count
+        assert query.exact == (not calls), (operator, len(calls))
+        # a sweep over the same range offers the exact bounds iff every probe is exact
+        try:
+            SweepSpec(family, *bracket, 2, ("ns_bound", "svet_bound"), k=k)
+            offered = True
+        except ValueError as exc:
+            assert "not available" in str(exc)
+            offered = False
+        assert offered == query.exact, operator
+    # rho4..rho8 are real X states at every weight; rho2 and rho3 only near p = 1
+    assert query.exact == (family in REAL_X_MIXED or bracket[0] > 1.0 - 1e-12)
 
 
 @pytest.mark.parametrize("operator", [BellKind.NS99, BellKind.SVETLICHNY])
@@ -351,7 +388,7 @@ def test_sweep_validation():
         SweepSpec(family=Family.GGHZ, start=0.0, stop=0.5, steps=1, columns=("tau",))
     # the swept parameter is the family's, not an input
     assert SweepSpec(Family.MS, 0.1, 0.5, 2, ("tau",)).param == "eta"
-    assert SweepSpec(Family.EXT_S, 0.1, 0.5, 2, ("tau",), c12sq=0.3).param == "tau"
+    assert SweepSpec(Family.EXT_S, 0.1, 0.5, 2, ("c12sq",), c12sq=0.3).param == "tau"
     assert SweepSpec(Family.RHO6, 0.6, 0.9, 2, ("ns_bound",)).param == "p"
     with pytest.raises(ValueError):
         SweepSpec(family=Family.GGHZ, start=0.0, stop=0.5, steps=3, columns=("bogus",))
@@ -368,6 +405,29 @@ def test_sweep_validation():
         with pytest.raises(ValueError, match=f"not available for family {family.value}"):
             SweepSpec(family=family, start=0.1, stop=0.9, steps=2, columns=(column,),
                       k=2 if family is Family.RHO3 else None)
+
+
+def test_sweep_header_names_each_column_once():
+    # tau is the swept parameter of ext_s and leads each row, so it is no column there
+    with pytest.raises(ValueError, match=r"columns \['tau'\] are not available for family ext_s"):
+        SweepSpec(Family.EXT_S, 0.1, 0.5, 2, ("tau", "c12sq"), c12sq=0.3)
+    header, _ = workflows.run_sweep(SweepSpec(Family.EXT_S, 0.1, 0.5, 2, ("c12sq",), c12sq=0.3))
+    assert header == ["tau", "c12sq"]
+    for family in (Family.GGHZ, Family.MS):
+        header, _ = workflows.run_sweep(SweepSpec(family, 0.1, 0.5, 2, ("tau", "c12sq")))
+        assert header == ["eta", "tau", "c12sq"]
+
+
+def test_sweep_delta_d_of_gghz_is_the_subclass_s_form():
+    # one delta_D line for every pure family: gghz and ext_s at C12^2 = 0 print the same
+    gghz = SweepSpec(Family.GGHZ, 5e-7, 5e-6, 3, ("tau", "delta_d"))
+    ext_s = SweepSpec(Family.EXT_S, 1e-12, 1e-10, 3, ("delta_d",), c12sq=0.0)
+    _, rows = workflows.run_sweep(gghz)
+    for eta, tau, delta_d in rows:
+        assert delta_d == entangle.delta_d_subclass_s(tau)
+        assert delta_d == pytest.approx(entangle.delta_d_gghz(eta), rel=1e-12, abs=0.0)
+    _, rows = workflows.run_sweep(ext_s)
+    assert rows[0][1] == pytest.approx(entangle.delta_d_gghz(5e-7), rel=1e-12, abs=0.0)
 
 
 def test_sweep_csv_formatting():
