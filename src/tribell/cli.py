@@ -142,22 +142,22 @@ def cmd_bound(args) -> int:
     family = Family(args.family) if args.family else None
     if op is BellKind.CHSH:
         # the pure-state CHSH maximum depends on C12^2 alone, so no family applies
-        _reject_given(args, ("--family",), "--operator chsh")
+        _reject_given(args, ("--family", "--k"), "--operator chsh")
         if args.c12sq is None or args.tau is not None or args.p is not None:
             raise ValueError("the chsh bound takes --c12sq and neither --tau nor --p")
         value = chsh_pure_max(args.c12sq)
     elif family is None:
         raise ValueError(f"the {op.value} bound needs --family")
     elif family in states.SUBCLASS_S:
-        states.reject_foreign(family, p=args.p)
+        states.reject_foreign(family, p=args.p, k=args.k)
         tau, c12sq = states.tau_c12sq(family, tau=args.tau, c12sq=args.c12sq)
         value = (bound_b5 if op is BellKind.NS99 else bound_b4)(tau, c12sq)
     elif family in states.MIXED_FAMILIES:
-        states.reject_foreign(family, tau=args.tau, c12sq=args.c12sq)
+        states.reject_foreign(family, tau=args.tau, c12sq=args.c12sq, k=args.k)
         if args.p is None:
             raise ValueError("mixed-family bounds need --p")
         # a state that is not a real X state raises NotRealXStateError, a ValueError
-        value = X_STATE_MAXIMUM[op](states.mixed_builder(family)(args.p)).value
+        value = X_STATE_MAXIMUM[op](states.mixed_builder(family, args.k)(args.p)).value
     else:
         raise ValueError(f"no closed-form bound for family {family.value}")
     _emit({"bound": value}, args.json)
@@ -351,6 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float)
     p.add_argument("--c12sq", type=float)
     p.add_argument("--p", type=float)
+    p.add_argument("--k", type=int, help="rho3 integer parameter")
     p.add_argument("--json", action="store_true", help="emit one JSON document")
     p.set_defaults(func=cmd_bound)
 

@@ -142,7 +142,9 @@ def tau_c12sq(
     """(tau, C12^2) of a gghz, ms or ext_s state.
 
     gghz has (sin^2 2eta, 0) and ms (sin^2 eta, cos^2 eta); each takes eta or
-    tau, not both, and tau fixes C12^2 (0 and max(1 - tau, 0)). ``check_eta`` checks
+    tau, not both, and tau fixes C12^2 (0 and max(1 - tau, 0)); an ms pair sums to exactly
+    1, so ``ext_s_lambdas_from_tau_c12`` (whose l0 takes a square root of 1 - tau - C12^2,
+    which a sum one unit below 1 moves by 1e-8) rebuilds ``ms(eta)``. ``check_eta`` checks
     eta, as in ``gghz`` and ``ms``. A c12sq more than
     1e-12 from the family's value raises ValueError. ext_s has no angle and takes
     tau and c12sq. Every pair is returned through ``check_tau_c12``.
@@ -156,11 +158,10 @@ def tau_c12sq(
     _require((eta is None) != (tau is None), f"{family.value} takes eta or tau, exactly one")
     if eta is not None:
         check_eta(family, eta)
-    if family is Family.GGHZ:
-        tau, own = (math.sin(2.0 * eta) ** 2 if tau is None else tau), 0.0
-    else:
-        tau, own = (math.sin(eta) ** 2, math.cos(eta) ** 2) if tau is None else (tau, 1.0 - tau)
-        own = max(own, 0.0)  # a tau rounded just above 1, which check_tau_c12 clamps
+    if tau is None:
+        tau = math.sin(2.0 * eta if family is Family.GGHZ else eta) ** 2
+    # ms: a tau rounded just above 1 (which check_tau_c12 clamps) gets C12^2 = 0
+    own = 0.0 if family is Family.GGHZ else max(1.0 - tau, 0.0)
     # 1e-12 forgives the rounding of 1 - tau, so an ms --c12sq of 0.2 fits tau 0.8.
     _require(
         c12sq is None or abs(c12sq - own) <= 1e-12,

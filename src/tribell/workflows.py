@@ -92,13 +92,10 @@ class ThresholdQuery:
         bracket ends are real X states. The family is affine in p and the real-X pattern a
         linear subspace, so each off-pattern Pauli entry is affine in p and its modulus
         peaks at an end; the ends pass ``is_real_x_state`` iff every probe between does."""
-        return self.operator in X_STATE_MAXIMUM and _real_x_ends(self.family, self.k, self.bracket)
-
-
-def _real_x_ends(family: Family, k: int | None, ends: Sequence[float]) -> bool:
-    """Whether the family is a real X state at both ``ends``, hence between them."""
-    build = mixed_builder(family, k)
-    return all(is_real_x_state(build(p)) for p in ends)
+        if self.operator not in X_STATE_MAXIMUM:
+            return False
+        build = mixed_builder(self.family, self.k)
+        return all(is_real_x_state(build(p)) for p in self.bracket)
 
 
 @dataclass
@@ -255,20 +252,25 @@ def format_table(rows: Sequence[TableRow], fmt: str = "md") -> str:
 # ---------------------------------------------------------------------------
 # Parameter sweeps
 
-SWEEP_COLUMNS = (
-    "ns_bound",
-    "svet_bound",
-    "ns_opt",
-    "svet_opt",
-    "tau",
-    "c12sq",
-    "delta_d",
-    "visibility_ns",
-    "visibility_svet",
-)
+# Closed-form columns of a pure point, each a function of its pair (t, c) = (tau, C12^2).
+# The visibility columns report 1.0 when the pure state never violates (threshold
+# semantics: no threshold below 1, and none is 0), keeping CSV finite.
+_PAIR_COLUMNS = {
+    "ns_bound": bound_b5,
+    "svet_bound": bound_b4,
+    "tau": lambda t, c: t,
+    "c12sq": lambda t, c: c,
+    "delta_d": lambda t, c: entangle.delta_d_subclass_s(t),
+    "visibility_ns": lambda t, c: visibility_threshold(BellKind.NS99, t, c) or 1.0,
+    "visibility_svet": lambda t, c: visibility_threshold(BellKind.SVETLICHNY, t, c) or 1.0,
+}
+# The operator of each bound and see-saw column.
+_KIND = {"ns_bound": BellKind.NS99, "svet_bound": BellKind.SVETLICHNY,
+         "ns_opt": BellKind.NS99, "svet_opt": BellKind.SVETLICHNY}
+SWEEP_COLUMNS = tuple(dict.fromkeys([*_KIND, *_PAIR_COLUMNS]))
 
-# Families swept over a pure-state parameter carry closed forms; every other
-# family sweeps the mixing weight 'p' and carries the optimizer columns, plus
+# Families swept over a pure-state parameter carry every column; every other
+# family sweeps the mixing weight 'p' and carries the see-saw columns, plus
 # both exact bounds where both ends of the range are real X states.
 _PURE_SWEEP_PARAM = {Family.GGHZ: "eta", Family.MS: "eta", Family.EXT_S: "tau"}
 
@@ -303,10 +305,12 @@ class SweepSpec:
             raise ValueError("ext_s sweeps need the fixed c12sq value")
         if self.family is not Family.EXT_S and self.c12sq is not None:
             raise ValueError(f"{self.family.value} does not take c12sq; only ext_s sweeps do")
+        # Every parameter range is an interval, so both ends in it put every point in it.
+        ends = [self._point(x) for x in (self.start, self.stop)]
         if self.family in _PURE_SWEEP_PARAM:
             available = tuple(c for c in SWEEP_COLUMNS if c != self.param)  # it leads each row
-        elif _real_x_ends(self.family, self.k, (self.start, self.stop)):
-            available = ("ns_bound", "svet_bound", "ns_opt", "svet_opt")
+        elif all(is_real_x_state(rho) for _, rho in ends):
+            available = tuple(_KIND)
         else:
             available = ("ns_opt", "svet_opt")
         missing = [c for c in self.columns if c not in available]
@@ -318,55 +322,35 @@ class SweepSpec:
         """The swept parameter: 'eta' for gghz/ms, 'tau' for ext_s, 'p' for mixed families."""
         return _PURE_SWEEP_PARAM.get(self.family, "p")
 
-
-def _sweep_point(spec: SweepSpec, x: float) -> dict[str, float]:
-    """All supported column values of one sweep point."""
-    out: dict[str, float] = {}
-    fam = spec.family
-    need_opt = any(c in spec.columns for c in ("ns_opt", "svet_opt"))
-    if fam in _PURE_SWEEP_PARAM:
-        tau, c12 = states.tau_c12sq(fam, c12sq=spec.c12sq, **{spec.param: x})
-        if fam is Family.EXT_S:
-            psi = states.extended_ghz(*states.ext_s_lambdas_from_tau_c12(tau, c12))
-        else:
-            psi = (states.gghz if fam is Family.GGHZ else states.ms)(x)
-        out["delta_d"] = entangle.delta_d_subclass_s(tau)
-        out["tau"] = tau
-        out["c12sq"] = c12
-        out["ns_bound"] = bound_b5(tau, c12)
-        out["svet_bound"] = bound_b4(tau, c12)
-        # Visibility columns report 1.0 when the pure state never violates
-        # (threshold semantics: no threshold below 1, and none is 0), keeping CSV finite.
-        out["visibility_ns"] = visibility_threshold(BellKind.NS99, tau, c12) or 1.0
-        out["visibility_svet"] = visibility_threshold(BellKind.SVETLICHNY, tau, c12) or 1.0
-        rho = qalg.projector(psi)
-    else:
-        build = mixed_builder(fam, spec.k)
-        rho = build(x)
-        for column, kind in (("ns_bound", BellKind.NS99), ("svet_bound", BellKind.SVETLICHNY)):
-            if column in spec.columns:
-                out[column] = X_STATE_MAXIMUM[kind](rho).value
-    if need_opt:
-        opts = OptimizeOptions(restarts=spec.restarts, seed=spec.seed)
-        if "ns_opt" in spec.columns:
-            out["ns_opt"] = optimize_operator(rho, BellKind.NS99, opts).value
-        if "svet_opt" in spec.columns:
-            out["svet_opt"] = optimize_operator(rho, BellKind.SVETLICHNY, opts).value
-    return out
+    def _point(self, x: float) -> tuple[tuple[float, float] | None, np.ndarray]:
+        """The pair (tau, C12^2) and the density matrix at ``x``; a mixed family has no
+        pair. Every pure family's state is the subclass-S state of its pair."""
+        if self.family not in _PURE_SWEEP_PARAM:
+            return None, mixed_builder(self.family, self.k)(x)
+        pair = states.tau_c12sq(self.family, c12sq=self.c12sq, **{self.param: x})
+        return pair, qalg.projector(states.extended_ghz(*states.ext_s_lambdas_from_tau_c12(*pair)))
 
 
 def run_sweep(spec: SweepSpec) -> tuple[list[str], list[list[float]]]:
-    """Evaluate a sweep: returns (header, rows); rows ascend in the parameter."""
-    xs = np.linspace(spec.start, spec.stop, spec.steps)
-    header = [spec.param] + list(spec.columns)
+    """Evaluate a sweep: returns (header, rows); rows ascend in the parameter. A ``*_opt``
+    column runs the see-saw, a mixed family's bound column takes the exact X-state
+    maximum, and every other column is a closed form of the point's pair."""
+    opts = OptimizeOptions(restarts=spec.restarts, seed=spec.seed)
     rows = []
-    for x in xs:
-        point = _sweep_point(spec, float(x))
-        row = [float(x)] + [point[c] for c in spec.columns]
+    for x in np.linspace(spec.start, spec.stop, spec.steps):
+        pair, rho = spec._point(float(x))
+        row = [float(x)]
+        for column in spec.columns:
+            if column.endswith("_opt"):
+                row.append(optimize_operator(rho, _KIND[column], opts).value)
+            elif pair is None:
+                row.append(X_STATE_MAXIMUM[_KIND[column]](rho).value)
+            else:
+                row.append(_PAIR_COLUMNS[column](*pair))
         if any(not math.isfinite(v) for v in row):
             raise ValueError(f"non-finite sweep value at {spec.param}={x}")
         rows.append(row)
-    return header, rows
+    return [spec.param, *spec.columns], rows
 
 
 def sweep_csv(header: list[str], rows: list[list[float]]) -> str:
@@ -422,11 +406,7 @@ def visibility_check(
             f"state with tau={tau}, C12^2={c12sq} never violates {operator.value}; "
             "no threshold below 1"
         )
-    if c12sq > 0.0:
-        psi = states.extended_ghz(*states.ext_s_lambdas_from_tau_c12(tau, c12sq))
-    else:
-        psi = states.gghz(0.5 * math.asin(math.sqrt(tau)))
-    rho = qalg.projector(psi)
+    rho = qalg.projector(states.extended_ghz(*states.ext_s_lambdas_from_tau_c12(tau, c12sq)))
     opts = OptimizeOptions(restarts=restarts, seed=seed)
     lo = states.white_noise_mix(rho, max(threshold - delta, 0.0))
     hi = states.white_noise_mix(rho, min(threshold + delta, 1.0))

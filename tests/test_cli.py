@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from tribell import cli, polytope, states, workflows
-from tribell.bell import MeasurementScenario
+from tribell.bell import BellKind, MeasurementScenario, bound_b5, visibility_threshold
+from tribell.bell.operators import VIOLATION_ATOL
 from tribell.states import Family
 from conftest import REAL_X_MIXED
 
@@ -444,6 +445,34 @@ def test_threshold_rejects_k_for_families_other_than_rho3(capsys):
     assert "rho2 does not take k" in err
 
 
+def test_bound_takes_k_for_rho3_only(capsys):
+    # rho3 at p = 1 is GHZ, a real X state, whatever k
+    code, out, err = run_cli(capsys, "bound", "--family", "rho3", "--k", "2",
+                             "--operator", "ns99", "--p", "1")
+    assert (code, out, err) == (0, "bound=3.82842712\n", "")
+    for family, given in (("rho2", ("--p", "1")), ("gghz", ("--tau", "1"))):
+        code, out, err = run_cli(capsys, "bound", "--family", family, "--k", "2",
+                                 "--operator", "ns99", *given)
+        assert (code, out) == (2, "")
+        assert f"{family} does not take k" in err
+    code, out, err = run_cli(capsys, "bound", "--operator", "chsh", "--c12sq", "0.3",
+                             "--k", "2")
+    assert (code, out) == (2, "")
+    assert "--k cannot be combined with --operator chsh" in err
+
+
+def test_visibility_at_the_onset_takes_the_verdict_tolerance(capsys):
+    # B5 exceeds 3 by 1.55e-10 here, within VIOLATION_ATOL: the see-saw reports no
+    # violation, so the closed form gives no threshold below 1 either
+    tau = "0.16153846163846153"
+    assert 1e-12 < bound_b5(float(tau), 0.3) - 3.0 <= VIOLATION_ATOL
+    assert visibility_threshold(BellKind.NS99, float(tau), 0.3) is None
+    code, out, err = run_cli(capsys, "visibility", "--operator", "ns99", "--tau", tau,
+                             "--c12sq", "0.3")
+    assert (code, out) == (3, "")
+    assert "no violation of ns99" in err
+
+
 def test_sweep_rejects_c12sq_for_families_other_than_ext_s(capsys):
     code, out, err = run_cli(
         capsys, "sweep", "--family", "gghz", "--from", "0.1", "--to", "0.7",
@@ -473,6 +502,7 @@ def test_optimize_rejects_foreign_family_options(capsys):
         ("channel", "--family", "rho3", "--p", "0.9", "--kind", "depolarize",
          "--strengths", "0.8", "0.7", "0.6"),
         ("threshold", "--family", "rho3", "--operator", "ns99"),
+        ("bound", "--family", "rho3", "--operator", "ns99", "--p", "1"),
         ("sweep", "--family", "rho3", "--from", "0.6", "--to", "0.9",
          "--steps", "2", "--columns", "ns_opt"),
     ],

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -428,6 +429,52 @@ def test_sweep_delta_d_of_gghz_is_the_subclass_s_form():
         assert delta_d == pytest.approx(entangle.delta_d_gghz(eta), rel=1e-12, abs=0.0)
     _, rows = workflows.run_sweep(ext_s)
     assert rows[0][1] == pytest.approx(entangle.delta_d_gghz(5e-7), rel=1e-12, abs=0.0)
+
+
+# One end of each range lies outside the family's range. A sweep that checked each
+# point as it came would run the see-saw at every point before that end (68 runs
+# over 40 steps for gghz [0.1, 0.9]).
+OUT_OF_RANGE_SWEEPS = [
+    (Family.GGHZ, 0.1, 0.9, {}, 0.9),
+    (Family.GGHZ, -0.1, 0.5, {}, -0.1),
+    (Family.MS, 0.1, 1.7, {}, 1.7),
+    (Family.EXT_S, 0.01, 0.9, {"c12sq": 0.3}, 0.9),
+    (Family.RHO2, 0.5, 1.5, {}, 1.5),
+    (Family.RHO3, 0.5, 1.5, {"k": 3}, 1.5),
+    (Family.RHO6, -0.5, 0.9, {}, -0.5),
+]
+
+
+@pytest.mark.parametrize("family, start, stop, given, end", OUT_OF_RANGE_SWEEPS,
+                         ids=[f"{f.value}-{end}" for f, *_, end in OUT_OF_RANGE_SWEEPS])
+def test_sweep_checks_both_ends_before_any_see_saw(monkeypatch, family, start, stop, given,
+                                                    end):
+    calls = []
+    monkeypatch.setattr(workflows, "optimize_operator", lambda *args: calls.append(args))
+    with pytest.raises(ValueError) as exc:
+        SweepSpec(family, start, stop, 40, ("ns_opt", "svet_opt"), **given)
+    assert str(end) in str(exc.value)
+    assert calls == []
+
+
+def test_sweep_builds_gghz_and_ms_from_their_pair():
+    for family, top in ((Family.GGHZ, math.pi / 4), (Family.MS, math.pi / 2)):
+        spec = SweepSpec(family, 0.0, top, 2, ("tau",))
+        for eta in np.linspace(0.0, top, 33):
+            pair, rho = spec._point(float(eta))
+            assert pair == states.tau_c12sq(family, eta=float(eta))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # ms warns above pi/4
+                psi = (states.gghz if family is Family.GGHZ else states.ms)(float(eta))
+            assert np.max(np.abs(rho - qalg.projector(psi))) <= 1e-15, (family, eta)
+
+
+def test_ms_sweep_above_pi_over_4_does_not_warn():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, rows = workflows.run_sweep(SweepSpec(Family.MS, 0.7, 1.5, 3, ("tau", "ns_opt"),
+                                                restarts=4))
+    assert [row[0] for row in rows] == [0.7, 1.1, 1.5]
 
 
 def test_sweep_csv_formatting():
