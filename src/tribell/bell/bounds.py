@@ -28,7 +28,7 @@ import numpy as np
 
 from .. import qalg
 from ..states import Family, check_tau_c12, mixed_builder
-from .operators import CLASSICAL_BOUND, VIOLATION_ATOL, BellKind, MeasurementScenario
+from .operators import CLASSICAL_BOUND, VIOLATION_CUT, BellKind, MeasurementScenario
 
 NS99_LOCAL_BOUND = CLASSICAL_BOUND[BellKind.NS99]
 # Pauli-tensor entries (X, Y, Z, I order) a real X state can carry: the {Z, I}^3
@@ -282,15 +282,14 @@ def visibility_threshold(kind: BellKind, tau: float, c12sq: float = 0.0) -> floa
     observables, so the white noise in alpha |psi><psi| + (1 - alpha) I/8
     adds nothing and the maximum scales as alpha times the pure maximum (B5
     or B4): the threshold is the local bound divided by that maximum. Returns
-    None when that maximum exceeds the bound by no more than ``VIOLATION_ATOL``,
-    the tolerance of every violation verdict (no threshold below 1).
+    None when that maximum does not exceed ``VIOLATION_CUT``, the cut of every
+    violation verdict (no threshold below 1).
     CHSH, a two-party operator, raises ValueError.
     """
     kind = BellKind(kind)
     if kind is BellKind.CHSH:
         raise ValueError("no visibility threshold for operator chsh")
     maximum = (bound_b5 if kind is BellKind.NS99 else bound_b4)(tau, c12sq)
-    bound = CLASSICAL_BOUND[kind]
-    if maximum <= bound + VIOLATION_ATOL:
+    if maximum <= VIOLATION_CUT[kind]:
         return None
-    return bound / maximum
+    return CLASSICAL_BOUND[kind] / maximum

@@ -76,6 +76,8 @@ TERMS: dict[BellKind, tuple[tuple[tuple[int | None, ...], float], ...]] = {
 CLASSICAL_BOUND = {BellKind.SVETLICHNY: 4.0, BellKind.NS99: 3.0, BellKind.CHSH: 2.0}
 N_PARTIES = {BellKind.SVETLICHNY: 3, BellKind.NS99: 3, BellKind.CHSH: 2}
 VIOLATION_ATOL = 1e-9
+# The cut of every violation verdict; some families sit exactly on the bound below threshold.
+VIOLATION_CUT = {kind: bound + VIOLATION_ATOL for kind, bound in CLASSICAL_BOUND.items()}
 
 
 @dataclass

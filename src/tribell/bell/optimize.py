@@ -62,7 +62,7 @@ import numpy as np
 from .operators import (
     CLASSICAL_BOUND,
     N_PARTIES,
-    VIOLATION_ATOL,
+    VIOLATION_CUT,
     BellKind,
     MeasurementScenario,
     _fused_coefficient_tensor,
@@ -394,13 +394,12 @@ def optimize_operator(
     top_two = np.sort(restart_values)[-2:]  # one restart is trivially converged
     converged = not stopped and bool(top_two[-1] - top_two[0] <= RESTART_SPREAD_TOL)
 
-    bound = CLASSICAL_BOUND[kind]
     return ViolationReport(
         value=best_value,
         scenario=MeasurementScenario.from_flat(points[best_index]),
         operator=kind,
-        classical_bound=bound,
-        violated=bool(best_value > bound + VIOLATION_ATOL),
+        classical_bound=CLASSICAL_BOUND[kind],
+        violated=bool(best_value > VIOLATION_CUT[kind]),
         restarts_used=options.restarts,
         converged=converged,
         restart_values=restart_values,

@@ -4,8 +4,7 @@ One rule for an operator's maximum (``maximum``: exact on a real X state,
 else the see-saw), threshold bisection over mixing weights, parameter
 sweeps emitting figure data, side-by-side reproduction of the published
 threshold tables, white noise visibility confirmation, and the noisy-state
-verdicts (Kraus model and published closed form) of ``tribell channel``
-and the four published detection examples.
+verdicts (Kraus model and published closed form) of ``tribell channel``.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from . import channels, entangle, qalg, states
 from .bell import (
     BellKind,
     CLASSICAL_BOUND,
+    N_PARTIES,
     X_STATE_MAXIMUM,
     OptimizeOptions,
     ViolationReport,
@@ -30,7 +30,7 @@ from .bell import (
     visibility_threshold,
 )
 from .bell.bounds import NotRealXStateError, XStateMaximum
-from .bell.operators import VIOLATION_ATOL
+from .bell.operators import VIOLATION_CUT
 from .bell.optimize import DEFAULT_RESTARTS, DEFAULT_SEED
 from .states import Family, mixed_builder
 
@@ -79,6 +79,8 @@ class ThresholdQuery:
     def __post_init__(self):
         self.family = Family(self.family)
         self.operator = BellKind(self.operator)
+        if N_PARTIES[self.operator] != 3:
+            raise ValueError(f"thresholds need a three-party operator, got {self.operator.value}")
         states.reject_foreign(self.family, k=self.k)
         lo, hi = self.bracket
         if not (0.0 <= lo < hi <= 1.0):
@@ -92,8 +94,6 @@ class ThresholdQuery:
         bracket ends are real X states. The family is affine in p and the real-X pattern a
         linear subspace, so each off-pattern Pauli entry is affine in p and its modulus
         peaks at an end; the ends pass ``is_real_x_state`` iff every probe between does."""
-        if self.operator not in X_STATE_MAXIMUM:
-            return False
         build = mixed_builder(self.family, self.k)
         return all(is_real_x_state(build(p)) for p in self.bracket)
 
@@ -125,8 +125,7 @@ def threshold_bisect(query: ThresholdQuery) -> ThresholdResult:
     window) raise NoCrossingError.
     """
     build = mixed_builder(query.family, query.k)
-    target = CLASSICAL_BOUND[query.operator]
-    cut = target + VIOLATION_ATOL  # some families sit exactly on the bound below threshold
+    cut = VIOLATION_CUT[query.operator]
     opts = OptimizeOptions(restarts=query.restarts, seed=query.seed, stop_above=cut)
 
     def value_at(p: float) -> float:
@@ -137,7 +136,7 @@ def threshold_bisect(query: ThresholdQuery) -> ThresholdResult:
     evaluations = 2
     if value_lo > cut or value_hi <= cut:
         raise NoCrossingError(
-            f"no violation onset of {target} in bracket {query.bracket}: "
+            f"no violation onset of {CLASSICAL_BOUND[query.operator]} in bracket {query.bracket}: "
             f"endpoint values {value_lo:.6f}, {value_hi:.6f} (exact maxima on real X states; "
             "a see-saw value above the bound is a lower bound)"
         )
@@ -389,9 +388,12 @@ def visibility_check(
 ) -> VisibilityCheck:
     """Closed-form visibility threshold plus numeric confirmation.
 
-    Optimizes the operator on the white-noise mixture at threshold -/+ delta
-    and records whether the violation switches on across the threshold. The
-    state is built from, and the check records, the pair as
+    White noise adds nothing to any term of either operator, so every value on
+    alpha |psi><psi| + (1 - alpha) I/8 is alpha times its value on the pure state.
+    One see-saw on the pure state gives both values: its value times
+    max(threshold - delta, 0) and times min(threshold + delta, 1). Each is
+    judged against ``VIOLATION_CUT``; the violation must switch on across the
+    threshold. The state is built from, and the check records, the pair as
     ``states.check_tau_c12`` returns it. Raises NoViolationError when the pure
     state never violates and ValueError for a pair out of range or a delta
     that is not positive.
@@ -407,21 +409,11 @@ def visibility_check(
             "no threshold below 1"
         )
     rho = qalg.projector(states.extended_ghz(*states.ext_s_lambdas_from_tau_c12(tau, c12sq)))
-    opts = OptimizeOptions(restarts=restarts, seed=seed)
-    lo = states.white_noise_mix(rho, max(threshold - delta, 0.0))
-    hi = states.white_noise_mix(rho, min(threshold + delta, 1.0))
-    rep_lo = optimize_operator(lo, operator, opts)
-    rep_hi = optimize_operator(hi, operator, opts)
-    return VisibilityCheck(
-        operator=operator,
-        tau=tau,
-        c12sq=c12sq,
-        threshold=threshold,
-        below_value=rep_lo.value,
-        below_violates=rep_lo.violated,
-        above_value=rep_hi.value,
-        above_violates=rep_hi.violated,
-    )
+    value = optimize_operator(rho, operator, OptimizeOptions(restarts=restarts, seed=seed)).value
+    below = max(threshold - delta, 0.0) * value
+    above = min(threshold + delta, 1.0) * value
+    cut = VIOLATION_CUT[operator]
+    return VisibilityCheck(operator, tau, c12sq, threshold, below, below > cut, above, above > cut)
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +459,6 @@ def channel_verdicts(
     kinds = (BellKind.NS99, BellKind.SVETLICHNY)
     for model, state in noisy.items():
         ns, sv = (maximum(state, kind, opts).value for kind in kinds)
-        ns_violated, sv_violated = (
-            value > CLASSICAL_BOUND[kind] + VIOLATION_ATOL for value, kind in zip((ns, sv), kinds)
-        )
+        ns_violated, sv_violated = (v > VIOLATION_CUT[kind] for v, kind in zip((ns, sv), kinds))
         verdicts.append(ChannelExampleVerdict(example, model, ns, ns_violated, sv, sv_violated))
     return verdicts

@@ -333,7 +333,10 @@ def test_criterion_06_discord_pipeline():
 
 
 def test_criterion_07_visibility_thresholds():
-    """Violation switches on across the closed-form visibility threshold."""
+    """Violation switches on across the closed-form visibility threshold.
+
+    The library scales one see-saw on the pure state by the visibility; each
+    value is checked here against the see-saw on the noisy state itself."""
     cases = []
     for tau in (0.5, 1.0):
         for op in (BellKind.NS99, BellKind.SVETLICHNY):
@@ -341,6 +344,14 @@ def test_criterion_07_visibility_thresholds():
                 continue  # svetlichny has no threshold below 1 at tau = 0.5
             check = workflows.visibility_check(op, tau, delta=0.01, seed=1)
             cases.append((tau, op, check))
+            rho = qalg.projector(states.extended_ghz(*states.ext_s_lambdas_from_tau_c12(tau, 0.0)))
+            below, above = (
+                _opt(states.white_noise_mix(rho, alpha), op)
+                for alpha in (max(check.threshold - 0.01, 0.0), min(check.threshold + 0.01, 1.0))
+            )
+            assert check.below_value == pytest.approx(below.value, abs=1e-12), (tau, op)
+            assert check.above_value == pytest.approx(above.value, abs=1e-12), (tau, op)
+            assert (check.below_violates, check.above_violates) == (below.violated, above.violated)
             print(
                 f"       tau={tau} {op.value}: alpha*={check.threshold:.5f} "
                 f"below value {check.below_value:.6f} (viol {check.below_violates}), "

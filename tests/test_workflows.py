@@ -13,7 +13,9 @@ from tribell.bell import (
     bound_b4,
     operator_value,
     optimize_operator,
+    visibility_threshold,
 )
+from tribell.bell import operators as bell_operators
 from tribell.states import Family
 from tribell.workflows import SweepSpec, ThresholdQuery
 from conftest import REAL_X_MIXED, random_density_matrix
@@ -281,7 +283,22 @@ def test_threshold_query_validation():
         workflows.mixed_builder(Family.RHO3)  # k missing
     with pytest.raises(ValueError, match="rho2 does not take k"):
         ThresholdQuery(family=Family.RHO2, operator=BellKind.NS99, k=7)
+    with pytest.raises(ValueError, match="three-party operator, got chsh"):
+        ThresholdQuery(family=Family.RHO2, operator=BellKind.CHSH)
     ThresholdQuery(family=Family.RHO3, operator=BellKind.NS99, k=7)
+
+
+def test_every_verdict_reads_the_one_violation_cut(monkeypatch):
+    # GHZ reaches 1 + 2 sqrt(2) = 3.828 on the facet: below a cut moved to 3.9
+    monkeypatch.setitem(bell_operators.VIOLATION_CUT, BellKind.NS99, 3.9)
+    ghz = qalg.projector(states.ghz_state())
+    opts = OptimizeOptions(restarts=8, seed=1)
+    assert not optimize_operator(ghz, BellKind.NS99, opts).violated
+    (verdict,) = workflows.channel_verdicts({"kraus": ghz}, opts)
+    assert not verdict.ns99_violated and verdict.svetlichny_violated
+    assert visibility_threshold(BellKind.NS99, 1.0) is None
+    with pytest.raises(workflows.NoCrossingError):
+        workflows.threshold_bisect(ThresholdQuery(Family.RHO8, BellKind.NS99, tol=1e-3))
 
 
 def test_sweep_gghz_formula_columns():
@@ -496,6 +513,22 @@ def test_visibility_check_confirms_an_extended_ghz_state():
     assert check.c12sq == 0.3
     assert check.threshold == pytest.approx(4 / bound_b4(0.5, 0.3), abs=1e-12)
     assert check.confirmed
+
+
+def test_visibility_check_runs_one_see_saw_on_the_pure_state(monkeypatch):
+    purities, values = [], []
+
+    def recording(rho, operator, opts):
+        report = optimize_operator(rho, operator, opts)
+        purities.append(float(np.trace(rho @ rho).real))
+        values.append(report.value)
+        return report
+
+    monkeypatch.setattr(workflows, "optimize_operator", recording)
+    check = workflows.visibility_check(BellKind.SVETLICHNY, 0.5, c12sq=0.3)
+    assert purities == [pytest.approx(1.0, abs=1e-12)]
+    assert check.below_value == (check.threshold - 0.01) * values[0]
+    assert check.above_value == (check.threshold + 0.01) * values[0]
 
 
 def test_visibility_no_violation_raises():
