@@ -1,9 +1,11 @@
 """Constructors for the pure and mixed three-qubit state families.
 
 Pure families: the generalized GHZ states cos(eta)|000> + sin(eta)|111>, the
-extended-GHZ subclass lam0|000> + lam3|110> + lam4|111>, its maximal-slice
-(MS) specialization, the named states GHZ / W / W-tilde and the eight
-GHZ-type basis states |L,i+-> supported on a bit string and its complement.
+extended-GHZ subclass S lam0|000> + lam3|110> + lam4|111>, its maximal-slice
+(MS) specialization, the named states W / W-tilde and the eight GHZ-type
+basis states |L,i+-> supported on a bit string and its complement, of which
+GHZ is |L,1+>. A subclass-S state given by its pair (tau, C12^2) is built from
+the defining relations tau = 4 lam0^2 lam4^2 and C12^2 = 4 lam0^2 lam3^2.
 
 Mixed families rho2..rho8: one affine table. Each is p |top><top| + (1 - p)/n
 rest, with rest an integer-weighted sum of projectors of trace n: W and
@@ -56,17 +58,15 @@ class Family(str, enum.Enum):
 SUBCLASS_S = (Family.GGHZ, Family.MS, Family.EXT_S)
 
 
-def pure_state(amplitudes, normalize: bool = False) -> np.ndarray:
-    """Eight-amplitude state vector; optionally renormalized exactly."""
+def pure_state(amplitudes) -> np.ndarray:
+    """Eight-amplitude state vector, renormalized exactly."""
     psi = np.asarray(amplitudes, dtype=complex).reshape(-1)
     if psi.shape[0] != 8:
         raise ValueError(f"expected 8 amplitudes, got {psi.shape[0]}")
-    if normalize:
-        norm = float(np.linalg.norm(psi))
-        if norm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        psi = psi / norm
-    return qalg.check_state_vector(psi)
+    norm = float(np.linalg.norm(psi))
+    if norm == 0.0:
+        raise ValueError("cannot normalize the zero vector")
+    return qalg.check_state_vector(psi / norm)
 
 
 def check_eta(family: Family, eta: float) -> None:
@@ -173,9 +173,11 @@ def tau_c12sq(
 def ext_s_lambdas_from_tau_c12(tau: float, c12sq: float) -> tuple[float, float, float]:
     """Invert tau = 4 l0^2 l4^2, C12^2 = 4 l0^2 l3^2 for a subclass-S state.
 
-    The pair goes through ``check_tau_c12``. Of the two l0 branches the larger one
-    (l0 >= 1/sqrt(2)) is returned; both give the same tau, C12^2 and hence
-    the same operator bounds.
+    The pair goes through ``check_tau_c12``. With the norm, the two relations give
+    l0^2 (1 - l0^2) = (tau + C12^2)/4, whose larger root (l0 >= 1/sqrt(2)) is
+    returned; both roots give the same tau, C12^2 and hence the same operator
+    bounds. l3 and l4 then come from their own relations, so 4 l0^2 l4^2 returns
+    tau to rounding even where tau is far below the norm's rounding.
     """
     tau, c12sq = check_tau_c12(tau, c12sq)
     disc = math.sqrt(max(1.0 - (tau + c12sq), 0.0))
@@ -183,22 +185,15 @@ def ext_s_lambdas_from_tau_c12(tau: float, c12sq: float) -> tuple[float, float, 
     l0 = math.sqrt(l0_sq)
     l3 = math.sqrt(c12sq / (4.0 * l0_sq))
     l4 = math.sqrt(tau / (4.0 * l0_sq))
-    # Absorb residual rounding into l4 so the triple passes the norm check.
-    rem = 1.0 - l0_sq - l3 * l3
-    l4 = math.sqrt(max(rem, 0.0)) if abs(rem - l4 * l4) < 1e-12 else l4
     return l0, l3, l4
 
 
-def ghz_state() -> np.ndarray:
-    return pure_state([1, 0, 0, 0, 0, 0, 0, 1], normalize=True)
-
-
 def w_state() -> np.ndarray:
-    return pure_state([0, 1, 1, 0, 1, 0, 0, 0], normalize=True)
+    return pure_state([0, 1, 1, 0, 1, 0, 0, 0])
 
 
 def w_tilde_state() -> np.ndarray:
-    return pure_state([0, 0, 0, 1, 0, 1, 1, 0], normalize=True)
+    return pure_state([0, 0, 0, 1, 0, 1, 1, 0])
 
 
 # |L,i+-> = (|u_i> +- |complement(u_i)>)/sqrt(2) for the four bit strings
@@ -217,6 +212,11 @@ def lambda_basis(index: int, sign: int) -> np.ndarray:
     psi[hi] = 1.0 / math.sqrt(2.0)
     psi[lo] = sign / math.sqrt(2.0)
     return psi
+
+
+def ghz_state() -> np.ndarray:
+    """GHZ = (|000> + |111>)/sqrt(2), the basis state |L,1+>."""
+    return lambda_basis(1, 1)
 
 
 # Mixed families p |top><top| + (1 - p)/n rest: top, the states whose projectors

@@ -422,7 +422,6 @@ def visibility_check(
 
 @dataclass
 class ChannelExampleVerdict:
-    example: str
     model: str  # 'kraus' or 'closed_form'
     ns99_value: float
     ns99_violated: bool
@@ -450,7 +449,7 @@ def channel_states(
 
 
 def channel_verdicts(
-    noisy: dict[str, np.ndarray], opts: OptimizeOptions, example: str = ""
+    noisy: dict[str, np.ndarray], opts: OptimizeOptions
 ) -> list[ChannelExampleVerdict]:
     """NS99 and Svetlichny on each model state of ``channel_states``, in its
     order, each a ``maximum``: exact on a real X state (GGHZ under either
@@ -460,5 +459,5 @@ def channel_verdicts(
     for model, state in noisy.items():
         ns, sv = (maximum(state, kind, opts).value for kind in kinds)
         ns_violated, sv_violated = (v > VIOLATION_CUT[kind] for v, kind in zip((ns, sv), kinds))
-        verdicts.append(ChannelExampleVerdict(example, model, ns, ns_violated, sv, sv_violated))
+        verdicts.append(ChannelExampleVerdict(model, ns, ns_violated, sv, sv_violated))
     return verdicts

@@ -366,7 +366,7 @@ def test_criterion_07_visibility_thresholds():
 
 def test_criterion_08_detection_example():
     """0.966|000>+0.259|111>: the 99th facet fires, Svetlichny does not."""
-    psi = states.pure_state([0.966, 0, 0, 0, 0, 0, 0, 0.259], normalize=True)
+    psi = states.pure_state([0.966, 0, 0, 0, 0, 0, 0, 0.259])
     rho = qalg.projector(psi)
     tau = entangle.three_tangle_pure(psi)
     ns = _opt(rho, BellKind.NS99)
@@ -396,8 +396,8 @@ def _same_pauli_depolarization(rho, strengths):
     return out / np.trace(out).real
 
 
-def _channel_example_report(seed: int) -> list[workflows.ChannelExampleVerdict]:
-    """Evaluate the four published noisy-state examples under each model."""
+def _channel_example_report(seed: int) -> list[tuple[str, workflows.ChannelExampleVerdict]]:
+    """(label, verdict) of the four published noisy-state examples under each model."""
     dep = channels.ChannelSpec(channels.ChannelKind.DEPOLARIZE, (0.8, 0.7, 0.6))
     damp = channels.ChannelKind.AMPLITUDE_DAMP
     # (label, pure state, channel, closed-form eta or None)
@@ -406,13 +406,13 @@ def _channel_example_report(seed: int) -> list[workflows.ChannelExampleVerdict]:
         ("depolarized ms(0.69), p=(0.8,0.7,0.6)", states.ms(0.69), dep, None),
         (
             "damped 0.995|000>+0.099|111>, g=(0.1,0.08,0.09)",
-            states.pure_state([0.995, 0, 0, 0, 0, 0, 0, 0.099], normalize=True),
+            states.pure_state([0.995, 0, 0, 0, 0, 0, 0, 0.099]),
             channels.ChannelSpec(damp, (0.1, 0.08, 0.09)),
             math.atan2(0.099, 0.995),
         ),
         (
             "damped ms-type (1,0.955,0.296)/sqrt2, g=(0.33,0.15,0.09)",
-            states.pure_state([1.0, 0, 0, 0, 0, 0, 0.955, 0.296], normalize=True),
+            states.pure_state([1.0, 0, 0, 0, 0, 0, 0.955, 0.296]),
             channels.ChannelSpec(damp, (0.33, 0.15, 0.09)),
             None,
         ),
@@ -423,7 +423,7 @@ def _channel_example_report(seed: int) -> list[workflows.ChannelExampleVerdict]:
         warnings.simplefilter("ignore", channels.HermitizedClosedFormWarning)
         for label, psi, spec, eta in examples:
             noisy = workflows.channel_states(qalg.projector(psi), spec, eta)
-            verdicts += workflows.channel_verdicts(noisy, opts, label)
+            verdicts += [(label, v) for v in workflows.channel_verdicts(noisy, opts)]
     return verdicts
 
 
@@ -443,14 +443,14 @@ def test_criterion_09_channel_example_claims():
     Kraus model neither.
     """
     verdicts = _channel_example_report(seed=1)
-    for v in verdicts:
+    for label, v in verdicts:
         print(
-            f"       {v.example} [{v.model}]: ns99 {v.ns99_value:.6f} "
+            f"       {label} [{v.model}]: ns99 {v.ns99_value:.6f} "
             f"({'VIOL' if v.ns99_violated else 'no viol'}), svet {v.svetlichny_value:.6f} "
             f"({'VIOL' if v.svetlichny_violated else 'no viol'}) -> claim holds: {_claim_holds(v)}"
         )
-    kraus = {v.example: v for v in verdicts if v.model == "kraus"}
-    closed = {v.example: v for v in verdicts if v.model == "closed_form"}
+    kraus = {label: v for label, v in verdicts if v.model == "kraus"}
+    closed = {label: v for label, v in verdicts if v.model == "closed_form"}
     assert len(kraus) == 4  # every published example has a Kraus model
     assert len(closed) == 2  # both GGHZ-type examples carry a closed form
     damped = next(v for label, v in closed.items() if label.startswith("damped"))

@@ -70,7 +70,7 @@ def test_apply_channel_spec_published_examples_are_states():
         ChannelSpec(ChannelKind.DEPOLARIZE, (0.8, 0.7, 0.6)),
     )
     qalg.check_density_matrix(dep)
-    psi = states.pure_state([0.995, 0, 0, 0, 0, 0, 0, 0.099], normalize=True)
+    psi = states.pure_state([0.995, 0, 0, 0, 0, 0, 0, 0.099])
     damped = channels.apply_channel_spec(
         qalg.projector(psi), ChannelSpec(ChannelKind.AMPLITUDE_DAMP, (0.1, 0.08, 0.09))
     )

@@ -156,6 +156,35 @@ def test_bound_rejects_inconsistent_or_foreign_options(capsys, argv, message):
     assert message in err
 
 
+_INPUT_FILE = object()  # stands for a file written from the case's text
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    pytest.param(("bound", "--family", "rho4", "--operator", "ns99"), None,
+                 "mixed-family bounds need --p", id="bound-mixed-without-p"),
+    pytest.param(("optimize", "--operator", "ns99"), None,
+                 "provide --state FILE or --family with its parameters", id="optimize-no-state"),
+    pytest.param(("channel", "--kind", "depolarize", "--strengths", "0.1", "0.1", "0.1",
+                  "--family", "ms", "--eta", "0.3", "--closed-form"), None,
+                 "--closed-form applies to --family gghz with --eta", id="channel-ms-closed-form"),
+    pytest.param(("sweep", "--family", "gghz", "--from", "0.5", "--to", "0.5", "--steps", "3",
+                  "--columns", "ns_bound"), None,
+                 "sweep requires start < stop", id="sweep-empty-interval"),
+    pytest.param(("membership", "--model", "ns2", "--behavior", _INPUT_FILE), "0 0 0 0 0 0\n",
+                 "behavior rows need 7 fields", id="behavior-row-of-6-fields"),
+    pytest.param(("optimize", "--operator", "ns99", "--state", _INPUT_FILE),
+                 json.dumps({"amplitudes": [[1.01, 0.0]] + [[0.0, 0.0]] * 7}),
+                 "too far from 1", id="amplitudes-of-norm-1.01"),
+])
+def test_input_checks_exit_2_with_their_message(capsys, tmp_path, argv, text, message):
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run_cli(capsys, *(str(path) if arg is _INPUT_FILE else arg for arg in argv))
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_optimize_family_violates(capsys):
     code, out, _ = run_cli(
         capsys, "optimize", "--family", "gghz", "--eta", "0.69",

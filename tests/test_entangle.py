@@ -99,6 +99,24 @@ def test_wootters_kernel_matches_the_square_root_form(rng):
             assert abs(entangle.concurrence(rho) - oracle) <= 1e-12
 
 
+def _ckw_residual(psi):
+    """The three-tangle as the CKW residual C^2_{1(23)} - C^2_{12} - C^2_{13}, through two
+    partial traces and two Wootters concurrences, with C^2_{1(23)} = 4 det(rho_1)."""
+    rho = qalg.projector(psi)
+    c_sq_1_23 = 4.0 * float(np.linalg.det(qalg.partial_trace(rho, keep=[1])).real)
+    c_12 = entangle.concurrence(qalg.partial_trace(rho, keep=[1, 2]))
+    c_13 = entangle.concurrence(qalg.partial_trace(rho, keep=[1, 3]))
+    return c_sq_1_23 - c_12 * c_12 - c_13 * c_13
+
+
+def test_three_tangle_matches_the_ckw_residual(rng):
+    worst = max(
+        abs(entangle.three_tangle_pure(psi) - _ckw_residual(psi))
+        for psi in (random_pure_state(rng) for _ in range(1000))
+    )
+    assert worst <= 1e-12
+
+
 def test_three_tangle_known_values():
     assert entangle.three_tangle_pure(states.ghz_state()) == pytest.approx(1.0, abs=1e-10)
     assert entangle.three_tangle_pure(states.gghz(0.0)) == pytest.approx(0.0, abs=1e-12)

@@ -305,6 +305,17 @@ def test_uniform_inside_fully_local():
     assert res.residual <= 1e-9
 
 
+def test_membership_raises_when_the_phase1_witness_misses(monkeypatch):
+    # a feasible phase-1 objective whose weights do not rebuild the behavior is a breakdown
+    def empty_witness(at, b):
+        return 0.0, np.zeros(at.shape[0]), np.zeros(at.shape[1]), 0
+
+    monkeypatch.setattr(polytope, "_phase1_simplex", empty_witness)
+    uniform = Behavior(np.full(polytope.BEHAVIOR_SHAPE, 1 / 8.0))
+    with pytest.raises(LPNumericalError, match="phase-1 reported feasible but residual"):
+        polytope.membership(uniform, HybridKind.FULLY_LOCAL)
+
+
 def test_random_local_mixtures_inside_all_models(rng):
     verts = polytope.enumerate_vertices(HybridKind.FULLY_LOCAL)
     for _ in range(3):

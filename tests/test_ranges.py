@@ -4,17 +4,20 @@ message, and accepts the owner's boundary values.
 
 Owners: ``states.check_tau_c12`` for (tau, C12^2), ``states.check_eta`` for
 the GGHZ angle, ``states.mixed_builder`` for the mixing weight and
-``channels.ChannelSpec`` for the channel strengths.
+``channels.ChannelSpec`` for the channel strengths. Inputs outside a function's
+own domain, which no owner covers, raise that function's own message.
 """
 
 import math
 import warnings
 
+import numpy as np
 import pytest
 
-from tribell import channels, entangle, states, workflows
+from tribell import channels, entangle, polytope, qalg, states, workflows
 from tribell.bell import (
     BellKind,
+    MeasurementScenario,
     bound_b1_b3,
     bound_b2,
     bound_b4,
@@ -138,3 +141,44 @@ def test_every_entry_point_keeps_its_owners_range(fn, args, message):
     else:
         with pytest.raises(ValueError, match=message):
             fn(*args)
+
+
+_BELL_PAIR = qalg.projector(np.array([1, 0, 0, 1]) / math.sqrt(2.0))
+_FOUR_AMPLITUDES = np.full(4, 0.5)
+
+# Inputs outside a function's domain that no range owner covers: each call and the
+# message of the check that must reject it.
+DOMAIN_CHECKS = {
+    "lambda_basis-index": (lambda: states.lambda_basis(5, 1), "lambda basis index must be 1..4"),
+    "lambda_basis-sign": (lambda: states.lambda_basis(1, 0), "sign must be"),
+    "pure_state-7-amplitudes": (lambda: states.pure_state(np.ones(7)), "expected 8 amplitudes"),
+    "pure_state-zero": (lambda: states.pure_state(np.zeros(8)), "cannot normalize the zero"),
+    "ChannelSpec-two-strengths": (
+        lambda: ChannelSpec(ChannelKind.DEPOLARIZE, (0.1, 0.1)),
+        "strengths must list one value per qubit",
+    ),
+    "SweepSpec-no-columns": (
+        lambda: workflows.SweepSpec(Family.GGHZ, 0.1, 0.5, 3, ()),
+        "sweep needs at least one output column",
+    ),
+    "compute_table-3": (lambda: workflows.compute_table(3), "table must be 1 or 2"),
+    "discord_numeric-measured-2": (
+        lambda: entangle.discord_numeric(_BELL_PAIR, measured=2), "measured must be 0 or 1"
+    ),
+    "three_tangle_pure-two-qubits": (
+        lambda: entangle.three_tangle_pure(_FOUR_AMPLITUDES), "three-qubit pure states"
+    ),
+    "discord_monogamy_score-two-qubits": (
+        lambda: entangle.discord_monogamy_score(_FOUR_AMPLITUDES), "three-qubit pure states"
+    ),
+    "quantum_behavior-two-qubits": (
+        lambda: polytope.quantum_behavior(_BELL_PAIR, MeasurementScenario.all_z()),
+        "expects a three-qubit state",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", list(DOMAIN_CHECKS.values()), ids=list(DOMAIN_CHECKS))
+def test_every_domain_check_raises_its_message(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -77,7 +77,7 @@ def test_ms_detection_example_amplitudes():
     # amplitudes (1, 0.955, 0.296)/sqrt(2), published with rounded norm
     amps = np.zeros(8)
     amps[0], amps[6], amps[7] = 1.0, 0.955, 0.296
-    psi = states.pure_state(amps, normalize=True)
+    psi = states.pure_state(amps)
     eta = np.arctan2(0.296, 0.955)
     assert np.allclose(psi, states.ms(eta), atol=2e-4)
 
@@ -284,6 +284,17 @@ def test_ext_s_half_lambda0_tangle_identity(rng):
         rho_ab = qalg.partial_trace(qalg.projector(psi), keep=[1, 2])
         c12 = entangle.concurrence(rho_ab)
         assert tau == pytest.approx(1.0 - c12 * c12, abs=1e-10)
+
+
+@pytest.mark.parametrize("c12sq", [0.0, 0.3])
+@pytest.mark.parametrize("tau", [1e-20, 1e-14, 1e-12, 1e-9, 1e-6, 0.3])
+def test_ext_s_lambdas_return_tau(tau, c12sq):
+    # tau far below the norm's rounding must survive: l4 comes from tau itself,
+    # not from 1 - l0^2 - l3^2
+    l0, l3, l4 = states.ext_s_lambdas_from_tau_c12(tau, c12sq)
+    assert 4.0 * l0 * l0 * l4 * l4 == pytest.approx(tau, rel=1e-15, abs=0.0)
+    psi = states.extended_ghz(l0, l3, l4)
+    assert entangle.three_tangle_pure(psi) == pytest.approx(tau, rel=1e-14, abs=0.0)
 
 
 def test_tau_c12sq_matches_the_states(rng):
