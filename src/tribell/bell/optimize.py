@@ -26,18 +26,17 @@ setting gives exactly 4) the see-saw still converges only linearly, at a
 rate near 1. So every ``NEWTON_EVERY`` sweeps, for any operator, each
 restart still rising takes a Riemannian Newton step on the product of the
 unit Bloch spheres (Absil, Mahony & Sepulchre, Optimization Algorithms on
-Matrix Manifolds (2008)), and keeps taking one each sweep while its steps
-are kept. The value is linear in each party's 8-vector, so the tangent
-Hessian has only cross-party blocks (the pair blocks in tangent bases) plus
-``-<g_s, v_s>`` on the diagonal of each party and setting. The step
--H^-1 grad is retracted by normalization and kept only where H is negative
-definite, the step is bounded and the value strictly rises, so no value
-ever falls. Definiteness is decided without an eigendecomposition: H's
-largest eigenvalue lies below -``HESSIAN_MIN`` exactly where
--H - ``HESSIAN_MIN`` I has a Cholesky factor, and one batched elimination
-tests its pivots for every restart at once (``_negative_definite``). Each
-report carries the largest eigenvalue of the best restart's tangent Hessian
-(``ViolationReport.hessian_max``).
+Matrix Manifolds (2008)); no other sweep takes one. The value is linear in
+each party's 8-vector, so the tangent Hessian has only cross-party blocks
+(the pair blocks in tangent bases) plus ``-<g_s, v_s>`` on the diagonal of
+each party and setting. The step -H^-1 grad is retracted by normalization
+and kept only where H is negative definite, the step is bounded and the
+value strictly rises, so no value ever falls. Definiteness is decided
+without an eigendecomposition: H's largest eigenvalue lies below
+-``HESSIAN_MIN`` exactly where -H - ``HESSIAN_MIN`` I has a Cholesky factor,
+and one batched elimination tests its pivots for every restart at once
+(``_negative_definite``). Each report carries the largest eigenvalue of the
+best restart's tangent Hessian (``ViolationReport.hessian_max``).
 
 With ``OptimizeOptions.stop_above`` set,
 the batch stops once one restart's value exceeds it by ``STOP_MARGIN``; no
@@ -60,7 +59,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import (
-    CLASSICAL_BOUND,
     N_PARTIES,
     VIOLATION_CUT,
     BellKind,
@@ -134,9 +132,7 @@ class ViolationReport:
     value: float
     scenario: MeasurementScenario
     operator: BellKind
-    classical_bound: float
     violated: bool
-    restarts_used: int
     converged: bool
     restart_values: np.ndarray = field(repr=False)
     residual: float = 0.0
@@ -277,14 +273,15 @@ def _negative_definite(hess: np.ndarray) -> np.ndarray:
 
 def _newton(
     pair_mats: np.ndarray, aug: np.ndarray, values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """One Riemannian Newton step per row of ``aug``, retracted by normalization.
 
     A row keeps its trial only where the tangent Hessian is negative definite
     (its largest eigenvalue lies below -``HESSIAN_MIN``), no tangent
     coordinate of the step exceeds ``NEWTON_STEP_MAX`` (which also rejects a
     non-finite step) and the value strictly rises above ``values``.
-    Returns the new vectors, their values and the mask of rows that moved.
+    Returns the new vectors and their values; ``_see_saw`` calls it on every
+    live row once each ``NEWTON_EVERY`` sweeps, and at no other time.
     """
     rows, n = aug.shape[:2]
     bases, grad, hess = _tangent_system(pair_mats, aug)
@@ -300,11 +297,7 @@ def _newton(
     _normalize_into(trial, shifted)
     trial_values = _pair_value(pair_mats, trial)
     moved = ok & (trial_values > values)
-    return (
-        np.where(moved[:, None, None, None], trial, aug),
-        np.where(moved, trial_values, values),
-        moved,
-    )
+    return np.where(moved[:, None, None, None], trial, aug), np.where(moved, trial_values, values)
 
 
 def _see_saw(pair_mats: np.ndarray, aug: np.ndarray, max_iter: int, stop: float | None):
@@ -319,7 +312,6 @@ def _see_saw(pair_mats: np.ndarray, aug: np.ndarray, max_iter: int, stop: float 
     live = np.arange(len(aug))
     values = np.full(len(aug), -np.inf)
     step = np.ones(len(aug))
-    polishing = np.zeros(len(aug), dtype=bool)  # rows whose last Newton step was kept
     top = -np.inf  # the best value of the frozen rows
     for sweep in range(max_iter):
         swept, after = _sweep(pair_mats, aug)
@@ -336,16 +328,11 @@ def _see_saw(pair_mats: np.ndarray, aug: np.ndarray, max_iter: int, stop: float 
         if not rising.all():
             result[live[~rising]] = aug[~rising]
             top = max(top, values[~rising].max())
-            live, aug, values, step, polishing = (
-                x[rising] for x in (live, aug, values, step, polishing)
-            )
+            live, aug, values, step = (x[rising] for x in (live, aug, values, step))
         # Every NEWTON_EVERY sweeps (the first past the start's transient) each
-        # row still rising takes a Newton step, and one per sweep while kept.
+        # row still rising takes a Newton step; no other sweep takes one.
         if sweep and not sweep % NEWTON_EVERY and live.size:
-            aug, values, polishing = _newton(pair_mats, aug, values)
-        elif polishing.any():
-            due, polishing = polishing, np.zeros(live.size, dtype=bool)
-            aug[due], values[due], polishing[due] = _newton(pair_mats, aug[due], values[due])
+            aug, values = _newton(pair_mats, aug, values)
         if stop is not None and values.max(initial=top) > stop:
             result[live] = aug
             return result, 0, True
@@ -398,9 +385,7 @@ def optimize_operator(
         value=best_value,
         scenario=MeasurementScenario.from_flat(points[best_index]),
         operator=kind,
-        classical_bound=CLASSICAL_BOUND[kind],
         violated=bool(best_value > VIOLATION_CUT[kind]),
-        restarts_used=options.restarts,
         converged=converged,
         restart_values=restart_values,
         residual=float(np.max(np.hypot(tangential, along) - along)),

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import channels, polytope, states, workflows
 from .bell import (
+    CLASSICAL_BOUND,
     X_STATE_MAXIMUM,
     BellKind,
     MeasurementScenario,
@@ -173,10 +174,10 @@ def cmd_optimize(args) -> int:
         {
             "operator": op.value,
             "value": report.value,
-            "classical_bound": report.classical_bound,
+            "classical_bound": CLASSICAL_BOUND[op],
             "violated": report.violated,
             "converged": report.converged,
-            "restarts": report.restarts_used,
+            "restarts": len(report.restart_values),
             "seed": optimizer["seed"],
             "angles_rad": [float(a) for a in report.scenario.flat()],
         },

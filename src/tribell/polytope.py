@@ -51,6 +51,8 @@ BEHAVIOR_SHAPE = (2, 2, 2, 2, 2, 2)  # indices (a, b, c, x, y, z)
 NORMALIZATION_ATOL = 1e-10
 POSITIVITY_ATOL = 1e-12
 MEMBERSHIP_ATOL = 1e-8
+# The phase-1 simplex gives up, raising LPNumericalError, after this many pivots.
+LP_MAX_PIVOTS = 50000
 
 
 class HybridKind(str, enum.Enum):
@@ -269,7 +271,7 @@ def enumerate_vertices(kind: HybridKind) -> np.ndarray:
 # Phase-1 revised simplex feasibility
 
 
-def _phase1_simplex(at: np.ndarray, b: np.ndarray, max_iter: int = 50000):
+def _phase1_simplex(at: np.ndarray, b: np.ndarray):
     """Minimize the sum of artificials for A w = b, w >= 0 (Bland's rule).
 
     ``at`` is A transposed, one row per structural column. Artificial i has
@@ -279,8 +281,8 @@ def _phase1_simplex(at: np.ndarray, b: np.ndarray, max_iter: int = 50000):
 
     Returns (objective, w, y, iterations), where y = c_B binv is the final
     dual in the coordinates of A and b: y.A_j <= 1e-11 for every column and
-    y.b equals the objective. Raises LPNumericalError if the iteration cap
-    is hit.
+    y.b equals the objective. Raises LPNumericalError after
+    ``LP_MAX_PIVOTS`` pivots.
     """
     b = np.asarray(b, dtype=float)
     n, m = at.shape
@@ -291,7 +293,7 @@ def _phase1_simplex(at: np.ndarray, b: np.ndarray, max_iter: int = 50000):
     cost = np.ones(m)  # c_B: 1 where an artificial is basic
     eps = 1e-11
 
-    for iteration in range(max_iter):
+    for iteration in range(LP_MAX_PIVOTS):
         y = cost @ binv
         improving = at @ y > eps
         if not improving.any():
@@ -325,7 +327,7 @@ def _phase1_simplex(at: np.ndarray, b: np.ndarray, max_iter: int = 50000):
         np.maximum(rhs, 0.0, out=rhs)
         basis[i] = j
         cost[i] = float(j >= n)
-    raise LPNumericalError(f"phase-1 simplex did not terminate in {max_iter} pivots")
+    raise LPNumericalError(f"phase-1 simplex did not terminate in {LP_MAX_PIVOTS} pivots")
 
 
 @dataclass

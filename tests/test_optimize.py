@@ -12,6 +12,7 @@ from tribell.bell import (
     OptimizeOptions,
     bound_b1_b3,
     operator_value,
+    optimize,
     optimize_operator,
 )
 from tribell.bell.operators import (
@@ -24,6 +25,7 @@ from tribell.bell.operators import (
 )
 from tribell.bell.optimize import (
     HESSIAN_MIN,
+    NEWTON_EVERY,
     TIE_ULPS,
     ViolationReport,
     _angles,
@@ -43,7 +45,7 @@ def test_ns99_maximum_on_ghz():
     rep = optimize_operator(qalg.projector(states.gghz(np.pi / 4)), BellKind.NS99, FAST)
     assert rep.value == pytest.approx(1 + 2 * np.sqrt(2), abs=1e-4)
     assert rep.violated and rep.converged
-    assert rep.classical_bound == 3.0
+    assert CLASSICAL_BOUND[rep.operator] == 3.0
 
 
 def test_svetlichny_maximum_on_ghz():
@@ -156,6 +158,24 @@ def test_flat_maximum_is_polished_to_a_strict_local_maximum():
     assert rep.capped == 0
 
 
+@pytest.mark.parametrize(
+    "family, p, kind",
+    [(states.Family.RHO2, 0.81, BellKind.NS99), (states.Family.RHO4, 0.6249, BellKind.SVETLICHNY)],
+)
+def test_newton_runs_every_newton_every_sweeps_and_at_no_other_time(monkeypatch, family, p, kind):
+    # each iteration sweeps twice (the sweep and its extrapolation trial), so
+    # the first Newton step, after iteration NEWTON_EVERY, follows 34 sweeps
+    sweeps, newton_at = [], []
+    sweep, newton = optimize._sweep, optimize._newton
+    monkeypatch.setattr(optimize, "_sweep", lambda *a: sweeps.append(1) or sweep(*a))
+    monkeypatch.setattr(
+        optimize, "_newton", lambda *a: newton_at.append(len(sweeps)) or newton(*a)
+    )
+    optimize_operator(states.mixed_builder(family)(p), kind, FAST)
+    assert newton_at[0] == 2 * (NEWTON_EVERY + 1) == 34
+    assert np.all(np.diff(newton_at) == 2 * NEWTON_EVERY)
+
+
 def test_slow_ridge_converges():
     # rho7 Svetlichny sits on a flat ridge where plain see-saw and Nelder-Mead
     # both stop short; the reference is where both settle with a 20 000-step cap
@@ -256,7 +276,7 @@ def test_chsh_two_qubit_optimization():
     bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     rep = optimize_operator(qalg.projector(bell), BellKind.CHSH, FAST)
     assert rep.value == pytest.approx(2 * np.sqrt(2), abs=1e-5)
-    assert rep.classical_bound == 2.0
+    assert CLASSICAL_BOUND[rep.operator] == 2.0
     assert rep.scenario.n_parties == 2
 
 
@@ -265,7 +285,7 @@ def test_single_restart_is_converged_flagged():
         qalg.projector(states.ghz_state()), BellKind.NS99, OptimizeOptions(restarts=1)
     )
     assert rep.converged
-    assert rep.restarts_used == 1
+    assert len(rep.restart_values) == 1
 
 
 def test_options_validation():

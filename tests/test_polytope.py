@@ -316,6 +316,14 @@ def test_membership_raises_when_the_phase1_witness_misses(monkeypatch):
         polytope.membership(uniform, HybridKind.FULLY_LOCAL)
 
 
+def test_membership_raises_at_the_pivot_cap(monkeypatch):
+    # a simplex that runs out of pivots is a breakdown, not an outside verdict
+    monkeypatch.setattr(polytope, "LP_MAX_PIVOTS", 1)
+    uniform = Behavior(np.full(polytope.BEHAVIOR_SHAPE, 1 / 8.0))
+    with pytest.raises(LPNumericalError, match="phase-1 simplex did not terminate in 1 pivots"):
+        polytope.membership(uniform, HybridKind.FULLY_LOCAL)
+
+
 def test_random_local_mixtures_inside_all_models(rng):
     verts = polytope.enumerate_vertices(HybridKind.FULLY_LOCAL)
     for _ in range(3):

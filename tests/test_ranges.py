@@ -18,11 +18,15 @@ from tribell import channels, entangle, polytope, qalg, states, workflows
 from tribell.bell import (
     BellKind,
     MeasurementScenario,
+    behavior_operator_value,
     bound_b1_b3,
     bound_b2,
     bound_b4,
     bound_b5,
     chsh_pure_max,
+    correlation_tensors,
+    correlator,
+    operator_value,
     visibility_threshold,
 )
 from tribell.bell.bounds import ns99_mixed_bound
@@ -174,6 +178,48 @@ DOMAIN_CHECKS = {
     "quantum_behavior-two-qubits": (
         lambda: polytope.quantum_behavior(_BELL_PAIR, MeasurementScenario.all_z()),
         "expects a three-qubit state",
+    ),
+    "check_density_matrix-non-square": (
+        lambda: qalg.check_density_matrix(np.eye(4)[:2]), "rho must be square"
+    ),
+    "check_density_matrix-non-finite": (
+        lambda: qalg.check_density_matrix(np.full((2, 2), np.nan)),
+        "rho contains non-finite entries",
+    ),
+    "check_density_matrix-16": (
+        lambda: qalg.check_density_matrix(np.eye(16) / 16),
+        "rho dimension must be 2, 4 or 8, got 16",
+    ),
+    "check_state_vector-3-amplitudes": (
+        lambda: qalg.check_state_vector(np.ones(3)), "state dimension must be 2, 4 or 8, got 3"
+    ),
+    "check_state_vector-non-finite": (
+        lambda: qalg.check_state_vector(np.array([np.inf, 0.0])),
+        "state contains non-finite amplitudes",
+    ),
+    "pauli_tensor-shape": (
+        lambda: qalg.pauli_tensor(_BELL_PAIR, 3), "expected a 3-qubit density matrix"
+    ),
+    "bloch_observable-2-vector": (
+        lambda: qalg.bloch_observable(np.ones(2)), "Bloch vector must have shape"
+    ),
+    "correlator-slot-count": (
+        lambda: correlator(_BELL_PAIR, [np.array([0.0, 0.0, 1.0])]),
+        "expected 2 observable slots, got 1",
+    ),
+    "operator_value-ns99-two-parties": (
+        lambda: operator_value(_BELL_PAIR, MeasurementScenario.all_z(2), BellKind.NS99),
+        "ns99 needs 3 parties, scenario has 2",
+    ),
+    "correlation_tensors-4": (
+        lambda: correlation_tensors(_BELL_PAIR, 4), "unsupported party count 4"
+    ),
+    "behavior_operator_value-chsh": (
+        lambda: behavior_operator_value(np.full(polytope.BEHAVIOR_SHAPE, 1 / 8.0), "chsh"),
+        "behavior tables are three-party objects",
+    ),
+    "Behavior-shape": (
+        lambda: polytope.Behavior(np.full((2, 2), 0.5)), "behavior table must have shape"
     ),
 }
 
