@@ -29,14 +29,12 @@ unit Bloch spheres (Absil, Mahony & Sepulchre, Optimization Algorithms on
 Matrix Manifolds (2008)); no other sweep takes one. The value is linear in
 each party's 8-vector, so the tangent Hessian has only cross-party blocks
 (the pair blocks in tangent bases) plus ``-<g_s, v_s>`` on the diagonal of
-each party and setting. The step -H^-1 grad is retracted by normalization
-and kept only where H is negative definite, the step is bounded and the
-value strictly rises, so no value ever falls. Definiteness is decided
-without an eigendecomposition: H's largest eigenvalue lies below
--``HESSIAN_MIN`` exactly where -H - ``HESSIAN_MIN`` I has a Cholesky factor,
-and one batched elimination tests its pivots for every restart at once
-(``_negative_definite``). Each report carries the largest eigenvalue of the
-best restart's tangent Hessian (``ViolationReport.hessian_max``).
+each party and setting. The step solves (H - ``HESSIAN_MIN`` I) s = -grad
+for every restart in one batched solve and is retracted by normalization. A
+restart keeps its trial exactly where the value strictly rises, the rule the
+extrapolation trial follows, so no value ever falls. Each report carries the
+largest eigenvalue of the best restart's tangent Hessian
+(``ViolationReport.hessian_max``).
 
 With ``OptimizeOptions.stop_above`` set,
 the batch stops once one restart's value exceeds it by ``STOP_MARGIN``; no
@@ -83,9 +81,9 @@ RESTART_SPREAD_TOL = 1e-6
 STOP_MARGIN = 1e-12
 # Every NEWTON_EVERY sweeps, each restart still rising takes a Newton step.
 NEWTON_EVERY = 16
-# A Newton step is kept only if no tangent coordinate exceeds this (radians).
-NEWTON_STEP_MAX = 1.0
-# A Newton step needs the tangent Hessian's largest eigenvalue below -HESSIAN_MIN.
+# The Newton solve shifts the tangent Hessian by -HESSIAN_MIN I, which keeps it
+# regular where a setting enters no term; hessian_max below -HESSIAN_MIN
+# certifies a strict local maximum.
 HESSIAN_MIN = 1e-14
 # Restarts within this many ulps of the best value tie; the lowest-indexed one is reported.
 TIE_ULPS = 8
@@ -251,52 +249,25 @@ def _tangent_system(pair_mats: np.ndarray, aug: np.ndarray):
     return bases, grad, hess
 
 
-def _negative_definite(hess: np.ndarray) -> np.ndarray:
-    """Rows of ``hess`` whose largest eigenvalue lies below -``HESSIAN_MIN``.
-
-    That holds exactly where A = -H - ``HESSIAN_MIN`` I has a Cholesky
-    factor, that is, where every pivot of its symmetric elimination
-    A = L D L^T is positive. The elimination runs column by column over all
-    rows at once, kept on the last axis so that each step is one contiguous
-    vector operation. A row fails at its first pivot that is not positive;
-    from there on its columns are zeroed, so its remaining updates stay finite.
-    """
-    m = hess.shape[-1]
-    a = np.ascontiguousarray((-hess - HESSIAN_MIN * np.eye(m)).transpose(1, 2, 0))
-    ok = np.ones(len(hess), dtype=bool)
-    for j in range(m):
-        ok &= a[j, j] > 0.0
-        below = a[j + 1 :, j] / np.where(ok, a[j, j], np.inf)
-        a[j + 1 :, j + 1 :] -= below[:, None] * a[j, j + 1 :]
-    return ok
-
-
 def _newton(
     pair_mats: np.ndarray, aug: np.ndarray, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """One Riemannian Newton step per row of ``aug``, retracted by normalization.
 
-    A row keeps its trial only where the tangent Hessian is negative definite
-    (its largest eigenvalue lies below -``HESSIAN_MIN``), no tangent
-    coordinate of the step exceeds ``NEWTON_STEP_MAX`` (which also rejects a
-    non-finite step) and the value strictly rises above ``values``.
-    Returns the new vectors and their values; ``_see_saw`` calls it on every
-    live row once each ``NEWTON_EVERY`` sweeps, and at no other time.
+    One batched solve gives every row's step; a row keeps its trial exactly
+    where the value strictly rises above ``values``. Returns the new vectors
+    and their values; ``_see_saw`` calls it on every live row once each
+    ``NEWTON_EVERY`` sweeps, and at no other time.
     """
     rows, n = aug.shape[:2]
     bases, grad, hess = _tangent_system(pair_mats, aug)
-    ok = _negative_definite(hess)
-    step = np.zeros_like(grad)
-    if ok.any():
-        step[ok] = np.linalg.solve(hess[ok], -grad[ok, :, None])[..., 0]
-    ok &= np.all(np.abs(step) <= NEWTON_STEP_MAX, axis=1)
-    step = np.where(ok[:, None], step, 0.0).reshape(rows, n, 2, 1, 2)
+    step = np.linalg.solve(hess - HESSIAN_MIN * np.eye(4 * n), -grad[..., None])
     shifted = aug.copy()
-    shifted[..., :3] += (step @ bases)[..., 0, :]
+    shifted[..., :3] += (step.reshape(rows, n, 2, 1, 2) @ bases)[..., 0, :]
     trial = aug.copy()
     _normalize_into(trial, shifted)
     trial_values = _pair_value(pair_mats, trial)
-    moved = ok & (trial_values > values)
+    moved = trial_values > values
     return np.where(moved[:, None, None, None], trial, aug), np.where(moved, trial_values, values)
 
 

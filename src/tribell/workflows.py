@@ -346,8 +346,6 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], list[list[float]]]:
                 row.append(X_STATE_MAXIMUM[_KIND[column]](rho).value)
             else:
                 row.append(_PAIR_COLUMNS[column](*pair))
-        if any(not math.isfinite(v) for v in row):
-            raise ValueError(f"non-finite sweep value at {spec.param}={x}")
         rows.append(row)
     return [spec.param, *spec.columns], rows
 

@@ -31,7 +31,6 @@ from tribell.bell.optimize import (
     _angles,
     _best_restart,
     _initial_points,
-    _negative_definite,
     _see_saw,
     _starts,
     _sweep,
@@ -357,27 +356,6 @@ def test_stopped_run_reports_its_live_rows():
     assert np.any(stopped.restart_values < full.restart_values - 1e-9)
 
 
-def _definite_by_eigvalsh(hess):
-    return np.linalg.eigvalsh(hess)[:, -1] < -HESSIAN_MIN
-
-
-def test_negative_definite_at_the_threshold():
-    # Q diag(lambda) Q^T with the largest eigenvalue on either side of -HESSIAN_MIN
-    rng = np.random.default_rng(2010)
-    tops = [-10 * HESSIAN_MIN, -HESSIAN_MIN / 10, 0.0, 1e-3]
-    hess = []
-    for top in tops:
-        for _ in range(8):
-            q, _ = np.linalg.qr(rng.normal(size=(12, 12)))
-            eigenvalues = np.concatenate([[top], -rng.uniform(0.5, 5.0, size=11)])
-            h = q @ np.diag(eigenvalues) @ q.T
-            hess.append((h + h.T) / 2)
-    hess = np.array(hess)
-    expected = np.repeat([True, False, False, False], 8)
-    assert np.array_equal(_definite_by_eigvalsh(hess), expected)
-    assert np.array_equal(_negative_definite(hess), expected)
-
-
 @pytest.mark.parametrize(
     "rho, kind",
     [
@@ -390,15 +368,53 @@ def test_negative_definite_at_the_threshold():
     ],
     ids=["zero", "gghz-ns99", "gghz-svetlichny", "ghz-svetlichny", "rho2-ns99", "rho2-svetlichny"],
 )
-def test_negative_definite_matches_eigvalsh_on_converged_hessians(rho, kind):
-    # the converged restarts of a full run: the zero Hessian of the maximally
-    # mixed state, the flat families of maxima of GHZ-type states (largest
-    # eigenvalue at rounding level) and the strict maxima of rho2
+def test_every_restart_freezes_before_the_cap(rho, kind):
+    # the zero Hessian of the maximally mixed state, the flat families of
+    # maxima of GHZ-type states (largest eigenvalue at rounding level) and the
+    # strict maxima of rho2
     pair_mats = _pair_matrices(_fused_coefficient_tensor(rho, kind))
-    aug, capped, _ = _see_saw(pair_mats, _starts(64, 12, 1).reshape(-1, 3, 2, 4), 2000, None)
+    _, capped, _ = _see_saw(pair_mats, _starts(64, 12, 1).reshape(-1, 3, 2, 4), 2000, None)
     assert capped == 0
-    hess = _tangent_system(pair_mats, aug)[2]
-    assert np.array_equal(_negative_definite(hess), _definite_by_eigvalsh(hess))
+
+
+def _two_body_only_state():
+    # rho_AB (x) I/2 with rho_AB = (I + 0.3 YY - 0.25 ZX + 0.2 ZZ)/4: of the
+    # ns99 terms only <X1Y1> survives, so X0, Y0, Z0 and Z1 enter no term and
+    # their rows of the tangent Hessian are exactly zero
+    x, y, z = qalg.PAULIS
+    rho_ab = (np.eye(4) + 0.3 * np.kron(y, y) - 0.25 * np.kron(z, x) + 0.2 * np.kron(z, z)) / 4
+    return np.kron(rho_ab, np.eye(2) / 2)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_newton_solve_is_regular_where_a_setting_enters_no_term(seed):
+    # the maximum of <X1Y1> is the largest singular value of the correlation
+    # matrix, whose rows (0, 0.3, 0) and (-0.25, 0, 0.2) are orthogonal
+    rep = optimize_operator(
+        _two_body_only_state(), BellKind.NS99, OptimizeOptions(restarts=16, seed=seed)
+    )
+    assert rep.value == pytest.approx(np.sqrt(0.1025), abs=1e-12)
+    assert rep.converged and rep.capped == 0
+
+
+def test_newton_keeps_a_trial_exactly_where_the_value_rises(monkeypatch):
+    # the one acceptance rule: no row's value falls, and a trial that rises is
+    # kept even where the tangent Hessian is not negative definite
+    rho = qalg.projector(states.extended_ghz(*states.ext_s_lambdas_from_tau_c12(0.4, 0.3)))
+    newton = optimize._newton
+    kept_tops = []
+
+    def spy(pair_mats, aug, values):
+        new_aug, new_values = newton(pair_mats, aug, values)
+        assert np.all(new_values >= values)
+        kept = new_values > values
+        hess = _tangent_system(pair_mats, aug)[2]
+        kept_tops.extend(np.linalg.eigvalsh(hess[kept])[:, -1])
+        return new_aug, new_values
+
+    monkeypatch.setattr(optimize, "_newton", spy)
+    optimize_operator(rho, BellKind.SVETLICHNY, FAST)
+    assert max(kept_tops, default=-np.inf) >= -HESSIAN_MIN
 
 
 # rho4 Svetlichny crosses its bound tangentially at 5/8, rho8 ns99 crosses

@@ -324,6 +324,13 @@ def test_membership_raises_at_the_pivot_cap(monkeypatch):
         polytope.membership(uniform, HybridKind.FULLY_LOCAL)
 
 
+def test_phase1_simplex_raises_on_an_unbounded_direction():
+    # the column's reduced cost 1.8e-11 passes the 1e-11 pricing cut, but none
+    # of its entries exceeds the ratio test's 1e-11 cut
+    with pytest.raises(LPNumericalError, match="unbounded direction"):
+        polytope._phase1_simplex(np.full((1, 2), 0.9e-11), np.ones(2))
+
+
 def test_random_local_mixtures_inside_all_models(rng):
     verts = polytope.enumerate_vertices(HybridKind.FULLY_LOCAL)
     for _ in range(3):
