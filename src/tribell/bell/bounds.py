@@ -200,21 +200,18 @@ def svetlichny_x_max(rho: np.ndarray) -> XStateMaximum:
     each party's other setting the mirror image (y -> -y) of its first.
     """
     a, d, b, g, zzz, _, _, _ = _x_entries(rho)
-    real, cos_r, sin_r = _in_plane_max(a, d, b, g)
-    flip, cos_f, sin_f = _in_plane_max(a, d, b, -g)
-    top = max(real, flip, abs(zzz))
-    if top == real:
-        x, y = _top_singular_pair(a * cos_r, b * sin_r, g * sin_r, d * cos_r)
-        u = math.atan2(sin_r, cos_r)
-        settings = [_plane(u), _plane(u), _plane(x), _plane(x), _plane(y), _plane(y)]
-    elif top == flip:
-        x, y = _top_singular_pair(a * cos_f, b * sin_f, -g * sin_f, d * cos_f)
-        u = math.atan2(sin_f, cos_f)
-        settings = [_plane(-u), _plane(u), _plane(x), _plane(-x), _plane(y), _plane(-y)]
+    # the signed in-plane branch M(a, d, b, s g); a tie keeps s = 1
+    s, (plane, cos_t, sin_t) = max(
+        ((s, _in_plane_max(a, d, b, s * g)) for s in (1.0, -1.0)), key=lambda m: m[1][0]
+    )
+    if plane >= abs(zzz):
+        x, y = _top_singular_pair(a * cos_t, b * sin_t, s * g * sin_t, d * cos_t)
+        u = math.atan2(sin_t, cos_t)
+        settings = [_plane(s * u), _plane(u), _plane(x), _plane(s * x), _plane(y), _plane(s * y)]
     else:
         up, c = _axis(1.0), _axis(zzz)
         settings = [up, up, up, up, c, c]
-    return XStateMaximum(4.0 * top, _scenario(settings))
+    return XStateMaximum(4.0 * max(plane, abs(zzz)), _scenario(settings))
 
 
 def ns99_x_max(rho: np.ndarray) -> XStateMaximum:

@@ -33,8 +33,8 @@ each party and setting. The step solves (H - ``HESSIAN_MIN`` I) s = -grad
 for every restart in one batched solve and is retracted by normalization. A
 restart keeps its trial exactly where the value strictly rises, the rule the
 extrapolation trial follows, so no value ever falls. Each report carries the
-largest eigenvalue of the best restart's tangent Hessian
-(``ViolationReport.hessian_max``).
+largest Riemannian gradient norm and the largest tangent Hessian eigenvalue
+at the reported settings (``ViolationReport.residual``, ``hessian_max``).
 
 With ``OptimizeOptions.stop_above`` set,
 the batch stops once one restart's value exceeds it by ``STOP_MARGIN``; no
@@ -113,18 +113,18 @@ class OptimizeOptions:
 class ViolationReport:
     """Outcome of one multi-start maximization.
 
-    ``residual`` is the best restart's largest first-order residual
-    ``|g_s| - <g_s, v_s>`` over all parties and settings (zero at a
-    stationary point); ``capped`` counts the restarts that ``max_iter``
-    stopped before they froze. ``hessian_max`` is the largest eigenvalue of
-    the best restart's Riemannian Hessian on the tangent space of the unit
-    Bloch spheres. With a zero residual, a value below -``HESSIAN_MIN``
-    certifies a strict local maximum of the settings, not the global one.
-    A value within rounding of zero, of either sign, certifies nothing: a
-    continuous family of maxima (GHZ-type states, for instance), a flat
-    direction, or the zero operator of the maximally mixed state; a positive
-    one marks a saddle. A run halted by ``stop_above`` is unconverged: its
-    value is certified above the stop value but is not the maximum.
+    ``residual`` is the largest norm, over all parties and settings, of the
+    Riemannian gradient of the value at the reported settings on the unit
+    Bloch spheres (zero at a stationary point); ``capped`` counts the
+    restarts that ``max_iter`` stopped before they froze. ``hessian_max`` is
+    the largest eigenvalue of the Riemannian Hessian at the same settings.
+    With a zero residual, a value below -``HESSIAN_MIN`` certifies a strict
+    local maximum of the settings, not the global one. A value within
+    rounding of zero, of either sign, certifies nothing: a continuous family
+    of maxima (GHZ-type states, for instance), a flat direction, or the zero
+    operator of the maximally mixed state; a positive one marks a saddle. A
+    run halted by ``stop_above`` is unconverged: its value is certified
+    above the stop value but is not the maximum.
     """
 
     value: float
@@ -344,10 +344,9 @@ def optimize_operator(
     restart_values = value_fn(points)
     best_index = _best_restart(restart_values)
     best_value = float(restart_values[best_index])
-    # first- and second-order certificates of the best restart's settings
-    _, grad, hess = _tangent_system(pair_mats, aug[best_index : best_index + 1])
-    along = -np.diagonal(hess[0])[::2]  # <g_s, v_s> per party and setting
-    tangential = np.linalg.norm(grad.reshape(-1, 2), axis=1)  # |g_s - <g_s, v_s> v_s|
+    # first- and second-order certificates at the reported settings
+    best = augmented_vectors(points[best_index : best_index + 1]).reshape(1, n, 2, 4)
+    _, grad, hess = _tangent_system(pair_mats, best)
 
     top_two = np.sort(restart_values)[-2:]  # one restart is trivially converged
     converged = not stopped and bool(top_two[-1] - top_two[0] <= RESTART_SPREAD_TOL)
@@ -359,7 +358,7 @@ def optimize_operator(
         violated=bool(best_value > VIOLATION_CUT[kind]),
         converged=converged,
         restart_values=restart_values,
-        residual=float(np.max(np.hypot(tangential, along) - along)),
+        residual=float(np.max(np.linalg.norm(grad.reshape(-1, 2), axis=1))),
         capped=capped,
         hessian_max=float(np.linalg.eigvalsh(hess)[0, -1]),
     )

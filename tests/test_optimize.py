@@ -17,6 +17,7 @@ from tribell.bell import (
 )
 from tribell.bell.operators import (
     VIOLATION_ATOL,
+    MeasurementScenario,
     _fused_coefficient_tensor,
     _pair_block,
     _pair_matrices,
@@ -123,6 +124,34 @@ def test_tangent_gradient_and_hessian_match_finite_differences(kind):
     assert np.array_equal(hess[0], hess[0].T)
 
 
+@pytest.mark.parametrize("kind", [BellKind.NS99, BellKind.SVETLICHNY])
+@pytest.mark.parametrize(
+    "opts", [OptimizeOptions(restarts=4, max_iter=1), FAST], ids=["capped", "converged"]
+)
+def test_residual_is_the_riemannian_gradient_at_the_reported_angles(kind, opts):
+    # recomputed from the report alone: central differences of the direct-trace
+    # value in each polar and azimuthal angle give the gradient on the sphere,
+    # |grad| = sqrt(d_theta^2 + (d_phi / sin theta)^2) per party and setting
+    rng = np.random.default_rng(20261)
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
+    rep = optimize_operator(rho, kind, opts)
+    h = 1e-5
+
+    def partial(row, col):
+        shifted = [rep.scenario.angles.copy() for _ in range(2)]
+        shifted[0][row, col] += h
+        shifted[1][row, col] -= h
+        up, down = (operator_value(rho, MeasurementScenario(x), kind) for x in shifted)
+        return (up - down) / (2 * h)
+
+    norms = [
+        np.hypot(partial(row, 0), partial(row, 1) / np.sin(rep.scenario.angles[row, 0]))
+        for row in range(6)
+    ]
+    assert max(norms) == pytest.approx(rep.residual, abs=1e-9)
+
+
 @pytest.mark.parametrize("kind", [BellKind.CHSH, BellKind.NS99, BellKind.SVETLICHNY])
 def test_pair_blocks_match_a_direct_contraction(kind):
     # every party's partial contraction, read from each pair block that holds
@@ -155,6 +184,23 @@ def test_flat_maximum_is_polished_to_a_strict_local_maximum():
     assert rep.value == pytest.approx(4.0, abs=1e-12)
     assert rep.hessian_max < 0.0
     assert rep.capped == 0
+
+
+def test_settings_from_which_the_value_rises_are_not_certified():
+    # at p = 5/8 the see-saw stops just short of the all-x setting's 4 (the
+    # reported azimuths rounded to multiples of pi); a small step toward it
+    # still raises the value, so the report must not certify a local maximum
+    rho = states.mixed_builder(states.Family.RHO4)(0.625)
+    rep = optimize_operator(rho, BellKind.SVETLICHNY)
+    angles = rep.scenario.angles
+    target = angles.copy()
+    target[:, 1] = np.round(angles[:, 1] / np.pi) * np.pi
+    assert operator_value(rho, MeasurementScenario(target), BellKind.SVETLICHNY) == pytest.approx(
+        4.0, abs=1e-12
+    )
+    stepped = MeasurementScenario(angles + 0.05 * (target - angles))
+    rises = operator_value(rho, stepped, BellKind.SVETLICHNY) > rep.value
+    assert not (rises and rep.residual <= 1e-9 and rep.hessian_max < -HESSIAN_MIN)
 
 
 @pytest.mark.parametrize(
