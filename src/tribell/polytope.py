@@ -16,21 +16,24 @@ supported, each as the convex hull of an explicit vertex set:
 Each model's vertex matrix is built once per process and kept read-only.
 
 Membership is a pure feasibility question. For FULLY_LOCAL and NS2 it asks
-for nonnegative weights over the model's vertices that sum to one and
-reproduce the behavior. S2 is solved over pair tables instead of its 3072
-vertices: every conditional pair table is a mixture of deterministic ones,
-so the S2 hull is the set of sums over bipartitions k and third-party
-strategies s of r_{k,s}(a_i a_j|x_i x_j) δ(a_t = s(x_t)), with each r_{k,s} a
-nonnegative 16-entry table of equal mass for all four (x_i, x_j). That LP
-has 192 columns and 64 + 36 rows. Its solution is split back into weights
-on the S2 vertices, so every witness is a vertex decomposition.
+for nonnegative weights over the model's vertices that reproduce the
+behavior; they sum to one because the eight xyz = 000 entries sum to one on
+every vertex and on the behavior. S2 is solved over pair tables instead of
+its 3072 vertices: every conditional pair table is a mixture of
+deterministic ones, so the S2 hull is the set of sums over bipartitions k
+and third-party strategies s of r_{k,s}(a_i a_j|x_i x_j) δ(a_t = s(x_t)),
+with each r_{k,s} a nonnegative 16-entry table of equal mass for all four
+(x_i, x_j). That LP has 192 columns and 64 + 36 rows. Its solution is split
+back into weights on the S2 vertices, so every witness is a vertex
+decomposition.
 
 Each LP is decided by a self-contained phase-1 revised simplex with Bland's
 rule. Only the basis inverse is updated per pivot. Every column of the
 cached constraint matrix (at most 288, for NS2) is priced in one product,
 and the first improving one enters. At an "outside" verdict the final
-duals form a Farkas certificate: a linear inequality that every vertex
-satisfies and the behavior violates.
+duals on the 64 behavior rows form a Farkas certificate: a homogeneous
+linear inequality y.p <= 0 that every vertex satisfies and the behavior
+violates.
 """
 
 from __future__ import annotations
@@ -194,13 +197,15 @@ _BOX_DIGITS = 4 ** np.arange(3, -1, -1)
 
 
 @functools.cache
-def _lp_columns(kind: HybridKind) -> np.ndarray:
-    """Columns [v; 1] of the vertex LP, one row per vertex v; read-only.
+def enumerate_vertices(kind: HybridKind) -> np.ndarray:
+    """Vertex behaviors of a hybrid model, one row per vertex, shape (n, 64).
 
-    The row order is the column order Bland's rule sees in the fully-local
-    and NS2 membership LPs; S2 membership solves ``_s2_pair_columns``, and S2
-    vertex k*1024 + o*4 + s sums the four of its columns that lift box o in block (k, s).
+    Built once per ``kind`` argument and read-only. The rows are the columns
+    of the fully-local and NS2 membership LPs, in the order Bland's rule
+    sees them; S2 membership solves ``_s2_pair_columns``, and S2 vertex
+    k*1024 + o*4 + s sums the four of its columns that lift box o in block (k, s).
     """
+    kind = HybridKind(kind)
     if kind is HybridKind.FULLY_LOCAL:
         vertices = deterministic_local_vertices()
     elif kind is HybridKind.NS2:
@@ -211,9 +216,8 @@ def _lp_columns(kind: HybridKind) -> np.ndarray:
         # [k, o, s, 2x+y] -> compact column (k*4 + s)*16 + (2x+y)*4 + 2a+b
         rows = np.arange(12).reshape(3, 1, 4, 1) * 16 + np.arange(4) * 4 + outputs[:, None, :]
         vertices = _s2_pair_columns()[rows.reshape(3072, 4), :64].sum(axis=1)
-    columns = np.hstack([vertices, np.ones((vertices.shape[0], 1))])
-    columns.setflags(write=False)
-    return columns
+    vertices.setflags(write=False)
+    return vertices
 
 
 @functools.cache
@@ -257,14 +261,6 @@ def _s2_vertex_weights(tables: np.ndarray) -> np.ndarray:
     block = np.arange(12)[:, None]
     rows = (block // 4) * 1024 + boxes * 4 + block % 4
     return np.bincount(rows.ravel(), weights=lengths.ravel(), minlength=3072)
-
-
-def enumerate_vertices(kind: HybridKind) -> np.ndarray:
-    """Vertex behaviors of a hybrid model, one row per vertex, shape (n, 64).
-
-    The array is shared by every caller and read-only.
-    """
-    return _lp_columns(HybridKind(kind))[:, :64]
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +331,12 @@ class MembershipResult:
     """LP verdict: a witness decomposition or a separating certificate.
 
     ``weights`` (inside verdicts only) are weights on the rows of
-    ``enumerate_vertices(kind)``. ``certificate`` is set for outside verdicts
-    only: a vector y of length 65 with y.[v; 1] <= 1e-11 for every model
-    vertex v (4e-11 for S2, whose vertices each sum four compact columns)
-    and y.[p; 1] = phase1_objective > 0 for the behavior p, i.e. the Bell
-    inequality y[:64].p <= -y[64] holds on the model and is violated by p.
-    ``phase1_objective`` and ``iterations`` are those of the LP solved,
-    which for S2 is the compact one.
+    ``enumerate_vertices(kind)``. ``certificate`` (outside verdicts only) is
+    a 64-entry y with y.v <= 1e-11 on every model vertex v (4e-11 for S2,
+    whose vertices each sum four compact columns) and y.p = phase1_objective
+    > 0 on the behavior p: the Bell inequality y.p <= 0 holds on the model
+    and p violates it. ``phase1_objective`` and ``iterations`` are those of
+    the LP solved, which for S2 is the compact one.
     """
 
     inside: bool
@@ -356,42 +351,33 @@ class MembershipResult:
 def membership(behavior: Behavior, kind: HybridKind) -> MembershipResult:
     """Decide whether a behavior lies in the convex hull of a model's vertices.
 
-    Feasibility of: nonnegative vertex weights (for S2, pair tables),
-    summing to one, reproducing all 64 probabilities to within 1e-8.
-    Simplex breakdown raises LPNumericalError instead of being reported as
-    infeasibility.
+    Feasibility of: nonnegative vertex weights (for S2, pair tables)
+    reproducing all 64 probabilities to within 1e-8, which forces them to sum
+    to one. Simplex breakdown raises LPNumericalError instead of being
+    reported as infeasibility.
     """
     kind = HybridKind(kind)
     vertices = enumerate_vertices(kind)
     target = behavior.flat()
     compact = kind is HybridKind.S2
+    columns, rhs = vertices, target
     if compact:
         columns, rhs = _s2_pair_columns(), np.append(target, np.zeros(36))
-    else:
-        columns, rhs = _lp_columns(kind), np.append(target, 1.0)
     objective, weights, dual, iterations = _phase1_simplex(columns, rhs)
-    if objective > MEMBERSHIP_ATOL:
-        return MembershipResult(
-            inside=False,
-            kind=kind,
-            weights=None,
-            phase1_objective=objective,
-            residual=math.inf,
-            iterations=iterations,
-            certificate=np.append(dual[:64], 0.0) if compact else dual,
-        )
-    weights = _s2_vertex_weights(weights) if compact else np.maximum(weights, 0.0)
-    residual = float(max(np.max(np.abs(weights @ vertices - target)), abs(weights.sum() - 1.0)))
-    if residual > MEMBERSHIP_ATOL:
-        raise LPNumericalError(
-            f"phase-1 reported feasible but residual {residual} exceeds {MEMBERSHIP_ATOL}"
-        )
+    inside, residual = objective <= MEMBERSHIP_ATOL, math.inf
+    if inside:
+        weights = _s2_vertex_weights(weights) if compact else np.maximum(weights, 0.0)
+        residual = float(max(np.max(np.abs(weights @ vertices - target)), abs(weights.sum() - 1.0)))
+        if residual > MEMBERSHIP_ATOL:
+            raise LPNumericalError(
+                f"phase-1 reported feasible but residual {residual} exceeds {MEMBERSHIP_ATOL}"
+            )
     return MembershipResult(
-        inside=True,
+        inside=inside,
         kind=kind,
-        weights=weights,
+        weights=weights if inside else None,
         phase1_objective=objective,
         residual=residual,
         iterations=iterations,
-        certificate=None,
+        certificate=None if inside else dual[:64],
     )

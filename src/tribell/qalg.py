@@ -116,13 +116,23 @@ def pauli_tensor(rho: np.ndarray, n: int) -> np.ndarray:
 
     ``s = (X, Y, Z, I)``: the identity is index 3, so R[..., 3] holds the
     marginals and R[3, 3, ...] = Tr rho. Returns a real array of shape (4,) * n.
+
+    Raises ValueError on a trace off 1 by more than ``TRACE_ATOL`` or an
+    imaginary entry, which sums 2**n entries of the anti-Hermitian part, above
+    ``HERMITICITY_ATOL`` * 2**n. Slightly non-PSD closed forms are accepted.
     """
     rho = np.asarray(rho, dtype=complex)
     if not 1 <= n <= 3 or rho.shape != (2**n, 2**n):
         raise ValueError(f"expected a {n}-qubit density matrix, got shape {rho.shape}")
     rows, cols, out = "abc"[:n], "def"[:n], "ijk"[:n]
     spec = rows + cols + "".join(f",{o}{c}{r}" for o, c, r in zip(out, cols, rows)) + "->" + out
-    return np.einsum(spec, rho.reshape((2,) * (2 * n)), *[_PAULI_TENSOR_BASIS] * n).real
+    r = np.einsum(spec, rho.reshape((2,) * (2 * n)), *[_PAULI_TENSOR_BASIS] * n)
+    trace = complex(r[(3,) * n])
+    if abs(trace - 1.0) > TRACE_ATOL:
+        raise ValueError(f"rho trace is {trace!r}, expected 1")
+    if np.abs(r.imag).max() > HERMITICITY_ATOL * 2**n:
+        raise ValueError(f"rho is not Hermitian to {HERMITICITY_ATOL}")
+    return r.real
 
 
 def bloch_vector(theta: float, phi: float) -> np.ndarray:

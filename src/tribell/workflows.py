@@ -10,6 +10,7 @@ verdicts (Kraus model and published closed form) of ``tribell channel``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -288,6 +289,8 @@ class SweepSpec:
 
     def __post_init__(self):
         self.family = Family(self.family)
+        if not isinstance(self.steps, numbers.Integral) or isinstance(self.steps, bool):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 2:
             raise ValueError(f"sweep needs at least 2 steps, got {self.steps}")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):

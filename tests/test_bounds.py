@@ -422,3 +422,32 @@ def test_bound_domain_guards():
         ns99_mixed_bound(Family.RHO4, -0.1)
     with pytest.raises(ValueError):
         chsh_pure_max(2.0)
+
+
+@pytest.mark.parametrize("defect", ["trace-2", "non-hermitian"])
+def test_bell_maxima_reject_a_matrix_that_is_not_a_state(defect):
+    # Every Bell value, exact maximum and X-state test reads rho through its
+    # Pauli tensor, so the trace and the Hermitian part are checked there.
+    rho = qalg.projector(states.gghz(0.1))
+    if defect == "trace-2":
+        rho = 2 * rho
+    else:
+        rho[0, 7] += 0.01
+    calls = (
+        lambda: optimize_operator(rho, BellKind.SVETLICHNY, OptimizeOptions(restarts=2)),
+        lambda: ns99_x_max(rho),
+        lambda: svetlichny_x_max(rho),
+        lambda: workflows.maximum(rho, BellKind.NS99),
+        lambda: is_real_x_state(rho),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="trace is|not Hermitian"):
+            call()
+
+
+def test_bell_maxima_still_take_the_non_psd_damped_closed_form():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", channels.HermitizedClosedFormWarning)
+        rho = channels.closed_form_damped_gghz(0.0992, 0.1, 0.08, 0.09)
+    assert np.linalg.eigvalsh(rho).min() < -qalg.PSD_ATOL
+    assert svetlichny_x_max(rho).value == 3.9407332113442255

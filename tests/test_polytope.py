@@ -167,9 +167,9 @@ def _dense_phase1_simplex(A, b, max_iter=50000):
 def _assert_certificate(res, behavior):
     """An outside verdict's dual separates the behavior from every vertex."""
     y = res.certificate
-    assert y.shape == (65,)
-    assert np.max(polytope.enumerate_vertices(res.kind) @ y[:64] + y[64]) <= 1e-9
-    violation = behavior.flat() @ y[:64] + y[64]
+    assert y.shape == (64,)
+    assert np.max(polytope.enumerate_vertices(res.kind) @ y) <= 1e-9
+    violation = behavior.flat() @ y
     assert violation > 0.0
     assert violation == pytest.approx(res.phase1_objective, rel=1e-9)
 
@@ -481,10 +481,10 @@ def _oracle_behaviors(seed, count):
 
 
 def test_membership_matches_dense_tableau_oracle():
-    # Verdicts agree with the dense vertex LP in every model. S2 membership
-    # solves the compact pair-table LP, whose phase-1 value differs from the
-    # vertex LP's, so its objective is checked against the dense solver run
-    # on that same compact LP.
+    # Verdicts agree with the dense vertex LP, normalization row included, in
+    # every model. Membership solves the behavior rows alone (for S2, the
+    # compact pair-table LP), whose phase-1 value differs from that LP's, so
+    # its objective is checked against the dense solver run on the same rows.
     compact = polytope._s2_pair_columns().T
     inside = set()
     for beh in _oracle_behaviors(seed=2024, count=32):
@@ -498,6 +498,8 @@ def test_membership_matches_dense_tableau_oracle():
             if kind is HybridKind.S2:
                 b = np.append(beh.flat(), np.zeros(36))
                 objective, _, _ = _dense_phase1_simplex(compact, b)
+            else:
+                objective, _, _ = _dense_phase1_simplex(verts.T, beh.flat())
             assert res.phase1_objective == pytest.approx(objective, abs=1e-9)
             if res.inside:
                 inside.add(kind)

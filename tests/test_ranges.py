@@ -165,6 +165,10 @@ DOMAIN_CHECKS = {
         lambda: workflows.SweepSpec(Family.GGHZ, 0.1, 0.5, 3, ()),
         "sweep needs at least one output column",
     ),
+    "SweepSpec-fractional-steps": (
+        lambda: workflows.SweepSpec(Family.RHO6, 0.7, 0.8, 2.5, ("ns_bound",)),
+        "steps must be an integer, got 2.5",
+    ),
     "compute_table-3": (lambda: workflows.compute_table(3), "table must be 1 or 2"),
     "discord_numeric-measured-2": (
         lambda: entangle.discord_numeric(_BELL_PAIR, measured=2), "measured must be 0 or 1"
